@@ -10,7 +10,6 @@
 
 #include "src/core/decorrelation.h"
 #include "src/core/distillation.h"
-#include "src/core/hetero_server.h"
 #include "src/core/local_trainer.h"
 #include "src/core/trainer.h"
 #include "src/data/dataset.h"
@@ -427,11 +426,11 @@ void BM_FederatedRound(benchmark::State& state) {
   // per-round backend speedup recorded in docs/PERFORMANCE.md.
   const int backend = static_cast<int>(state.range(3));
 
-  HeteroServer::Options so;
+  ShardedServer::Options so;
   so.widths = {RoundBenchSetup::kWidth};
   so.num_items = setup.ds->num_items();
   so.seed = 3;
-  HeteroServer server(so);
+  ShardedServer server(so);
   LocalTrainer trainer(*setup.ds, BaseModel::kNcf);
   std::vector<LocalTaskSpec> tasks = {{0, RoundBenchSetup::kWidth}};
 
@@ -450,7 +449,7 @@ void BM_FederatedRound(benchmark::State& state) {
           &client, server.table(0), {&server.theta(0)}, tasks, opt);
       uploaded_rows += up.sparse ? up.v_delta_sparse.num_rows()
                                  : up.v_delta.rows();
-      server.Accumulate(tasks, up);
+      server.UploadDelta(tasks, up);
     }
     server.FinishRound();
   }
@@ -474,19 +473,19 @@ BENCHMARK(BM_FederatedRound)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
 
-// One streaming round against the sharded server (arg 0 = shard count,
+// One streaming round against the parameter server (arg 0 = shard count,
 // S ∈ {1, 8}): 256 power-law clients build sparse MF-SGD deltas against
-// the live table and merge through ServerApi. S=1 is the legacy-apply
+// the live table and merge through UploadDelta. S=1 is the one-shard
 // baseline; S=8 adds the range-routing and per-shard buffer overhead the
 // scale-out pays per round — bench_sharding measures the same loop
 // end-to-end at 1M clients.
 void BM_ShardedRound(benchmark::State& state) {
-  const size_t shards = static_cast<size_t>(state.range(0));
-  HeteroServer::Options so;
+  ShardedServer::Options so;
   so.widths = {32};
   so.num_items = 20000;
   so.seed = 3;
-  auto server = MakeServer(so, shards);
+  so.num_shards = static_cast<size_t>(state.range(0));
+  ShardedServer server(so);
 
   StreamConfig scfg;
   scfg.num_users = 1'000'000;
@@ -503,7 +502,7 @@ void BM_ShardedRound(benchmark::State& state) {
   uint64_t scalars = 0;
   size_t rounds = 0;
   for (auto _ : state) {
-    StreamLoopResult r = RunStreamingRounds(server.get(), stream, opt);
+    StreamLoopResult r = RunStreamingRounds(&server, stream, opt);
     scalars += r.upload_scalars;
     rounds += r.rounds;
     benchmark::DoNotOptimize(r);

@@ -55,7 +55,7 @@ int Main(int argc, char** argv) {
   scfg.seed = cli.GetUint64("seed");
   const ClientStream stream(scfg);
 
-  HeteroServer::Options sopts;
+  ShardedServer::Options sopts;
   sopts.widths = {static_cast<size_t>(cli.GetUint64("width"))};
   sopts.num_items = scfg.num_items;
   sopts.aggregation = AggregationMode::kMean;
@@ -82,12 +82,13 @@ int Main(int argc, char** argv) {
   bool all_identical = true;
   bool rss_ok = true;
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    std::unique_ptr<ServerApi> server = MakeServer(sopts, shards);
+    ShardedServer::Options run_sopts = sopts;
+    run_sopts.num_shards = shards;
+    ShardedServer server(run_sopts);
     StreamLoopOptions run_opts = lopts;
     if (shards == 4) run_opts.metrics_out = cli.GetString("metrics_out");
     std::fprintf(stderr, "[sharding] S=%zu streaming...\n", shards);
-    const StreamLoopResult r = RunStreamingRounds(server.get(), stream,
-                                                  run_opts);
+    const StreamLoopResult r = RunStreamingRounds(&server, stream, run_opts);
 
     // Per-shard balance: max over mean of upload scalars — the Zipf head
     // loads the low-id shard hardest.
@@ -102,7 +103,7 @@ int Main(int argc, char** argv) {
 
     // Bit-identity vs the S=1 run: same seeds, same workload, different
     // shard count — the final tables must match byte for byte.
-    ServerSnapshot snap = server->Snapshot();
+    ServerSnapshot snap = server.Snapshot();
     std::string identical = "-";
     if (shards == 1) {
       s1_tables = std::move(snap.tables);

@@ -3,7 +3,7 @@
 #include <cstring>
 #include <fstream>
 
-#include "src/core/server_api.h"
+#include "src/fed/shard/sharded_server.h"
 
 namespace hetefedrec {
 
@@ -197,7 +197,8 @@ StatusOr<FeedForwardNet> ReadFfn(std::istream* in) {
   return net;
 }
 
-Status SaveServerCheckpoint(const std::string& path, const ServerApi& server,
+Status SaveServerCheckpoint(const std::string& path,
+                            const ShardedServer& server,
                             const std::string& base_model_name) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open " + path);

@@ -72,13 +72,13 @@ Status WriteFfn(std::ostream* out, const FeedForwardNet& net);
 /// Reads a FeedForwardNet record written by WriteFfn.
 StatusOr<FeedForwardNet> ReadFfn(std::istream* in);
 
-class ServerApi;
+class ShardedServer;
 
 /// Persists a trained server's public parameters — every slot's item
 /// embedding table and preference FFN plus identifying metadata — to
-/// `path`. Works for any ServerApi implementation (single-table or
-/// sharded); the format is shard-count independent.
-Status SaveServerCheckpoint(const std::string& path, const ServerApi& server,
+/// `path`. The format is shard-count independent.
+Status SaveServerCheckpoint(const std::string& path,
+                            const ShardedServer& server,
                             const std::string& base_model_name);
 
 /// \brief A loaded checkpoint: per-slot public parameters.

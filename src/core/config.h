@@ -157,14 +157,13 @@ struct ExperimentConfig {
   /// tolerance pinned by tests/core/backend_equivalence_test.cc.
   ComputeBackend compute_backend = ComputeBackend::kFp64;
 
-  /// Item-range parameter-server shards (docs/SYNC.md "Sharding").
-  /// 0 (default): the single-table HeteroServer — every prior result is
-  /// bit-identical. S >= 1: the ShardedServer with S shards; S=1 is
-  /// bit-identical to the single table, and because padded aggregation is
+  /// Item-range parameter-server shards (docs/SYNC.md "Sharding"). 0
+  /// (default) and 1 both mean one shard. Because padded aggregation is
   /// row-independent every S reproduces the same tables bit-for-bit (the
   /// shard count changes memory layout and per-shard accounting, not
   /// arithmetic — pinned by tests/core/sharding_equivalence_test.cc).
-  /// Participates in the resume fingerprint.
+  /// Participates in the resume fingerprint as given, so 0 and 1 do not
+  /// resume into each other.
   size_t server_shards = 0;
 
   // --- delta sync & simulated network (docs/SYNC.md) --------------------

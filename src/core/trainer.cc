@@ -338,7 +338,7 @@ class FederatedRun {
       HFR_CHECK_LT(cfg_.dims[1], cfg_.dims[2]);
     }
 
-    HeteroServer::Options server_opts;
+    ShardedServer::Options server_opts;
     server_opts.widths = setup_.widths;
     server_opts.ffn_hidden = cfg_.ffn_hidden;
     server_opts.num_items = dataset_.num_items();
@@ -346,10 +346,10 @@ class FederatedRun {
     server_opts.aggregation = cfg_.aggregation;
     server_opts.shared_aggregation = setup_.shared_aggregation;
     server_opts.seed = root_.Fork(1).Next();
-    // server_shards == 0 keeps the single-table HeteroServer; any S >= 1
-    // builds the item-range ShardedServer. Either way the trainer only
-    // sees ServerApi from here on.
-    server_ = MakeServer(server_opts, cfg_.server_shards);
+    // server_shards 0 and 1 both mean one shard; any count gives the same
+    // tables bit-for-bit.
+    server_opts.num_shards = std::max<size_t>(1, cfg_.server_shards);
+    server_ = std::make_unique<ShardedServer>(server_opts);
 
     clients_.resize(dataset_.num_users());
     for (size_t u = 0; u < clients_.size(); ++u) {
@@ -1305,9 +1305,9 @@ class FederatedRun {
       st.client_rngs.push_back(c.rng.SaveState());
       st.client_embeddings.push_back(c.user_embedding);
     }
-    // The server's mutable state crosses through ServerApi::Snapshot, whose
-    // layout is shard-count independent — sharded runs checkpoint and
-    // resume through the same RunState fields as the single table.
+    // The server's mutable state crosses through ShardedServer::Snapshot,
+    // whose layout is shard-count independent — runs checkpoint and resume
+    // through the same RunState fields at any shard count.
     ServerSnapshot server_snap = server_->Snapshot();
     st.tables = std::move(server_snap.tables);
     st.thetas = std::move(server_snap.thetas);
@@ -1627,7 +1627,7 @@ class FederatedRun {
   Timer timer_;  // wall clock, started at construction like the old loop
   Rng root_;
 
-  std::unique_ptr<ServerApi> server_;
+  std::unique_ptr<ShardedServer> server_;
   std::vector<ClientState> clients_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<LocalTrainer>> trainers_;

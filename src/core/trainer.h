@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/core/config.h"
-#include "src/core/hetero_server.h"
 #include "src/data/dataset.h"
 #include "src/eval/evaluator.h"
 #include "src/fed/comm.h"

@@ -8,28 +8,27 @@
 namespace hetefedrec {
 
 ShardedServer::ShardedServer(const Options& options)
-    : aggregation_(options.base.aggregation),
-      shared_aggregation_(options.base.shared_aggregation),
+    : aggregation_(options.aggregation),
+      shared_aggregation_(options.shared_aggregation),
       view_(this) {
-  const HeteroServer::Options& base = options.base;
-  HFR_CHECK(!base.widths.empty());
-  HFR_CHECK_GT(base.num_items, 0u);
+  HFR_CHECK(!options.widths.empty());
+  HFR_CHECK_GT(options.num_items, 0u);
   HFR_CHECK_GT(options.num_shards, 0u);
-  HFR_CHECK_LE(options.num_shards, base.num_items);
-  for (size_t s = 1; s < base.widths.size(); ++s) {
-    HFR_CHECK_LT(base.widths[s - 1], base.widths[s]);
+  HFR_CHECK_LE(options.num_shards, options.num_items);
+  for (size_t s = 1; s < options.widths.size(); ++s) {
+    HFR_CHECK_LT(options.widths[s - 1], options.widths[s]);
   }
-  num_items_ = base.num_items;
+  num_items_ = options.num_items;
 
-  // Identical draw sequence to HeteroServer's constructor: the widest
-  // table first, then one Xavier init per slot's Θ. Same seed, same bits.
-  Rng rng(base.seed);
-  const size_t max_width = base.widths.back();
-  Matrix widest(base.num_items, max_width);
-  InitNormal(&widest, base.embed_init_std, &rng);
-  for (size_t w : base.widths) {
+  // Initialize the widest table, then share prefixes downwards so Eq. 10's
+  // invariant holds from t = 0; one Xavier init per slot's Θ follows.
+  Rng rng(options.seed);
+  const size_t max_width = options.widths.back();
+  Matrix widest(options.num_items, max_width);
+  InitNormal(&widest, options.embed_init_std, &rng);
+  for (size_t w : options.widths) {
     tables_.push_back(widest.LeadingCols(w));
-    FeedForwardNet theta(2 * w, {base.ffn_hidden[0], base.ffn_hidden[1]});
+    FeedForwardNet theta(2 * w, {options.ffn_hidden[0], options.ffn_hidden[1]});
     theta.InitXavier(&rng);
     thetas_.push_back(std::move(theta));
   }
@@ -39,13 +38,15 @@ ShardedServer::ShardedServer(const Options& options)
   shard_starts_.reserve(S);
   for (size_t i = 0; i < S; ++i) {
     Shard& sh = shards_[i];
-    sh.lo = base.num_items * i / S;
-    const size_t hi = base.num_items * (i + 1) / S;
+    sh.lo = options.num_items * i / S;
+    const size_t hi = options.num_items * (i + 1) / S;
     sh.rows = hi - sh.lo;
     sh.versions = VersionedTable(tables_.size(), sh.rows);
     sh.v_agg = Matrix(sh.rows, max_width);
     if (!shared_aggregation_) {
-      for (size_t w : base.widths) sh.v_agg_per_slot.emplace_back(sh.rows, w);
+      for (size_t w : options.widths) {
+        sh.v_agg_per_slot.emplace_back(sh.rows, w);
+      }
     }
     shard_starts_.push_back(sh.lo);
   }
@@ -57,7 +58,7 @@ ShardedServer::ShardedServer(const Options& options)
     theta_agg_.push_back(FeedForwardNet::ZerosLike(t));
   }
   theta_weight_.assign(thetas_.size(), 0.0);
-  touched_mask_.assign(base.num_items, 0);
+  touched_mask_.assign(options.num_items, 0);
 }
 
 size_t ShardedServer::shard_of_row(size_t row) const {
@@ -81,8 +82,9 @@ void ShardedServer::MarkTouched(uint32_t row, Shard* shard) {
 }
 
 void ShardedServer::BeginRound() {
-  // Zero only what the previous round dirtied, exactly like HeteroServer —
-  // per shard after an all-sparse round, everything after a dense round.
+  // Zero only what the previous round dirtied: per shard after an
+  // all-sparse round, everything after a round with a dense update (or the
+  // first round, where the constructor already zero-initialized).
   for (Shard& sh : shards_) {
     if (round_has_dense_) {
       sh.v_agg.SetZero();
@@ -121,8 +123,8 @@ void ShardedServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
       update.sparse ? update.v_delta_sparse.width : update.v_delta.cols();
   HFR_CHECK_EQ(tasks.back().width, client_width);
 
-  // Route each delta row to its shard's buffer. The scatter is the same
-  // per-row Axpy HeteroServer performs into its monolithic buffer.
+  // Eq. 7-8: route each delta row to its shard's buffer — zero-padded to
+  // the widest slot in shared mode, the client's own slot when clustered.
   const size_t slot = tasks.back().slot;
   if (!shared_aggregation_) {
     HFR_CHECK_LT(slot, tables_.size());
@@ -178,10 +180,15 @@ void ShardedServer::FinishRound() {
   const bool all_rows = round_has_dense_;
 
   if (shared_aggregation_) {
-    // Deterministic cross-shard merge order: for every (slot, segment)
-    // pair, shards apply in ascending shard id, each replaying its touched
-    // rows in upload order. Per-row arithmetic is identical to
-    // HeteroServer's apply_row, so the result is bit-identical for any S.
+    // Eq. 8-9: every slot applies the leading-column slice of the padded
+    // aggregate. Under kMean/kDataWeighted each *width segment* is
+    // normalized by the total weight of clients wide enough to have
+    // updated it — the natural extension of FedAvg to padded aggregation.
+    // Segment `seg` spans the columns [width(seg-1), width(seg)), whose
+    // accumulated weight is segment_weight_[seg]. Deterministic cross-shard
+    // merge order: for every (slot, segment) pair, shards apply in
+    // ascending shard id, each replaying its touched rows in upload order,
+    // so the result is bit-identical for any S.
     for (size_t s = 0; s < tables_.size(); ++s) {
       size_t col0 = 0;
       for (size_t seg = 0; seg <= s; ++seg) {
@@ -231,7 +238,7 @@ void ShardedServer::FinishRound() {
     }
   }
 
-  // Θ aggregation is global — identical to HeteroServer.
+  // Eq. 15: Θ slots aggregate across every client that trained them.
   for (size_t s = 0; s < thetas_.size(); ++s) {
     if (theta_weight_[s] == 0.0) continue;
     const double scale = aggregation_ == AggregationMode::kSum
@@ -240,7 +247,11 @@ void ShardedServer::FinishRound() {
     thetas_[s].AddScaled(theta_agg_[s], scale);
   }
 
-  // Version stamps: the changed-slot criterion uses the global weights, so
+  // Version stamps for delta sync: a slot's table changed iff some width
+  // segment it reads received weight. The row set is the one the apply
+  // loops visited; stamping a touched row for every eligible slot is a
+  // (safe) over-approximation in clustered mode, where the touched lists
+  // are not split per slot. The criterion uses the global weights, so
   // every shard stamps the same slots — dense rounds raise every shard's
   // StampAll floor in the same round (the lockstep invariant Snapshot
   // relies on).
@@ -273,8 +284,8 @@ void ShardedServer::ApplyUpdate(const std::vector<LocalTaskSpec>& tasks,
   HFR_CHECK_GE(scale, 0.0);
   BeginRound();
   UploadDelta(tasks, update, scale);
-  // Force sum semantics for the single accumulated update (see
-  // HeteroServer::ApplyUpdate).
+  // Force sum semantics for the single accumulated update: under kMean the
+  // weight would normalize itself away (scale/scale = 1).
   const AggregationMode saved = aggregation_;
   aggregation_ = AggregationMode::kSum;
   FinishRound();
@@ -289,6 +300,9 @@ double ShardedServer::Distill(const DistillationOptions& options, Rng* rng) {
   for (auto& t : tables_) ptrs.push_back(&t);
   std::vector<ItemId> sampled;
   const double loss = EnsembleDistill(ptrs, options, rng, &sampled);
+  // RESKD dirties the Vkd rows of *every* slot — including rows outside any
+  // client's touched set — so their versions must advance or replicas would
+  // serve stale bytes.
   for (size_t s = 0; s < tables_.size(); ++s) {
     for (ItemId i : sampled) {
       Shard& sh = shards_[shard_of_row(static_cast<size_t>(i))];
@@ -357,15 +371,6 @@ void ShardedServer::RestoreSnapshot(ServerSnapshot snapshot) {
     sh.versions.Restore(snapshot.version_round, snapshot.version_floors,
                         local);
   }
-}
-
-std::unique_ptr<ServerApi> MakeServer(const HeteroServer::Options& options,
-                                      size_t server_shards) {
-  if (server_shards == 0) return std::make_unique<HeteroServer>(options);
-  ShardedServer::Options opts;
-  opts.base = options;
-  opts.num_shards = server_shards;
-  return std::make_unique<ShardedServer>(opts);
 }
 
 }  // namespace hetefedrec

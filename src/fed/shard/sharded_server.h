@@ -1,61 +1,120 @@
-// Item-range-sharded parameter server (ServerApi implementation #2).
+// Parameter server: heterogeneous parameter storage and aggregation
+// (Algorithm 1 server side; Eq. 7-9 for V, Eq. 15 for Θ, Eq. 16-17 RESKD).
 //
-// The catalogue's row space [0, num_items) is split into S contiguous,
-// near-equal ranges; shard s owns rows [lo_s, lo_{s+1}) with
-// lo_s = floor(num_items * s / S). Each shard owns its slice of the round
-// state — per-shard aggregate buffers, per-shard touched-row lists, and a
-// per-shard `VersionedTable` (local row indexing) — while the canonical
-// per-slot tables and Θ FFNs stay whole-catalogue (Θ aggregation and RESKD
-// are cross-row operations; see docs/SYNC.md "Sharding").
+// The server owns one (V, Θ) pair per model slot (small/medium/large — or a
+// single slot for homogeneous baselines). Client deltas are accumulated
+// into a padded buffer of the widest slot (Eq. 7-8), and at round end each
+// slot applies the leading-column slice of the aggregate (Eq. 8-9). With
+// identical leading-column initialization this preserves the invariant
+// Vs = Vm[:, :Ns] = Vl[:, :Ns] (Eq. 10) until RESKD perturbs the tables
+// independently. Clustered aggregation (per-slot accumulation, no padding)
+// is also supported for the "Clustered FedRec" baseline.
+//
+// Everything outside the server — `Trainer`, `SyncService`, the async
+// aggregator, admission control, checkpointing, telemetry, benches — talks
+// to this one class.
+//
+// Item-range sharding. The catalogue's row space [0, num_items) is split
+// into S >= 1 contiguous, near-equal ranges; shard s owns rows
+// [lo_s, lo_{s+1}) with lo_s = floor(num_items * s / S). Each shard owns its
+// slice of the round state — aggregate buffers, touched-row list, and a
+// `VersionedTable` (local row indexing) — while the canonical per-slot
+// tables and Θ FFNs stay whole-catalogue (Θ aggregation and RESKD are
+// cross-row operations; see docs/SYNC.md "Sharding").
 //
 // Merge-order contract: `FinishRound` visits shards in ascending shard id
 // inside every (slot, width-segment) apply loop, and each shard replays its
 // touched rows in upload order. Because the padded aggregation of Eq. 7-9
 // is row-independent — accumulate is a per-row Axpy, apply is a per-row
-// scaled add, and the segment/slot/Θ weights are global scalars — this
-// schedule is *bit-identical* to the single-table `HeteroServer` for every
-// shard count, not just S=1 (pinned by tests/core/sharding_equivalence_test
-// and tests/fed/sharded_server_test).
+// scaled add, and the segment/slot/Θ weights are global scalars — the
+// result is *bit-identical* for every shard count (pinned by
+// tests/core/sharding_equivalence_test and tests/fed/sharded_server_test).
 //
 // Round lockstep: BeginRound advances every shard's version table, so all
 // shards always agree on the current round and on the per-slot StampAll
 // floors (dense rounds stamp every shard in the same FinishRound). That
 // invariant is what lets Snapshot() export one global `version_round` and
 // per-slot floors while concatenating the raw per-row stamps by row range —
-// the same shard-count-independent layout `HeteroServer` produces, making
-// checkpoints portable across shard counts.
+// a shard-count-independent layout, making checkpoints portable across
+// shard counts.
 #ifndef HETEFEDREC_FED_SHARD_SHARDED_SERVER_H_
 #define HETEFEDREC_FED_SHARD_SHARDED_SERVER_H_
 
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <vector>
 
-#include "src/core/hetero_server.h"
-#include "src/core/server_api.h"
+#include "src/core/config.h"
+#include "src/core/distillation.h"
+#include "src/core/local_trainer.h"
+#include "src/fed/fault/admission.h"
 #include "src/fed/sync/versioned_table.h"
+#include "src/math/matrix.h"
+#include "src/models/ffn.h"
+#include "src/util/rng.h"
 
 namespace hetefedrec {
 
-/// \brief ServerApi over S item-range shards.
-class ShardedServer : public ServerApi {
+/// \brief Full mutable server state in a shard-count-independent layout.
+///
+/// Field-for-field the server portion of `RunState` (src/core/run_state.h):
+/// whole-catalogue per-slot tables and thetas, plus the raw version-stamp
+/// state (per-slot StampAll floors and per-row stamps, *not* floored).
+/// The server concatenates its per-shard state into this layout on
+/// Snapshot and splits it back on RestoreSnapshot, which is what makes
+/// checkpoints portable across shard counts.
+struct ServerSnapshot {
+  std::vector<Matrix> tables;               // [slot], num_items x width(slot)
+  std::vector<FeedForwardNet> thetas;       // [slot]
+  uint64_t version_round = 0;
+  std::vector<uint64_t> version_floors;     // [slot]
+  std::vector<std::vector<uint64_t>> versions;  // [slot][row], raw stamps
+};
+
+/// \brief Heterogeneous federated parameter server over S item-range shards.
+class ShardedServer {
  public:
   struct Options {
-    /// Geometry/seed/aggregation options, shared with HeteroServer. The
-    /// same seed produces bit-identical initial tables and Θ weights.
-    HeteroServer::Options base;
+    /// Embedding width per slot, strictly ascending. One entry =
+    /// homogeneous FedRec.
+    std::vector<size_t> widths;
+    std::array<size_t, 2> ffn_hidden = {8, 8};
+    size_t num_items = 0;
+    double embed_init_std = 0.1;
+    /// How each round's updates combine (Eq. 9; the uploaded quantities
+    /// are local deltas, i.e. -lr·∇ already, so the server applies them
+    /// with unit step).
+    AggregationMode aggregation = AggregationMode::kMean;
+    /// Padded cross-slot aggregation (HeteFedRec / Directly Aggregate) vs
+    /// isolated per-slot aggregation (Clustered FedRec).
+    bool shared_aggregation = true;
+    uint64_t seed = 1;
+    /// Item-range shards, 1 <= num_shards <= num_items. Any value gives
+    /// bit-identical tables; it changes memory layout and per-shard
+    /// accounting only.
     size_t num_shards = 1;
   };
 
   explicit ShardedServer(const Options& options);
+  // The version view points back at its server.
+  ShardedServer(const ShardedServer&) = delete;
+  ShardedServer& operator=(const ShardedServer&) = delete;
 
-  size_t num_slots() const override { return tables_.size(); }
-  size_t width(size_t slot) const override { return tables_[slot].cols(); }
-  size_t num_items() const override { return num_items_; }
-  size_t SlotParamCount(size_t slot) const override;
+  // ---- Geometry -------------------------------------------------------
+  size_t num_slots() const { return tables_.size(); }
+  size_t width(size_t slot) const { return tables_[slot].cols(); }
+  size_t num_items() const { return num_items_; }
+  /// Total public parameters of slot (V + Θ) — Table III accounting.
+  size_t SlotParamCount(size_t slot) const;
 
-  size_t num_shards() const override { return shards_.size(); }
-  size_t shard_of_row(size_t row) const override;
-  uint64_t shard_upload_scalars(size_t shard) const override {
+  // ---- Sharding topology ----------------------------------------------
+  size_t num_shards() const { return shards_.size(); }
+  /// Shard owning item row `row`.
+  size_t shard_of_row(size_t row) const;
+  /// Cumulative item-embedding delta scalars uploaded into `shard`'s row
+  /// range over the server's lifetime (Θ deltas are global, not counted).
+  /// Feeds the bytes/round-per-shard accounting in bench_sharding.
+  uint64_t shard_upload_scalars(size_t shard) const {
     HFR_CHECK_LT(shard, shards_.size());
     return shards_[shard].upload_scalars;
   }
@@ -70,31 +129,78 @@ class ShardedServer : public ServerApi {
     return shards_[shard].rows;
   }
 
-  const Matrix& table(size_t slot) const override { return tables_[slot]; }
-  const FeedForwardNet& theta(size_t slot) const override {
-    return thetas_[slot];
-  }
-  const VersionView& versions() const override { return view_; }
+  // ---- Download surface (read-only views) -----------------------------
+  const Matrix& table(size_t slot) const { return tables_[slot]; }
+  const FeedForwardNet& theta(size_t slot) const { return thetas_[slot]; }
+  /// Row-version view for the delta-sync protocol (docs/SYNC.md): a row's
+  /// version is the round of the last FinishRound/Distill that changed it.
+  const VersionView& versions() const { return view_; }
 
-  void BeginRound() override;
+  // ---- Round protocol -------------------------------------------------
+  /// Clears the round accumulators and advances the version round. Cost is
+  /// proportional to the rows touched in the *previous* round (full-table
+  /// only after a round that saw a dense update).
+  void BeginRound();
+  /// Adds one client's uploaded update (Eq. 7-8 accumulation). `tasks`
+  /// describes which slot each theta delta belongs to and the width of
+  /// v_delta (its last entry). `weight` scales the update's contribution
+  /// (1.0 for kSum/kMean; the client's |Di| under kDataWeighted). Sparse
+  /// updates are scattered row-by-row and enroll their rows in the round's
+  /// touched set; dense and sparse updates may be mixed within a round.
+  /// Not thread-safe — parallel rounds merge their results through calls
+  /// in deterministic merge order.
   void UploadDelta(const std::vector<LocalTaskSpec>& tasks,
-                   const LocalUpdateResult& update,
-                   double weight = 1.0) override;
-  void FinishRound() override;
+                   const LocalUpdateResult& update, double weight = 1.0);
+  /// Applies the aggregated updates to every slot (Eq. 9 / Eq. 15) and
+  /// stamps the changed rows. When every update this round was sparse,
+  /// only rows in the round's touched set are visited — rows outside it
+  /// have an exactly-zero aggregate, so skipping them is bit-identical to
+  /// the dense sweep.
+  void FinishRound();
+  /// Applies one client's update immediately, scaled by `scale` — the
+  /// asynchronous merge-on-arrival primitive (docs/SYNC.md). Equivalent to
+  /// a one-client round under kSum with weight = scale: the update lands
+  /// verbatim times `scale` regardless of the configured aggregation mode
+  /// (a mean over one update would cancel the staleness weight). Advances
+  /// the version and stamps the touched rows like any round. Must not be
+  /// called with a round open. A *dense* update pays a full accumulator
+  /// zero + all-rows apply per merge, so async runs should keep
+  /// use_sparse_updates on — the dense reference path is for equivalence
+  /// checks, not throughput.
   void ApplyUpdate(const std::vector<LocalTaskSpec>& tasks,
-                   const LocalUpdateResult& update, double scale) override;
-  double Distill(const DistillationOptions& options, Rng* rng) override;
-  void StampRows(size_t slot, const std::vector<uint32_t>& rows) override;
+                   const LocalUpdateResult& update, double scale);
+  /// Runs RESKD across all slots' tables (Eq. 16-17) and stamps the
+  /// distilled rows of every slot; returns the mean pre-distillation
+  /// relation loss (0, and a no-op, with one slot).
+  double Distill(const DistillationOptions& options, Rng* rng);
+  /// Marks `rows` of `slot` as changed at the current round — the hook for
+  /// callers that mutate table bytes outside the round protocol (e.g. via
+  /// a restored checkpoint delta or an external editor). Over-stamping is
+  /// always safe.
+  void StampRows(size_t slot, const std::vector<uint32_t>& rows);
 
-  void SetAdmission(AdmissionController* admission) override {
+  // ---- Admission control ----------------------------------------------
+  /// Installs update admission control (docs/ROBUSTNESS.md). The server
+  /// does not own the controller; callers run `Admit` on each upload
+  /// before UploadDelta/ApplyUpdate (in deterministic merge order — the
+  /// gate's accepted-norm history is order-sensitive by design).
+  void SetAdmission(AdmissionController* admission) {
     admission_ = admission;
   }
-  bool admission_enabled() const override { return admission_ != nullptr; }
+  bool admission_enabled() const { return admission_ != nullptr; }
+  /// Runs the admission gates on one upload (`tasks.back().slot`, the
+  /// client's own width, selects the norm window; the item delta may be
+  /// clipped in place). Requires an installed controller.
   AdmissionDecision Admit(const std::vector<LocalTaskSpec>& tasks,
-                          LocalUpdateResult* update) override;
+                          LocalUpdateResult* update);
 
-  ServerSnapshot Snapshot() const override;
-  void RestoreSnapshot(ServerSnapshot snapshot) override;
+  // ---- Persistence ----------------------------------------------------
+  /// Captures the full mutable state (tables, thetas, raw version stamps)
+  /// in the shard-count-independent `ServerSnapshot` layout.
+  ServerSnapshot Snapshot() const;
+  /// Restores a snapshot captured at any shard count with the same
+  /// geometry (slots, widths, num_items). Checks shapes.
+  void RestoreSnapshot(ServerSnapshot snapshot);
 
  private:
   /// Round/aggregation state owned by one item-range shard.
@@ -143,12 +249,18 @@ class ShardedServer : public ServerApi {
   std::vector<size_t> shard_starts_;  // shards_[i].lo, for row routing
   ShardedVersionView view_;
 
-  // Global round scalars — identical bookkeeping to HeteroServer.
+  // Global round scalars. Contributor totals are *weights*: 1 per client
+  // under kSum/kMean, the client's data size under kDataWeighted.
+  /// Weight per width segment: segment s covers columns
+  /// [widths[s-1], widths[s]); a client of width w contributes to all
+  /// segments below w (shared mode).
   std::vector<double> segment_weight_;
-  std::vector<double> slot_weight_;
+  std::vector<double> slot_weight_;  // clustered mode
   std::vector<FeedForwardNet> theta_agg_;
   std::vector<double> theta_weight_;
   bool round_open_ = false;
+  /// A dense update contributed this round: FinishRound/BeginRound fall
+  /// back to full sweeps instead of the touched rows.
   bool round_has_dense_ = false;
   std::vector<uint8_t> touched_mask_;  // global row ids
 
@@ -156,13 +268,6 @@ class ShardedServer : public ServerApi {
 
   void MarkTouched(uint32_t row, Shard* shard);
 };
-
-/// Builds the server an experiment configured with `server_shards` shards
-/// wants: the single-table `HeteroServer` when `server_shards == 0` (the
-/// legacy default), otherwise a `ShardedServer` with that many shards
-/// (S=1 included — useful for pinning the equivalence).
-std::unique_ptr<ServerApi> MakeServer(const HeteroServer::Options& options,
-                                      size_t server_shards);
 
 }  // namespace hetefedrec
 

@@ -1,6 +1,7 @@
 #include "src/fed/shard/stream_loop.h"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -17,7 +18,7 @@ double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 }  // namespace
 
-StreamLoopResult RunStreamingRounds(ServerApi* server,
+StreamLoopResult RunStreamingRounds(ShardedServer* server,
                                     const ClientStream& stream,
                                     const StreamLoopOptions& options) {
   HFR_CHECK(server != nullptr);

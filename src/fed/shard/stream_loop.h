@@ -1,4 +1,5 @@
-// Streaming round loop: drives a ServerApi at million-client scale.
+// Streaming round loop: drives the parameter server at million-client
+// scale.
 //
 // The full Trainer pipeline materializes per-client state (RNGs, private
 // embeddings, sync replicas) for every user — exactly what a million-user
@@ -6,10 +7,11 @@
 // from a `ClientStream` (pure function of seed and user id, nothing stored
 // per user), each one reads the live server table, builds a real sparse
 // MF-SGD delta over its interacted rows, and uploads it through
-// `ServerApi::UploadDelta`; the round closes with `FinishRound`. Per-round
-// memory is O(clients_per_round · items-per-user), independent of the user
-// count — which is what lets bench_sharding push 1M+ clients through a
-// round loop and report rounds/wall-second and bytes/round per shard.
+// `ShardedServer::UploadDelta`; the round closes with `FinishRound`.
+// Per-round memory is O(clients_per_round · items-per-user), independent
+// of the user count — which is what lets bench_sharding push 1M+ clients
+// through a round loop and report rounds/wall-second and bytes/round per
+// shard.
 //
 // Determinism: client order within a round is the user-id order of the
 // stream cursor and the server merges uploads in call order, so the final
@@ -27,8 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/server_api.h"
 #include "src/data/stream.h"
+#include "src/fed/shard/sharded_server.h"
 
 namespace hetefedrec {
 
@@ -62,7 +64,7 @@ struct StreamLoopResult {
 /// `server`. The server must have at least one slot; uploads target the
 /// widest slot. Users cycle through the stream in id order, wrapping after
 /// a full pass.
-StreamLoopResult RunStreamingRounds(ServerApi* server,
+StreamLoopResult RunStreamingRounds(ShardedServer* server,
                                     const ClientStream& stream,
                                     const StreamLoopOptions& options);
 

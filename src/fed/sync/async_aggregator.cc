@@ -9,7 +9,8 @@
 
 namespace hetefedrec {
 
-AsyncAggregator::AsyncAggregator(ServerApi* server, const Options& options)
+AsyncAggregator::AsyncAggregator(ShardedServer* server,
+                                 const Options& options)
     : server_(server), options_(options) {
   HFR_CHECK(server != nullptr);
   HFR_CHECK_GE(options.staleness_alpha, 0.0);

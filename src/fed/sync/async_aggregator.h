@@ -39,8 +39,8 @@
 
 #include "src/core/distillation.h"
 #include "src/core/local_trainer.h"
-#include "src/core/server_api.h"
 #include "src/data/types.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/util/rng.h"
 
 namespace hetefedrec {
@@ -79,9 +79,8 @@ class AsyncAggregator {
     size_t params_up = 0;
   };
 
-  /// The aggregator merges into `server` (any ServerApi implementation),
-  /// which must outlive it.
-  AsyncAggregator(ServerApi* server, const Options& options);
+  /// The aggregator merges into `server`, which must outlive it.
+  AsyncAggregator(ShardedServer* server, const Options& options);
 
   const Options& options() const { return options_; }
 
@@ -132,7 +131,7 @@ class AsyncAggregator {
   /// Min-heap order on (finish, seq).
   static bool Later(const Event& a, const Event& b);
 
-  ServerApi* server_;
+  ShardedServer* server_;
   Options options_;
   std::vector<Event> events_;  // heap via push_heap/pop_heap
   uint64_t next_seq_ = 0;

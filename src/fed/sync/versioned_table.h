@@ -2,8 +2,8 @@
 //
 // The delta-sync protocol (docs/SYNC.md) needs one fact per (slot, row):
 // the last round in which the row's values could have changed. The server
-// stamps rows as it mutates them — `HeteroServer::FinishRound` stamps the
-// rows it applied aggregates to, `HeteroServer::Distill` stamps the rows
+// stamps rows as it mutates them — `ShardedServer::FinishRound` stamps the
+// rows it applied aggregates to, `ShardedServer::Distill` stamps the rows
 // RESKD perturbed — and `SyncService` compares stamps against each client
 // replica to decide which subscribed rows must be re-shipped.
 //
@@ -24,7 +24,8 @@
 
 namespace hetefedrec {
 
-/// \brief Read-only row-version contract of a server (ServerApi::versions).
+/// \brief Read-only row-version contract of a server
+/// (ShardedServer::versions).
 ///
 /// The delta-sync protocol needs exactly two facts from a server, however
 /// its version state is stored (one table, or one table per shard):
@@ -32,8 +33,8 @@ namespace hetefedrec {
 ///     version async staleness is measured against.
 ///   - `Version(slot, row)`: the last round in which (slot, row) could have
 ///     changed, monotone per row.
-/// `VersionedTable` is the single-table implementation; the sharded server
-/// exposes a view that routes each row to its shard's table.
+/// `VersionedTable` holds the stamps of one row range (one per shard);
+/// the server exposes a view that routes each row to its shard's table.
 class VersionView {
  public:
   virtual ~VersionView() = default;

@@ -1,11 +1,38 @@
 #include "src/util/cli.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "src/util/logging.h"
 
 namespace hetefedrec {
+
+namespace {
+
+// Typed getters accept only a complete, in-range literal: a typo such as
+// --epochs=abc or --async=ture stops the run instead of silently becoming
+// 0 or false.
+[[noreturn]] void BadFlagValue(const std::string& name,
+                               const std::string& value,
+                               const char* expected) {
+  std::fprintf(stderr, "invalid value for --%s: \"%s\" (expected %s)\n",
+               name.c_str(), value.c_str(), expected);
+  std::exit(2);
+}
+
+// True when strto* consumed all of `value` (non-empty, no leading blank —
+// strto* would skip it — and no trailing junk) without a range error.
+bool ParsedFully(const std::string& value, const char* end) {
+  return !value.empty() &&
+         !std::isspace(static_cast<unsigned char>(value[0])) &&
+         *end == '\0' && errno == 0;
+}
+
+}  // namespace
 
 void CommandLine::AddFlag(const std::string& name,
                           const std::string& default_value,
@@ -54,20 +81,42 @@ std::string CommandLine::GetString(const std::string& name) const {
 }
 
 int CommandLine::GetInt(const std::string& name) const {
-  return std::atoi(GetString(name).c_str());
+  const std::string v = GetString(name);
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v.c_str(), &end, 10);
+  if (!ParsedFully(v, end) || x < INT_MIN || x > INT_MAX) {
+    BadFlagValue(name, v, "an int");
+  }
+  return static_cast<int>(x);
 }
 
 uint64_t CommandLine::GetUint64(const std::string& name) const {
-  return std::strtoull(GetString(name).c_str(), nullptr, 10);
+  const std::string v = GetString(name);
+  char* end = nullptr;
+  errno = 0;
+  // strtoull wraps a leading minus sign around instead of failing.
+  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+  if (!ParsedFully(v, end) || v[0] == '-') {
+    BadFlagValue(name, v, "an unsigned 64-bit integer");
+  }
+  return static_cast<uint64_t>(x);
 }
 
 double CommandLine::GetDouble(const std::string& name) const {
-  return std::atof(GetString(name).c_str());
+  const std::string v = GetString(name);
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (!ParsedFully(v, end)) BadFlagValue(name, v, "a number");
+  return x;
 }
 
 bool CommandLine::GetBool(const std::string& name) const {
-  std::string v = GetString(name);
-  return v == "true" || v == "1" || v == "yes";
+  const std::string v = GetString(name);
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  BadFlagValue(name, v, "true|false|1|0|yes|no");
 }
 
 void RegisterExperimentFlags(CommandLine* cli) {
@@ -114,8 +163,8 @@ void RegisterExperimentFlags(CommandLine* cli) {
                "wire scalar width for byte accounting: auto | fp64 | fp32 | "
                "fp16 (auto = fp64, or fp32 when --compute_backend is fp32*)");
   cli->AddFlag("server_shards", "0",
-               "item-range parameter-server shards (0 = single-table "
-               "server; any S is bit-identical — docs/SYNC.md "
+               "item-range parameter-server shards (0 and 1 both mean one "
+               "shard; any S is bit-identical — docs/SYNC.md "
                "\"Sharding\")");
   cli->AddFlag("net_bandwidth", "1.25e6",
                "median client bandwidth, bytes/second");

@@ -1,7 +1,8 @@
 // Tiny command-line flag parser used by bench and example binaries.
 //
 // Flags look like --name=value or --name value. Unknown flags are an error
-// so typos don't silently fall back to defaults mid-experiment.
+// so typos don't silently fall back to defaults mid-experiment, and so is a
+// value a typed getter cannot parse in full.
 #ifndef HETEFEDREC_UTIL_CLI_H_
 #define HETEFEDREC_UTIL_CLI_H_
 
@@ -24,7 +25,10 @@ class CommandLine {
   /// Parses argv. Returns InvalidArgument on unknown flags or missing values.
   Status Parse(int argc, char** argv);
 
-  /// Accessors; the flag must have been registered.
+  /// Accessors; the flag must have been registered. The typed getters
+  /// print the flag and its value and exit(2) unless the whole value
+  /// parses: a decimal integer in range, a strtod number, or one of
+  /// true|false|1|0|yes|no.
   std::string GetString(const std::string& name) const;
   int GetInt(const std::string& name) const;
   uint64_t GetUint64(const std::string& name) const;

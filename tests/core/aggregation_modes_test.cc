@@ -4,15 +4,15 @@
 
 #include <cmath>
 
-#include "src/core/hetero_server.h"
 #include "src/core/trainer.h"
+#include "src/fed/shard/sharded_server.h"
 
 namespace hetefedrec {
 namespace {
 
 constexpr size_t kItems = 12;
 
-LocalUpdateResult MakeUpdate(const HeteroServer& server,
+LocalUpdateResult MakeUpdate(const ShardedServer& server,
                              const std::vector<LocalTaskSpec>& tasks,
                              double value) {
   LocalUpdateResult r;
@@ -24,24 +24,24 @@ LocalUpdateResult MakeUpdate(const HeteroServer& server,
   return r;
 }
 
-HeteroServer MakeServer(AggregationMode mode) {
-  HeteroServer::Options opt;
+ShardedServer NewServer(AggregationMode mode) {
+  ShardedServer::Options opt;
   opt.widths = {2, 4};
   opt.num_items = kItems;
   opt.aggregation = mode;
   opt.seed = 3;
-  return HeteroServer(opt);
+  return ShardedServer(opt);
 }
 
 TEST(AggregationModesTest, SingleClientSumEqualsMean) {
   // With exactly one contributor the mean divides by one: both modes must
   // produce identical tables.
-  HeteroServer sum_server = MakeServer(AggregationMode::kSum);
-  HeteroServer mean_server = MakeServer(AggregationMode::kMean);
+  ShardedServer sum_server = NewServer(AggregationMode::kSum);
+  ShardedServer mean_server = NewServer(AggregationMode::kMean);
   std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
-  for (HeteroServer* s : {&sum_server, &mean_server}) {
+  for (ShardedServer* s : {&sum_server, &mean_server}) {
     s->BeginRound();
-    s->Accumulate(tasks, MakeUpdate(*s, tasks, 0.75));
+    s->UploadDelta(tasks, MakeUpdate(*s, tasks, 0.75));
     s->FinishRound();
   }
   for (size_t slot = 0; slot < 2; ++slot) {
@@ -55,12 +55,12 @@ TEST(AggregationModesTest, SingleClientSumEqualsMean) {
 TEST(AggregationModesTest, SumScalesLinearlyWithClientCount) {
   // n identical clients under kSum move the table n times further than one.
   auto run = [&](int n) {
-    HeteroServer server = MakeServer(AggregationMode::kSum);
+    ShardedServer server = NewServer(AggregationMode::kSum);
     Matrix before = server.table(1);
     std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
     server.BeginRound();
     for (int c = 0; c < n; ++c) {
-      server.Accumulate(tasks, MakeUpdate(server, tasks, 0.5));
+      server.UploadDelta(tasks, MakeUpdate(server, tasks, 0.5));
     }
     server.FinishRound();
     return server.table(1)(0, 0) - before(0, 0);
@@ -71,12 +71,12 @@ TEST(AggregationModesTest, SumScalesLinearlyWithClientCount) {
 TEST(AggregationModesTest, MeanInvariantToClientCount) {
   // n identical clients under kMean move the table exactly as far as one.
   auto run = [&](int n) {
-    HeteroServer server = MakeServer(AggregationMode::kMean);
+    ShardedServer server = NewServer(AggregationMode::kMean);
     Matrix before = server.table(1);
     std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
     server.BeginRound();
     for (int c = 0; c < n; ++c) {
-      server.Accumulate(tasks, MakeUpdate(server, tasks, 0.5));
+      server.UploadDelta(tasks, MakeUpdate(server, tasks, 0.5));
     }
     server.FinishRound();
     return server.table(1)(0, 0) - before(0, 0);
@@ -107,12 +107,12 @@ TEST(AggregationModesTest, SumModeEndToEndTrains) {
 TEST(AggregationModesTest, DataWeightedMeanFollowsWeights) {
   // Two clients with weights 3 and 1 and deltas 1.0 / -1.0: the weighted
   // mean is (3*1 - 1) / 4 = 0.5.
-  HeteroServer server = MakeServer(AggregationMode::kDataWeighted);
+  ShardedServer server = NewServer(AggregationMode::kDataWeighted);
   Matrix before = server.table(1);
   std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
   server.BeginRound();
-  server.Accumulate(tasks, MakeUpdate(server, tasks, 1.0), 3.0);
-  server.Accumulate(tasks, MakeUpdate(server, tasks, -1.0), 1.0);
+  server.UploadDelta(tasks, MakeUpdate(server, tasks, 1.0), 3.0);
+  server.UploadDelta(tasks, MakeUpdate(server, tasks, -1.0), 1.0);
   server.FinishRound();
   EXPECT_NEAR(server.table(1)(0, 0) - before(0, 0), 0.5, 1e-12);
 }
@@ -137,13 +137,13 @@ TEST(AggregationModesTest, DataWeightedEndToEndTrains) {
 
 TEST(AggregationModesTest, ModesDivergeWithMultipleClients) {
   // Sanity: with >1 contributor the two modes genuinely differ.
-  HeteroServer sum_server = MakeServer(AggregationMode::kSum);
-  HeteroServer mean_server = MakeServer(AggregationMode::kMean);
+  ShardedServer sum_server = NewServer(AggregationMode::kSum);
+  ShardedServer mean_server = NewServer(AggregationMode::kMean);
   std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
-  for (HeteroServer* s : {&sum_server, &mean_server}) {
+  for (ShardedServer* s : {&sum_server, &mean_server}) {
     s->BeginRound();
-    s->Accumulate(tasks, MakeUpdate(*s, tasks, 1.0));
-    s->Accumulate(tasks, MakeUpdate(*s, tasks, 1.0));
+    s->UploadDelta(tasks, MakeUpdate(*s, tasks, 1.0));
+    s->UploadDelta(tasks, MakeUpdate(*s, tasks, 1.0));
     s->FinishRound();
   }
   EXPECT_NE(sum_server.table(1)(0, 0), mean_server.table(1)(0, 0));

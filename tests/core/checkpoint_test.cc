@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/math/init.h"
 
 namespace hetefedrec {
@@ -85,11 +85,11 @@ TEST(CheckpointTest, FfnRoundTripPreservesArchitectureAndOutputs) {
 }
 
 TEST(CheckpointTest, ServerSaveLoadRoundTrip) {
-  HeteroServer::Options opt;
+  ShardedServer::Options opt;
   opt.widths = {4, 8, 16};
   opt.num_items = 25;
   opt.seed = 5;
-  HeteroServer server(opt);
+  ShardedServer server(opt);
 
   std::string path = TempPath("server_ckpt.bin");
   ASSERT_TRUE(SaveServerCheckpoint(path, server, "lightgcn").ok());
@@ -127,11 +127,11 @@ TEST(CheckpointTest, LoadForeignFileFails) {
 }
 
 TEST(CheckpointTest, TruncatedServerCheckpointFails) {
-  HeteroServer::Options opt;
+  ShardedServer::Options opt;
   opt.widths = {4};
   opt.num_items = 10;
   opt.seed = 7;
-  HeteroServer server(opt);
+  ShardedServer server(opt);
   std::string path = TempPath("trunc_ckpt.bin");
   ASSERT_TRUE(SaveServerCheckpoint(path, server, "ncf").ok());
   // Truncate the file to half its size.

@@ -7,9 +7,9 @@
 
 #include <vector>
 
-#include "src/core/hetero_server.h"
 #include "src/core/local_trainer.h"
 #include "src/core/trainer.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/fed/sync/sync_service.h"
 #include "src/math/init.h"
 #include "tests/core/equivalence_test_util.h"
@@ -175,11 +175,11 @@ TEST(DeltaSyncEquivalence, ReplicaCapRaisesParamsDown) {
 // After Distill, rows in the Vkd sample must re-ship even to a client
 // that held them fresh — RESKD perturbs every slot's table server-side.
 TEST(DeltaSyncEquivalence, ReplicaInvalidationAfterDistill) {
-  HeteroServer::Options opts;
+  ShardedServer::Options opts;
   opts.widths = {4, 8};
   opts.num_items = 40;
   opts.seed = 17;
-  HeteroServer server(opts);
+  ShardedServer server(opts);
   SyncService sync(1);
 
   std::vector<uint32_t> subs(40);

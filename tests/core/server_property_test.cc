@@ -5,7 +5,7 @@
 
 #include <tuple>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 
 namespace hetefedrec {
 namespace {
@@ -16,14 +16,14 @@ using Params = std::tuple<std::vector<size_t>, AggregationMode>;
 
 class ServerPropertyTest : public testing::TestWithParam<Params> {
  protected:
-  HeteroServer MakeServer(bool shared = true) const {
-    HeteroServer::Options opt;
+  ShardedServer NewServer(bool shared = true) const {
+    ShardedServer::Options opt;
     opt.widths = std::get<0>(GetParam());
     opt.num_items = kItems;
     opt.aggregation = std::get<1>(GetParam());
     opt.shared_aggregation = shared;
     opt.seed = 11;
-    return HeteroServer(opt);
+    return ShardedServer(opt);
   }
 
   static std::vector<LocalTaskSpec> Tasks(size_t group,
@@ -33,7 +33,7 @@ class ServerPropertyTest : public testing::TestWithParam<Params> {
     return tasks;
   }
 
-  static LocalUpdateResult Update(const HeteroServer& server,
+  static LocalUpdateResult Update(const ShardedServer& server,
                                   const std::vector<LocalTaskSpec>& tasks,
                                   double value) {
     LocalUpdateResult r;
@@ -49,7 +49,7 @@ class ServerPropertyTest : public testing::TestWithParam<Params> {
 
 TEST_P(ServerPropertyTest, PrefixInvariantSurvivesRandomRounds) {
   const auto& widths = std::get<0>(GetParam());
-  HeteroServer server = MakeServer();
+  ShardedServer server = NewServer();
   Rng rng(13);
   for (int round = 0; round < 5; ++round) {
     server.BeginRound();
@@ -57,7 +57,7 @@ TEST_P(ServerPropertyTest, PrefixInvariantSurvivesRandomRounds) {
     for (int c = 0; c < n; ++c) {
       size_t group = rng.UniformInt(widths.size());
       auto tasks = Tasks(group, widths);
-      server.Accumulate(tasks,
+      server.UploadDelta(tasks,
                         Update(server, tasks, rng.Uniform(-2.0, 2.0)));
     }
     server.FinishRound();
@@ -78,7 +78,7 @@ TEST_P(ServerPropertyTest, PrefixInvariantSurvivesRandomRounds) {
 
 TEST_P(ServerPropertyTest, ZeroUpdatesLeaveParametersUnchanged) {
   const auto& widths = std::get<0>(GetParam());
-  HeteroServer server = MakeServer();
+  ShardedServer server = NewServer();
   std::vector<Matrix> before;
   for (size_t s = 0; s < server.num_slots(); ++s) {
     before.push_back(server.table(s));
@@ -86,7 +86,7 @@ TEST_P(ServerPropertyTest, ZeroUpdatesLeaveParametersUnchanged) {
   server.BeginRound();
   for (size_t group = 0; group < widths.size(); ++group) {
     auto tasks = Tasks(group, widths);
-    server.Accumulate(tasks, Update(server, tasks, 0.0));
+    server.UploadDelta(tasks, Update(server, tasks, 0.0));
   }
   server.FinishRound();
   for (size_t s = 0; s < server.num_slots(); ++s) {
@@ -99,14 +99,14 @@ TEST_P(ServerPropertyTest, ZeroUpdatesLeaveParametersUnchanged) {
 TEST_P(ServerPropertyTest, AggregationIsOrderInvariant) {
   const auto& widths = std::get<0>(GetParam());
   auto run = [&](bool reversed) {
-    HeteroServer server = MakeServer();
+    ShardedServer server = NewServer();
     std::vector<std::pair<size_t, double>> clients = {
         {0, 0.5}, {widths.size() - 1, -1.0}, {0, 2.0}};
     if (reversed) std::reverse(clients.begin(), clients.end());
     server.BeginRound();
     for (auto [group, value] : clients) {
       auto tasks = Tasks(group, widths);
-      server.Accumulate(tasks, Update(server, tasks, value));
+      server.UploadDelta(tasks, Update(server, tasks, value));
     }
     server.FinishRound();
     return server.table(server.num_slots() - 1);

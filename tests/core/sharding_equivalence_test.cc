@@ -1,12 +1,10 @@
-// Sharded parameter server, end to end: the S=1 ShardedServer is
-// bit-identical to the single-table HeteroServer for every method and
-// base model under both schedules; higher shard counts are seed- and
-// thread-deterministic AND still bit-identical to S=1 (padded aggregation
-// is row-independent, so the shard count changes memory layout and
-// per-shard accounting, never arithmetic — docs/SYNC.md "Sharding"); and
-// a sharded run resumes from a kill bit-identical to an uninterrupted
-// one, including across a shard-count change (Snapshot exports the same
-// single-table layout for every S).
+// Sharded parameter server, end to end: higher shard counts are
+// bit-identical to one shard for every method and base model under both
+// schedules, and seed- and thread-deterministic (padded aggregation is
+// row-independent, so the shard count changes memory layout and per-shard
+// accounting, never arithmetic — docs/SYNC.md "Sharding"); and a sharded
+// run resumes from a kill bit-identical to an uninterrupted one (Snapshot
+// exports the same single-table layout for every S).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -45,20 +43,20 @@ void ExpectSameRun(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
 }
 
-// The tentpole contract, strongest form: S=1 sharded vs the legacy
-// single-table server, every method, both base models, synchronous
-// schedule — bit-identical metrics, comm totals and virtual clock.
-TEST(ShardingEquivalence, SingleShardMatchesLegacyAllMethodsSync) {
+// The strongest form of the contract: S=4 vs one shard, every method, both
+// base models, synchronous schedule — bit-identical metrics, comm totals
+// and virtual clock.
+TEST(ShardingEquivalence, ShardsMatchOneShardAllMethodsSync) {
   for (BaseModel model : {BaseModel::kNcf, BaseModel::kLightGcn}) {
     for (Method method : kAllMethods) {
-      ExperimentConfig legacy = SmallConfig();
-      legacy.base_model = model;
-      legacy.server_shards = 0;  // HeteroServer
-      ExperimentConfig sharded = legacy;
-      sharded.server_shards = 1;  // ShardedServer, one shard
+      ExperimentConfig one = SmallConfig();
+      one.base_model = model;
+      one.server_shards = 1;
+      ExperimentConfig sharded = one;
+      sharded.server_shards = 4;
 
       SCOPED_TRACE(BaseModelName(model) + " / " + MethodName(method));
-      ExpectSameRun(RunWith(legacy, method), RunWith(sharded, method));
+      ExpectSameRun(RunWith(one, method), RunWith(sharded, method));
     }
   }
 }
@@ -66,36 +64,37 @@ TEST(ShardingEquivalence, SingleShardMatchesLegacyAllMethodsSync) {
 // The same bar under merge-on-arrival: async exercises ApplyUpdate (the
 // per-arrival staleness-weighted path) and the async Distill cadence
 // instead of the round barrier.
-TEST(ShardingEquivalence, SingleShardMatchesLegacyAllMethodsAsync) {
+TEST(ShardingEquivalence, ShardsMatchOneShardAllMethodsAsync) {
   for (BaseModel model : {BaseModel::kNcf, BaseModel::kLightGcn}) {
     for (Method method : kAllMethods) {
       if (method == Method::kStandalone) continue;  // no server to shard
-      ExperimentConfig legacy = SmallConfig();
-      legacy.base_model = model;
-      legacy.async_mode = true;
-      legacy.server_shards = 0;
-      ExperimentConfig sharded = legacy;
-      sharded.server_shards = 1;
+      ExperimentConfig one = SmallConfig();
+      one.base_model = model;
+      one.async_mode = true;
+      one.server_shards = 1;
+      ExperimentConfig sharded = one;
+      sharded.server_shards = 4;
 
       SCOPED_TRACE(BaseModelName(model) + " / " + MethodName(method));
-      ExpectSameRun(RunWith(legacy, method), RunWith(sharded, method));
+      ExpectSameRun(RunWith(one, method), RunWith(sharded, method));
     }
   }
 }
 
-// Beyond the S=1 contract: because per-row accumulation and application
-// are row-independent and shards merge in ascending item-range order,
-// ANY shard count reproduces the legacy tables bit-for-bit.
-TEST(ShardingEquivalence, HigherShardCountsMatchLegacy) {
-  for (size_t shards : {size_t{2}, size_t{4}}) {
-    ExperimentConfig legacy = SmallConfig();
-    legacy.server_shards = 0;
-    ExperimentConfig sharded = legacy;
+// Because per-row accumulation and application are row-independent and
+// shards merge in ascending item-range order, ANY shard count reproduces
+// the one-shard tables bit-for-bit. server_shards = 0 (the default) also
+// means one shard.
+TEST(ShardingEquivalence, OtherShardCountsMatchOneShard) {
+  ExperimentConfig one = SmallConfig();
+  one.server_shards = 1;
+  const ExperimentResult reference = RunWith(one, Method::kHeteFedRec);
+  for (size_t shards : {size_t{0}, size_t{2}, size_t{5}}) {
+    ExperimentConfig sharded = one;
     sharded.server_shards = shards;
 
     SCOPED_TRACE("S=" + std::to_string(shards));
-    ExpectSameRun(RunWith(legacy, Method::kHeteFedRec),
-                  RunWith(sharded, Method::kHeteFedRec));
+    ExpectSameRun(reference, RunWith(sharded, Method::kHeteFedRec));
   }
 }
 
@@ -124,7 +123,7 @@ TEST(ShardingEquivalence, ShardedRunsAreThreadCountInvariant) {
 }
 
 // Sharded runs get crash-consistent resume for free through
-// ServerApi::Snapshot: a run killed mid-epoch and resumed finishes
+// ShardedServer::Snapshot: a run killed mid-epoch and resumed finishes
 // bit-identical to the uninterrupted sharded run. The resumed leg
 // restores into the same shard count it was written from.
 TEST(ShardingEquivalence, ShardedKillResumeIsBitIdentical) {

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
-#include "src/core/hetero_server.h"
 #include "src/core/local_trainer.h"
 #include "src/core/trainer.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/math/init.h"
 #include "tests/core/equivalence_test_util.h"
 
@@ -49,13 +49,13 @@ void ExpectSameFfn(const FeedForwardNet& a, const FeedForwardNet& b,
 }
 
 struct FedFixture {
-  HeteroServer server;
+  ShardedServer server;
   std::vector<ClientState> clients;
   LocalTrainer trainer;
 
   FedFixture(const Dataset& ds, BaseModel model, bool shared)
       : server([&] {
-          HeteroServer::Options o;
+          ShardedServer::Options o;
           o.widths = {4, 8, 16};
           o.num_items = kItems;
           o.shared_aggregation = shared;
@@ -100,7 +100,7 @@ void RunRounds(FedFixture* f, const Dataset& ds, bool use_sparse,
       LocalUpdateResult up = f->trainer.Train(
           &f->clients[u], f->server.table(slot), thetas, tasks, opt);
       EXPECT_EQ(up.sparse, use_sparse);
-      f->server.Accumulate(tasks, up, agg == AggregationMode::kDataWeighted
+      f->server.UploadDelta(tasks, up, agg == AggregationMode::kDataWeighted
                                           ? 10.0
                                           : 1.0);
     }
@@ -159,7 +159,7 @@ TEST(SparseEquivalenceRounds, MixedDenseAndSparseClientsAgree) {
       opt.use_sparse = mix && (u % 2 == 0);
       LocalUpdateResult up = f->trainer.Train(
           &f->clients[u], f->server.table(slot), thetas, tasks, opt);
-      f->server.Accumulate(tasks, up);
+      f->server.UploadDelta(tasks, up);
     }
     f->server.FinishRound();
   };

@@ -7,15 +7,15 @@
 
 #include <vector>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 
 namespace hetefedrec {
 namespace {
 
 constexpr size_t kItems = 24;
 
-HeteroServer::Options ServerOptions() {
-  HeteroServer::Options opt;
+ShardedServer::Options ServerOptions() {
+  ShardedServer::Options opt;
   opt.widths = {2, 4, 8};
   opt.num_items = kItems;
   opt.embed_init_std = 0.1;
@@ -34,7 +34,7 @@ std::vector<LocalTaskSpec> TasksUpTo(size_t group,
 
 LocalUpdateResult MakeUpdate(size_t width, double v_value,
                              const std::vector<LocalTaskSpec>& tasks,
-                             const HeteroServer& server) {
+                             const ShardedServer& server) {
   LocalUpdateResult r;
   r.v_delta = Matrix(kItems, width);
   r.v_delta.Fill(v_value);
@@ -47,7 +47,7 @@ LocalUpdateResult MakeUpdate(size_t width, double v_value,
   return r;
 }
 
-void ExpectTablesEqual(const HeteroServer& a, const HeteroServer& b) {
+void ExpectTablesEqual(const ShardedServer& a, const ShardedServer& b) {
   ASSERT_EQ(a.num_slots(), b.num_slots());
   for (size_t s = 0; s < a.num_slots(); ++s) {
     for (size_t r = 0; r < a.table(s).rows(); ++r) {
@@ -60,7 +60,7 @@ void ExpectTablesEqual(const HeteroServer& a, const HeteroServer& b) {
 }
 
 TEST(AsyncAggregatorTest, StalenessWeightFormula) {
-  HeteroServer server(ServerOptions());
+  ShardedServer server(ServerOptions());
   AsyncAggregator::Options opt;
   opt.staleness_alpha = 0.5;
   AsyncAggregator agg(&server, opt);
@@ -81,13 +81,13 @@ TEST(AsyncAggregatorTest, StalenessWeightFormula) {
 // update — bit-identical, under the default kMean configuration.
 TEST(AsyncAggregatorTest, ZeroGapMergeEqualsSynchronousMerge) {
   auto opt = ServerOptions();
-  HeteroServer sync_server(opt);
-  HeteroServer async_server(opt);
+  ShardedServer sync_server(opt);
+  ShardedServer async_server(opt);
   auto tasks = TasksUpTo(2, opt.widths);
   LocalUpdateResult update = MakeUpdate(8, 0.25, tasks, sync_server);
 
   sync_server.BeginRound();
-  sync_server.Accumulate(tasks, update);
+  sync_server.UploadDelta(tasks, update);
   sync_server.FinishRound();
 
   AsyncAggregator agg(&async_server, AsyncAggregator::Options{});
@@ -104,7 +104,7 @@ TEST(AsyncAggregatorTest, ZeroGapMergeEqualsSynchronousMerge) {
 
 TEST(AsyncAggregatorTest, EventsPopInVirtualTimeOrderWithSeqTiebreak) {
   auto opt = ServerOptions();
-  HeteroServer server(opt);
+  ShardedServer server(opt);
   auto tasks = TasksUpTo(0, opt.widths);
   AsyncAggregator agg(&server, AsyncAggregator::Options{});
 
@@ -130,7 +130,7 @@ TEST(AsyncAggregatorTest, EventsPopInVirtualTimeOrderWithSeqTiebreak) {
 
 TEST(AsyncAggregatorTest, StalenessCountsMergesSinceDownload) {
   auto opt = ServerOptions();
-  HeteroServer server(opt);
+  ShardedServer server(opt);
   auto tasks = TasksUpTo(1, opt.widths);
   AsyncAggregator::Options aopt;
   aopt.staleness_alpha = 1.0;
@@ -157,7 +157,7 @@ TEST(AsyncAggregatorTest, StalenessCountsMergesSinceDownload) {
 
 TEST(AsyncAggregatorTest, MaxStalenessDropsWithoutMutatingTables) {
   auto opt = ServerOptions();
-  HeteroServer server(opt);
+  ShardedServer server(opt);
   auto tasks = TasksUpTo(1, opt.widths);
   AsyncAggregator::Options aopt;
   aopt.max_staleness = 1;
@@ -193,7 +193,7 @@ TEST(AsyncAggregatorTest, MaxStalenessDropsWithoutMutatingTables) {
 
 TEST(AsyncAggregatorTest, DistillationFiresEveryNMerges) {
   auto opt = ServerOptions();
-  HeteroServer server(opt);
+  ShardedServer server(opt);
   auto tasks = TasksUpTo(2, opt.widths);
   AsyncAggregator::Options aopt;
   aopt.distill_every = 3;

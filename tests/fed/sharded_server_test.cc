@@ -1,6 +1,6 @@
-// ShardedServer unit contract: range geometry and row routing, the
-// direct bit-identity against HeteroServer for sparse and dense uploads
-// (any shard count, both aggregation layouts), lockstep version stamping
+// ShardedServer shard contract: range geometry and row routing,
+// bit-identity of higher shard counts against one shard for sparse and
+// dense uploads (both aggregation layouts), lockstep version stamping
 // through the routing view, per-shard upload accounting, StampRows, and
 // the Snapshot/RestoreSnapshot round-trip including shard-count
 // portability of a snapshot.
@@ -8,19 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
-
-#include "src/core/hetero_server.h"
 
 namespace hetefedrec {
 namespace {
 
 constexpr size_t kItems = 23;  // deliberately not divisible by 2/4/8
 
-HeteroServer::Options BaseOptions(bool shared = true,
-                                  AggregationMode mode =
-                                      AggregationMode::kMean) {
-  HeteroServer::Options opt;
+ShardedServer::Options BaseOptions(bool shared = true,
+                                   AggregationMode mode =
+                                       AggregationMode::kMean) {
+  ShardedServer::Options opt;
   opt.widths = {2, 4, 8};
   opt.num_items = kItems;
   opt.embed_init_std = 0.1;
@@ -32,8 +31,7 @@ HeteroServer::Options BaseOptions(bool shared = true,
 
 ShardedServer MakeSharded(size_t shards, bool shared = true,
                           AggregationMode mode = AggregationMode::kMean) {
-  ShardedServer::Options opt;
-  opt.base = BaseOptions(shared, mode);
+  ShardedServer::Options opt = BaseOptions(shared, mode);
   opt.num_shards = shards;
   return ShardedServer(opt);
 }
@@ -47,7 +45,7 @@ std::vector<LocalTaskSpec> TasksUpTo(size_t group,
 
 LocalUpdateResult DenseUpdate(size_t width, double v_value,
                               const std::vector<LocalTaskSpec>& tasks,
-                              const ServerApi& server) {
+                              const ShardedServer& server) {
   LocalUpdateResult r;
   r.v_delta = Matrix(kItems, width);
   r.v_delta.Fill(v_value);
@@ -61,7 +59,7 @@ LocalUpdateResult SparseUpdate(size_t width,
                                const std::vector<uint32_t>& rows,
                                double v_value,
                                const std::vector<LocalTaskSpec>& tasks,
-                               const ServerApi& server) {
+                               const ShardedServer& server) {
   LocalUpdateResult r;
   r.sparse = true;
   r.v_delta_sparse.width = width;
@@ -73,7 +71,7 @@ LocalUpdateResult SparseUpdate(size_t width,
   return r;
 }
 
-void ExpectSameTables(const ServerApi& a, const ServerApi& b) {
+void ExpectSameTables(const ShardedServer& a, const ShardedServer& b) {
   ASSERT_EQ(a.num_slots(), b.num_slots());
   for (size_t s = 0; s < a.num_slots(); ++s) {
     EXPECT_EQ(a.table(s).data(), b.table(s).data()) << "slot " << s;
@@ -101,15 +99,15 @@ TEST(ShardedServerTest, RangesPartitionTheCatalogue) {
   }
 }
 
-TEST(ShardedServerTest, InitialStateMatchesHeteroServerBitForBit) {
-  HeteroServer legacy(BaseOptions());
-  for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+TEST(ShardedServerTest, InitialStateIsShardCountInvariant) {
+  ShardedServer one = MakeSharded(1);
+  for (size_t shards : {size_t{3}, size_t{8}}) {
     ShardedServer server = MakeSharded(shards);
     SCOPED_TRACE("S=" + std::to_string(shards));
-    ExpectSameTables(legacy, server);
-    for (size_t s = 0; s < legacy.num_slots(); ++s) {
+    ExpectSameTables(one, server);
+    for (size_t s = 0; s < one.num_slots(); ++s) {
       // Same seed, same RNG draw order: Θ weights agree exactly too.
-      ServerSnapshot a = legacy.Snapshot();
+      ServerSnapshot a = one.Snapshot();
       ServerSnapshot b = server.Snapshot();
       EXPECT_EQ(a.thetas[s].ParamCount(), b.thetas[s].ParamCount());
     }
@@ -117,16 +115,16 @@ TEST(ShardedServerTest, InitialStateMatchesHeteroServerBitForBit) {
 }
 
 // The core arithmetic contract, isolated from the trainer: a mixed round
-// of sparse and dense uploads of every width lands bit-identically on the
-// legacy server and on sharded servers of several counts — shared
-// (padded) and clustered layouts, mean and sum modes.
-TEST(ShardedServerTest, MixedRoundMatchesLegacyAnyShardCount) {
+// of sparse and dense uploads of every width lands bit-identically on one
+// shard and on several higher shard counts — shared (padded) and
+// clustered layouts, mean and sum modes.
+TEST(ShardedServerTest, MixedRoundMatchesOneShardAnyShardCount) {
   for (bool shared : {true, false}) {
     for (AggregationMode mode :
          {AggregationMode::kMean, AggregationMode::kSum}) {
-      HeteroServer legacy(BaseOptions(shared, mode));
+      ShardedServer one = MakeSharded(1, shared, mode);
       auto opt = BaseOptions(shared, mode);
-      auto run_round = [&opt](ServerApi* server) {
+      auto run_round = [&opt](ShardedServer* server) {
         server->BeginRound();
         auto small = TasksUpTo(0, opt.widths);
         auto medium = TasksUpTo(1, opt.widths);
@@ -141,13 +139,13 @@ TEST(ShardedServerTest, MixedRoundMatchesLegacyAnyShardCount) {
             large, SparseUpdate(8, {0, 22}, 0.75, large, *server));
         server->FinishRound();
       };
-      run_round(&legacy);
-      for (size_t shards : {size_t{1}, size_t{2}, size_t{5}}) {
+      run_round(&one);
+      for (size_t shards : {size_t{2}, size_t{5}}) {
         ShardedServer server = MakeSharded(shards, shared, mode);
         run_round(&server);
         SCOPED_TRACE((shared ? "shared" : "clustered") +
                      std::string("/S=") + std::to_string(shards));
-        ExpectSameTables(legacy, server);
+        ExpectSameTables(one, server);
       }
     }
   }
@@ -215,8 +213,7 @@ TEST(ShardedServerTest, StampRowsRoutesToOwningShards) {
 }
 
 // Snapshot exports the single-table layout regardless of the shard count,
-// so a snapshot written at S=4 restores into S=2 (and the legacy server's
-// own snapshot restores into a sharded server).
+// so a snapshot written at S=4 restores into S=2.
 TEST(ShardedServerTest, SnapshotRoundTripsAcrossShardCounts) {
   ShardedServer origin = MakeSharded(4);
   auto large = TasksUpTo(2, BaseOptions().widths);
@@ -244,7 +241,7 @@ TEST(ShardedServerTest, SnapshotRoundTripsAcrossShardCounts) {
   }
 
   // And the restored server keeps aggregating identically to the origin.
-  auto next_round = [&large](ServerApi* server) {
+  auto next_round = [&large](ShardedServer* server) {
     server->BeginRound();
     server->UploadDelta(large,
                         SparseUpdate(8, {2, 20}, -0.25, large, *server));
@@ -253,16 +250,6 @@ TEST(ShardedServerTest, SnapshotRoundTripsAcrossShardCounts) {
   next_round(&origin);
   next_round(&other);
   ExpectSameTables(origin, other);
-}
-
-TEST(ShardedServerTest, MakeServerSelectsImplementation) {
-  auto legacy = MakeServer(BaseOptions(), 0);
-  auto sharded = MakeServer(BaseOptions(), 4);
-  EXPECT_EQ(legacy->num_shards(), 1u);
-  EXPECT_NE(dynamic_cast<HeteroServer*>(legacy.get()), nullptr);
-  EXPECT_EQ(sharded->num_shards(), 4u);
-  EXPECT_NE(dynamic_cast<ShardedServer*>(sharded.get()), nullptr);
-  ExpectSameTables(*legacy, *sharded);
 }
 
 }  // namespace

@@ -106,5 +106,68 @@ TEST(CliTest, ExperimentFlagRegistryParsesSharedFlags) {
   EXPECT_EQ(cli.GetInt("fault_retry_max"), 5);
 }
 
+// Parses `--name=value` against a single registered flag.
+CommandLine ParsedWith(const std::string& name, const std::string& value) {
+  CommandLine cli;
+  cli.AddFlag(name, "0", "flag under test");
+  ArgvBuilder args({"prog", "--" + name + "=" + value});
+  EXPECT_TRUE(cli.Parse(args.argc(), args.argv()).ok());
+  return cli;
+}
+
+TEST(CliTest, TypedGettersAcceptWellFormedValues) {
+  EXPECT_EQ(ParsedWith("n", "-42").GetInt("n"), -42);
+  EXPECT_EQ(ParsedWith("n", "2147483647").GetInt("n"), 2147483647);
+  EXPECT_EQ(ParsedWith("n", "18446744073709551615").GetUint64("n"),
+            18446744073709551615ULL);
+  EXPECT_DOUBLE_EQ(ParsedWith("x", "1.25e6").GetDouble("x"), 1.25e6);
+  EXPECT_DOUBLE_EQ(ParsedWith("x", "-0.5").GetDouble("x"), -0.5);
+  for (const char* yes : {"true", "1", "yes"}) {
+    EXPECT_TRUE(ParsedWith("b", yes).GetBool("b")) << yes;
+  }
+  for (const char* no : {"false", "0", "no"}) {
+    EXPECT_FALSE(ParsedWith("b", no).GetBool("b")) << no;
+  }
+}
+
+// A value a typed getter cannot parse in full stops the program with a
+// message naming the flag and the value — never a silent 0 or false.
+TEST(CliDeathTest, MalformedIntFails) {
+  for (const char* bad : {"abc", "5x", "1.5", " 7", "99999999999", ""}) {
+    SCOPED_TRACE(bad);
+    CommandLine cli = ParsedWith("epochs", bad);
+    EXPECT_EXIT(cli.GetInt("epochs"), testing::ExitedWithCode(2),
+                "invalid value for --epochs: \"" + std::string(bad) + "\"");
+  }
+}
+
+TEST(CliDeathTest, MalformedUint64Fails) {
+  for (const char* bad : {"abc", "12seeds", "-1", "18446744073709551616",
+                          ""}) {
+    SCOPED_TRACE(bad);
+    CommandLine cli = ParsedWith("seed", bad);
+    EXPECT_EXIT(cli.GetUint64("seed"), testing::ExitedWithCode(2),
+                "invalid value for --seed");
+  }
+}
+
+TEST(CliDeathTest, MalformedDoubleFails) {
+  for (const char* bad : {"abc", "0.5abc", "1e999", ""}) {
+    SCOPED_TRACE(bad);
+    CommandLine cli = ParsedWith("alpha", bad);
+    EXPECT_EXIT(cli.GetDouble("alpha"), testing::ExitedWithCode(2),
+                "invalid value for --alpha");
+  }
+}
+
+TEST(CliDeathTest, MalformedBoolFails) {
+  for (const char* bad : {"ture", "TRUE", "on", "2", ""}) {
+    SCOPED_TRACE(bad);
+    CommandLine cli = ParsedWith("async", bad);
+    EXPECT_EXIT(cli.GetBool("async"), testing::ExitedWithCode(2),
+                "invalid value for --async: \"" + std::string(bad) + "\"");
+  }
+}
+
 }  // namespace
 }  // namespace hetefedrec
