@@ -43,17 +43,6 @@ Matrix RandomTable(size_t rows, size_t cols, uint64_t seed = 3) {
   return m;
 }
 
-void BM_MatMul(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Matrix a = RandomTable(n, n, 1);
-  Matrix b = RandomTable(n, n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Matrix::MatMul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatMul)->Arg(16)->Arg(64)->Arg(128);
-
 void BM_FfnForward(benchmark::State& state) {
   const size_t width = static_cast<size_t>(state.range(0));
   FeedForwardNet net(2 * width, {8, 8});
@@ -133,6 +122,65 @@ BENCHMARK(BM_BatchedForward)
     ->Args({128, 1, 0})
     ->Args({128, 1, 1})
     ->Args({128, 1, 2});
+
+void BM_BatchedBackward(benchmark::State& state) {
+  // One training task's per-epoch step over a 256-row block: ForwardBatch
+  // (filling the cache) + BackwardBatch into the gradient net — the
+  // isolated cost of the in-run forward/backward phases. Arg 1 selects the
+  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2).
+  const size_t width = static_cast<size_t>(state.range(0));
+  const int backend = static_cast<int>(state.range(1));
+  constexpr size_t kBatch = 256;
+  FeedForwardNet net(2 * width, {8, 8});
+  Rng rng(5);
+  net.InitXavier(&rng);
+  std::vector<double> x(kBatch * 2 * width);
+  for (double& v : x) v = rng.Normal(0.0, 0.3);
+  std::vector<double> logits(kBatch), dlogits(kBatch);
+  std::vector<double> dx(kBatch * 2 * width);
+  FeedForwardNet grads = FeedForwardNet::ZerosLike(net);
+  FeedForwardNet::BatchCache cache;
+  FeedForwardNetF netf;
+  netf.AssignCastFrom(net);
+  AlignedVector<float> xf(x.begin(), x.end());
+  std::vector<float> logitsf(kBatch), dlogitsf(kBatch);
+  std::vector<float> dxf(kBatch * 2 * width);
+  FeedForwardNetF gradsf = FeedForwardNetF::ZerosLike(netf);
+  FeedForwardNetF::BatchCache cachef;
+  SetFp32SimdEnabled(backend == 2 && CpuSupportsFp32Simd());
+  for (auto _ : state) {
+    if (backend != 0) {
+      netf.ForwardBatch(xf.data(), kBatch, &cachef, logitsf.data());
+      for (size_t b = 0; b < kBatch; ++b) {
+        dlogitsf[b] = static_cast<float>(BceWithLogitsGrad(logitsf[b], 1.0));
+      }
+      netf.BackwardBatch(cachef, dlogitsf.data(), &gradsf, dxf.data());
+      benchmark::DoNotOptimize(dxf.data());
+      benchmark::DoNotOptimize(&gradsf);
+    } else {
+      net.ForwardBatch(x.data(), kBatch, &cache, logits.data());
+      for (size_t b = 0; b < kBatch; ++b) {
+        dlogits[b] = BceWithLogitsGrad(logits[b], 1.0);
+      }
+      net.BackwardBatch(cache, dlogits.data(), &grads, dx.data());
+      benchmark::DoNotOptimize(dx.data());
+      benchmark::DoNotOptimize(&grads);
+    }
+    benchmark::ClobberMemory();
+  }
+  SetFp32SimdEnabled(false);
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_BatchedBackward)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({8, 2})
+    ->Args({32, 0})
+    ->Args({32, 1})
+    ->Args({32, 2})
+    ->Args({128, 0})
+    ->Args({128, 1})
+    ->Args({128, 2});
 
 // Evaluator scoring cost for one user at the Anime paper scale (6,888
 // items, width 32): per-item scalar Score vs batched ScoreRange vs the
@@ -327,9 +375,11 @@ void BM_DecorrelationLossAndGrad(benchmark::State& state) {
         DecorrelationLossAndGrad(table, 1.0, sample_rows, &rng, &grad));
   }
 }
+// DDR at the per-epoch client shape: 256 sampled rows, the paper's widths.
 BENCHMARK(BM_DecorrelationLossAndGrad)
-    ->Args({32, 0})
+    ->Args({16, 256})
     ->Args({32, 256})
+    ->Args({64, 256})
     ->Args({128, 256});
 
 void BM_EnsembleDistill(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "src/math/kernels.h"
 
 #include <algorithm>
+#include <cstring>
 #include <type_traits>
 
 #include "src/math/backend.h"
@@ -20,16 +21,155 @@ inline bool UseSimd() {
 #endif
 }
 
-// Fixed-width inner kernels for the double backend: the FFN layer widths
-// are tiny (hidden 8, out 1), so compile-time OutDim keeps the whole
-// accumulator row in registers and fully unrolls the j loop. Loop nesting
-// and unrolling only regroup *independent* accumulator targets — per
-// (b, j) the i order (and the exact-zero skip) is the scalar loop's, so
-// results are bit-identical.
+// --- fp64 kernels -----------------------------------------------------------
+//
+// The backward kernels, the wide forward and the column Gram are one
+// shape — register tiles of
+//
+//   out(r, j) = init(r, j) + Σ_k a(r, k) · b(k, j)        (k ascending)
+//
+// where each target keeps its scalar loop's exact sequence of IEEE
+// multiplies and adds from the same initial value (and, where the scalar
+// loop skips a term whose left operand is exactly zero, the same skip).
+// Tiling and vector width only regroup *independent* targets, so results
+// are bit-identical at any width. An R x 8 tile holds 8 vector
+// accumulators at both widths (R = lanes: 2 x 8 in SSE2 xmm registers,
+// 4 x 8 in AVX2 ymm registers), leaving room for the b(k, ·) vectors and
+// the broadcast a(r, k) within 16 registers.
+//
+// The tile bodies are templates over the vector type, compiled 2-wide for
+// the baseline ISA and — when the build has the AVX2 translation unit —
+// 4-wide in target("avx2") entry points that run when the CPU reports
+// AVX2. "avx2" does not include FMA, so the compiler cannot contract a
+// multiply and an add into one rounding; -DHFR_DISABLE_AVX2=ON compiles
+// only the baseline versions. (Dispatch is a cached CPU check, not GCC
+// function multiversioning: multiversioning resolves through ifunc
+// resolvers that run before a sanitizer runtime is initialized.)
+#ifdef HFR_HAVE_AVX2_TU
+#define HFR_FP64_AVX2 __attribute__((target("avx2")))
+#endif
+// Tile helpers must inline into the entry points: a standalone copy would
+// be compiled for the baseline ISA, where a 4-wide vector has no register
+// to live in.
+#define HFR_TILE_INLINE inline __attribute__((always_inline))
+
+typedef double V2 __attribute__((vector_size(16)));
+typedef double V4 __attribute__((vector_size(32)));
+
+template <typename V>
+constexpr size_t kLanes = sizeof(V) / sizeof(double);
+
+// Operands of one tiled multiply-accumulate. a(r, k) = a[r·a_rs + k·a_ks];
+// b(k, j) = b[k·ldb + j]; init(r, j) = init[r·init_rs + j], or +0.0 when
+// init is null (init may alias out); out(r, j) = out[r·ldo + j].
+struct MulAddArgs {
+  const double* a;
+  size_t a_rs, a_ks;
+  size_t kdim;
+  const double* b;
+  size_t ldb;
+  const double* init;
+  size_t init_rs;
+  double* out;
+  size_t ldo;
+};
+
+// One R x (JV·lanes) tile at (r0, j0), accumulators in registers across
+// the whole k range.
+template <typename V, size_t R, size_t JV, bool kSkipZero>
+HFR_TILE_INLINE void MulAddTile(const MulAddArgs& m, size_t r0, size_t j0) {
+  constexpr size_t L = kLanes<V>;
+  V acc[R][JV];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < JV; ++v) {
+      if (m.init != nullptr) {
+        std::memcpy(&acc[r][v], m.init + (r0 + r) * m.init_rs + j0 + v * L,
+                    sizeof(V));
+      } else {
+        acc[r][v] = V{};
+      }
+    }
+  }
+  const double* a = m.a + r0 * m.a_rs;
+  const double* b = m.b + j0;
+  for (size_t k = 0; k < m.kdim; ++k) {
+    V bk[JV];
+    for (size_t v = 0; v < JV; ++v) {
+      std::memcpy(&bk[v], b + k * m.ldb + v * L, sizeof(V));
+    }
+    for (size_t r = 0; r < R; ++r) {
+      const double ark = a[r * m.a_rs + k * m.a_ks];
+      if (kSkipZero && ark == 0.0) continue;
+      for (size_t v = 0; v < JV; ++v) acc[r][v] += ark * bk[v];
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < JV; ++v) {
+      std::memcpy(m.out + (r0 + r) * m.ldo + j0 + v * L, &acc[r][v],
+                  sizeof(V));
+    }
+  }
+}
+
+// Rows [r0, r0 + R), columns [j0, cols): 8-wide tiles, then one-vector
+// tiles, then scalar columns.
+template <typename V, size_t R, bool kSkipZero>
+HFR_TILE_INLINE void MulAddRows(const MulAddArgs& m, size_t r0, size_t j0,
+                                size_t cols) {
+  constexpr size_t L = kLanes<V>;
+  size_t j = j0;
+  for (; j + 8 <= cols; j += 8) MulAddTile<V, R, 8 / L, kSkipZero>(m, r0, j);
+  for (; j + L <= cols; j += L) MulAddTile<V, R, 1, kSkipZero>(m, r0, j);
+  for (; j < cols; ++j) {
+    // Scalar column: the R rows' chains interleave so their add latencies
+    // overlap.
+    double acc[R];
+    for (size_t r = 0; r < R; ++r) {
+      acc[r] = m.init != nullptr ? m.init[(r0 + r) * m.init_rs + j] : 0.0;
+    }
+    const double* a = m.a + r0 * m.a_rs;
+    for (size_t k = 0; k < m.kdim; ++k) {
+      const double bkj = m.b[k * m.ldb + j];
+      for (size_t r = 0; r < R; ++r) {
+        const double ark = a[r * m.a_rs + k * m.a_ks];
+        if (kSkipZero && ark == 0.0) continue;
+        acc[r] += ark * bkj;
+      }
+    }
+    for (size_t r = 0; r < R; ++r) m.out[(r0 + r) * m.ldo + j] = acc[r];
+  }
+}
+
+template <typename V, bool kSkipZero>
+HFR_TILE_INLINE void MulAdd(const MulAddArgs& m, size_t rows, size_t cols) {
+  constexpr size_t R = kLanes<V>;
+  size_t r = 0;
+  for (; r + R <= rows; r += R) MulAddRows<V, R, kSkipZero>(m, r, 0, cols);
+  for (; r < rows; ++r) MulAddRows<V, 1, kSkipZero>(m, r, 0, cols);
+}
+
+// True when the block (`outer` runs of `inner` contiguous values, runs
+// `stride` apart) holds an exact zero. The zero skip can only change a
+// result when it fires, so a zero-free left operand runs the branch-free
+// tiles — the same operations on the same targets.
+HFR_TILE_INLINE bool AnyExactZero(const double* p, size_t outer,
+                                  size_t stride, size_t inner) {
+  for (size_t o = 0; o < outer; ++o) {
+    const double* run = p + o * stride;
+    unsigned zero = 0;
+    for (size_t t = 0; t < inner; ++t) zero |= run[t] == 0.0 ? 1u : 0u;
+    if (zero != 0) return true;
+  }
+  return false;
+}
+
+// Fixed-width forward GEMV for the FFN layer widths (hidden 8, out 1):
+// compile-time OutDim keeps the accumulator row in registers.
 template <size_t OutDim>
-void GemvBatchResumeFixed(const double* x, size_t batch, size_t x_stride,
-                          size_t in_dim, const double* w, const double* init,
-                          double* out) {
+HFR_TILE_INLINE void GemvBatchResumeFixed(const double* x, size_t batch,
+                                          size_t x_stride, size_t in_dim,
+                                          const double* w, const double* init,
+                                          double* out) {
   for (size_t b = 0; b < batch; ++b) {
     const double* xrow = x + b * x_stride;
     double acc[OutDim];
@@ -45,25 +185,15 @@ void GemvBatchResumeFixed(const double* x, size_t batch, size_t x_stride,
   }
 }
 
-void GemvBatchResumeGeneric(const double* x, size_t batch, size_t x_stride,
-                            size_t in_dim, const double* w,
-                            const double* init, size_t out_dim, double* out) {
-  for (size_t b = 0; b < batch; ++b) {
-    const double* xrow = x + b * x_stride;
-    double* orow = out + b * out_dim;
-    std::copy(init, init + out_dim, orow);
-    for (size_t i = 0; i < in_dim; ++i) {
-      const double xi = xrow[i];
-      if (xi == 0.0) continue;
-      const double* wrow = w + i * out_dim;
-      for (size_t j = 0; j < out_dim; ++j) orow[j] += xi * wrow[j];
-    }
-  }
-}
-
-void GemvBatchResumeF64(const double* x, size_t batch, size_t x_stride,
-                        size_t in_dim, const double* w, const double* init,
-                        size_t out_dim, double* out) {
+// Forward: per (b, j) from init over ascending i, zero x skipped. The FFN
+// layer widths keep their fixed-width rows (measured: a rows x 8 tile is
+// no faster there, and slower at the evaluator's in_dim-8 blocks); wider
+// outputs (DDR's X·C) run rows x 8 tiles.
+template <typename V>
+HFR_TILE_INLINE void GemvBatchResumeTiles(const double* x, size_t batch,
+                                          size_t x_stride, size_t in_dim,
+                                          const double* w, const double* init,
+                                          size_t out_dim, double* out) {
   switch (out_dim) {
     case 1:
       return GemvBatchResumeFixed<1>(x, batch, x_stride, in_dim, w, init,
@@ -81,119 +211,120 @@ void GemvBatchResumeF64(const double* x, size_t batch, size_t x_stride,
       return GemvBatchResumeFixed<16>(x, batch, x_stride, in_dim, w, init,
                                       out);
     default:
-      return GemvBatchResumeGeneric(x, batch, x_stride, in_dim, w, init,
-                                    out_dim, out);
+      break;
+  }
+  const MulAddArgs args{x, x_stride, 1, in_dim, w, out_dim, init, 0, out,
+                        out_dim};
+  if (AnyExactZero(x, batch, x_stride, in_dim)) {
+    MulAdd<V, true>(args, batch, out_dim);
+  } else {
+    MulAdd<V, false>(args, batch, out_dim);
   }
 }
 
-template <size_t OutDim>
-void GemvBatchTransposedFixed(const double* delta, size_t batch,
-                              const double* w, size_t in_dim, double* dx) {
-  for (size_t b = 0; b < batch; ++b) {
-    const double* drow = delta + b * OutDim;
-    double* dxrow = dx + b * in_dim;
-    for (size_t i = 0; i < in_dim; ++i) {
-      const double* wrow = w + i * OutDim;
-      double acc = 0.0;
-      for (size_t j = 0; j < OutDim; ++j) acc += wrow[j] * drow[j];
-      dxrow[i] = acc;
+// Weight gradients: per (i, j) ascending b from the current panel value,
+// zero `in` skipped — i-blocked tiles keep the panel in registers across
+// the whole batch. Bias: per j ascending b, no skip.
+template <typename V>
+HFR_TILE_INLINE void AccumulateOuterBatchTiles(const double* in,
+                                               const double* delta,
+                                               size_t batch, size_t in_dim,
+                                               size_t out_dim, double* grads_w,
+                                               double* grads_b) {
+  const MulAddArgs args{in,      1,       in_dim, batch,   delta,
+                        out_dim, grads_w, out_dim, grads_w, out_dim};
+  if (AnyExactZero(in, batch, in_dim, in_dim)) {
+    MulAdd<V, true>(args, in_dim, out_dim);
+  } else {
+    MulAdd<V, false>(args, in_dim, out_dim);
+  }
+  constexpr size_t L = kLanes<V>;
+  size_t j = 0;
+  for (; j + L <= out_dim; j += L) {
+    V acc;
+    std::memcpy(&acc, grads_b + j, sizeof(V));
+    for (size_t b = 0; b < batch; ++b) {
+      V d;
+      std::memcpy(&d, delta + b * out_dim + j, sizeof(V));
+      acc += d;
     }
+    std::memcpy(grads_b + j, &acc, sizeof(V));
+  }
+  for (; j < out_dim; ++j) {
+    double acc = grads_b[j];
+    for (size_t b = 0; b < batch; ++b) acc += delta[b * out_dim + j];
+    grads_b[j] = acc;
   }
 }
 
-template <size_t OutDim>
-void AccumulateOuterBatchFixed(const double* in, const double* delta,
-                               size_t batch, size_t in_dim, double* grads_w,
-                               double* grads_b) {
-  for (size_t b = 0; b < batch; ++b) {
-    const double* drow = delta + b * OutDim;
-    const double* irow = in + b * in_dim;
-    for (size_t j = 0; j < OutDim; ++j) grads_b[j] += drow[j];
-    for (size_t i = 0; i < in_dim; ++i) {
-      const double xi = irow[i];
-      if (xi == 0.0) continue;
-      double* grow = grads_w + i * OutDim;
-      for (size_t j = 0; j < OutDim; ++j) grow[j] += xi * drow[j];
-    }
+// Input gradients through wt = wᵀ (out_dim x in_dim): per (b, i) from
+// +0.0 over ascending j, no skip — vectorized across independent i.
+template <typename V>
+HFR_TILE_INLINE void GemvBatchTransposedTiles(const double* delta,
+                                              size_t batch, size_t out_dim,
+                                              const double* wt, size_t in_dim,
+                                              double* dx) {
+  MulAdd<V, false>({delta, out_dim, 1, out_dim, wt, in_dim, nullptr, 0, dx,
+                    in_dim},
+                   batch, in_dim);
+}
+
+// Upper triangle of xᵀx (x: m x n) from +0.0 over ascending k, zero x[k, i]
+// skipped; row tiles start at the diagonal.
+template <typename V, bool kSkipZero>
+HFR_TILE_INLINE void ColumnGramTriangle(const double* x, size_t m, size_t n,
+                                        double* c) {
+  const MulAddArgs args{x, 1, n, m, x, n, nullptr, 0, c, n};
+  constexpr size_t R = kLanes<V>;
+  size_t i = 0;
+  for (; i + R <= n; i += R) MulAddRows<V, R, kSkipZero>(args, i, i, n);
+  for (; i < n; ++i) MulAddRows<V, 1, kSkipZero>(args, i, i, n);
+}
+
+// The triangle, mirrored (see ColumnGram in kernels.h for why that is
+// exact).
+template <typename V>
+HFR_TILE_INLINE void ColumnGramTiles(const double* x, size_t m, size_t n,
+                                     double* c) {
+  if (AnyExactZero(x, m, n, n)) {
+    ColumnGramTriangle<V, true>(x, m, n, c);
+  } else {
+    ColumnGramTriangle<V, false>(x, m, n, c);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) c[j * n + i] = c[i * n + j];
   }
 }
 
-void AccumulateOuterBatchGeneric(const double* in, const double* delta,
-                                 size_t batch, size_t in_dim, size_t out_dim,
-                                 double* grads_w, double* grads_b) {
-  for (size_t b = 0; b < batch; ++b) {
-    const double* drow = delta + b * out_dim;
-    const double* irow = in + b * in_dim;
-    for (size_t j = 0; j < out_dim; ++j) grads_b[j] += drow[j];
-    for (size_t i = 0; i < in_dim; ++i) {
-      const double xi = irow[i];
-      if (xi == 0.0) continue;
-      double* grow = grads_w + i * out_dim;
-      for (size_t j = 0; j < out_dim; ++j) grow[j] += xi * drow[j];
-    }
-  }
+#ifdef HFR_HAVE_AVX2_TU
+bool CpuHasAvx2() {
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
 }
 
-void GemvBatchTransposedGeneric(const double* delta, size_t batch,
-                                size_t out_dim, const double* w,
-                                size_t in_dim, double* dx) {
-  for (size_t b = 0; b < batch; ++b) {
-    const double* drow = delta + b * out_dim;
-    double* dxrow = dx + b * in_dim;
-    for (size_t i = 0; i < in_dim; ++i) {
-      const double* wrow = w + i * out_dim;
-      double acc = 0.0;
-      for (size_t j = 0; j < out_dim; ++j) acc += wrow[j] * drow[j];
-      dxrow[i] = acc;
-    }
-  }
+HFR_FP64_AVX2 void GemvBatchResumeAvx2(const double* x, size_t batch,
+                                       size_t x_stride, size_t in_dim,
+                                       const double* w, const double* init,
+                                       size_t out_dim, double* out) {
+  GemvBatchResumeTiles<V4>(x, batch, x_stride, in_dim, w, init, out_dim, out);
 }
-
-void AccumulateOuterBatchF64(const double* in, const double* delta,
-                             size_t batch, size_t in_dim, size_t out_dim,
-                             double* grads_w, double* grads_b) {
-  // b-outer is exactly the sample-by-sample scalar sequence; the gradient
-  // panel (in_dim x out_dim doubles) is small enough to stay resident
-  // while the contiguous in/delta rows stream through.
-  switch (out_dim) {
-    case 1:
-      return AccumulateOuterBatchFixed<1>(in, delta, batch, in_dim, grads_w,
-                                          grads_b);
-    case 2:
-      return AccumulateOuterBatchFixed<2>(in, delta, batch, in_dim, grads_w,
-                                          grads_b);
-    case 4:
-      return AccumulateOuterBatchFixed<4>(in, delta, batch, in_dim, grads_w,
-                                          grads_b);
-    case 8:
-      return AccumulateOuterBatchFixed<8>(in, delta, batch, in_dim, grads_w,
-                                          grads_b);
-    case 16:
-      return AccumulateOuterBatchFixed<16>(in, delta, batch, in_dim, grads_w,
-                                           grads_b);
-    default:
-      return AccumulateOuterBatchGeneric(in, delta, batch, in_dim, out_dim,
-                                         grads_w, grads_b);
-  }
+HFR_FP64_AVX2 void AccumulateOuterBatchAvx2(const double* in,
+                                            const double* delta, size_t batch,
+                                            size_t in_dim, size_t out_dim,
+                                            double* grads_w, double* grads_b) {
+  AccumulateOuterBatchTiles<V4>(in, delta, batch, in_dim, out_dim, grads_w,
+                                grads_b);
 }
-
-void GemvBatchTransposedF64(const double* delta, size_t batch, size_t out_dim,
-                            const double* w, size_t in_dim, double* dx) {
-  switch (out_dim) {
-    case 1:
-      return GemvBatchTransposedFixed<1>(delta, batch, w, in_dim, dx);
-    case 2:
-      return GemvBatchTransposedFixed<2>(delta, batch, w, in_dim, dx);
-    case 4:
-      return GemvBatchTransposedFixed<4>(delta, batch, w, in_dim, dx);
-    case 8:
-      return GemvBatchTransposedFixed<8>(delta, batch, w, in_dim, dx);
-    case 16:
-      return GemvBatchTransposedFixed<16>(delta, batch, w, in_dim, dx);
-    default:
-      return GemvBatchTransposedGeneric(delta, batch, out_dim, w, in_dim, dx);
-  }
+HFR_FP64_AVX2 void GemvBatchTransposedAvx2(const double* delta, size_t batch,
+                                           size_t out_dim, const double* wt,
+                                           size_t in_dim, double* dx) {
+  GemvBatchTransposedTiles<V4>(delta, batch, out_dim, wt, in_dim, dx);
 }
+HFR_FP64_AVX2 void ColumnGramAvx2(const double* x, size_t m, size_t n,
+                                  double* c) {
+  ColumnGramTiles<V4>(x, m, n, c);
+}
+#endif  // HFR_HAVE_AVX2_TU
 
 }  // namespace
 
@@ -201,7 +332,14 @@ template <typename T>
 void GemvBatchResume(const T* x, size_t batch, size_t x_stride, size_t in_dim,
                      const T* w, const T* init, size_t out_dim, T* out) {
   if constexpr (std::is_same_v<T, double>) {
-    GemvBatchResumeF64(x, batch, x_stride, in_dim, w, init, out_dim, out);
+#ifdef HFR_HAVE_AVX2_TU
+    if (CpuHasAvx2()) {
+      return GemvBatchResumeAvx2(x, batch, x_stride, in_dim, w, init, out_dim,
+                                 out);
+    }
+#endif
+    GemvBatchResumeTiles<V2>(x, batch, x_stride, in_dim, w, init, out_dim,
+                             out);
   } else {
 #ifdef HFR_HAVE_AVX2_TU
     if (UseSimd()) {
@@ -226,8 +364,14 @@ void AccumulateOuterBatch(const T* in, const T* delta, size_t batch,
                           size_t in_dim, size_t out_dim, T* grads_w,
                           T* grads_b) {
   if constexpr (std::is_same_v<T, double>) {
-    AccumulateOuterBatchF64(in, delta, batch, in_dim, out_dim, grads_w,
-                            grads_b);
+#ifdef HFR_HAVE_AVX2_TU
+    if (CpuHasAvx2()) {
+      return AccumulateOuterBatchAvx2(in, delta, batch, in_dim, out_dim,
+                                      grads_w, grads_b);
+    }
+#endif
+    AccumulateOuterBatchTiles<V2>(in, delta, batch, in_dim, out_dim, grads_w,
+                                  grads_b);
   } else {
 #ifdef HFR_HAVE_AVX2_TU
     if (UseSimd()) {
@@ -244,7 +388,22 @@ template <typename T>
 void GemvBatchTransposed(const T* delta, size_t batch, size_t out_dim,
                          const T* w, size_t in_dim, T* dx) {
   if constexpr (std::is_same_v<T, double>) {
-    GemvBatchTransposedF64(delta, batch, out_dim, w, in_dim, dx);
+    // The tiles vectorize across i, so they read a transposed copy of the
+    // small weight panel.
+    thread_local AlignedVector<double> wt;
+    wt.resize(out_dim * in_dim);
+    for (size_t i = 0; i < in_dim; ++i) {
+      for (size_t j = 0; j < out_dim; ++j) {
+        wt[j * in_dim + i] = w[i * out_dim + j];
+      }
+    }
+#ifdef HFR_HAVE_AVX2_TU
+    if (CpuHasAvx2()) {
+      return GemvBatchTransposedAvx2(delta, batch, out_dim, wt.data(), in_dim,
+                                     dx);
+    }
+#endif
+    GemvBatchTransposedTiles<V2>(delta, batch, out_dim, wt.data(), in_dim, dx);
   } else {
 #ifdef HFR_HAVE_AVX2_TU
     if (UseSimd()) {
@@ -254,6 +413,13 @@ void GemvBatchTransposed(const T* delta, size_t batch, size_t out_dim,
 #endif
     fp32::GemvBatchTransposedScalar(delta, batch, out_dim, w, in_dim, dx);
   }
+}
+
+void ColumnGram(const double* x, size_t m, size_t n, double* c) {
+#ifdef HFR_HAVE_AVX2_TU
+  if (CpuHasAvx2()) return ColumnGramAvx2(x, m, n, c);
+#endif
+  ColumnGramTiles<V2>(x, m, n, c);
 }
 
 template <typename T>

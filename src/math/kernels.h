@@ -6,7 +6,8 @@
 // during training, and one full scalar forward per item during evaluation.
 // The kernels here push a B x dim block through each step at once — one
 // bias-initialized GEMM per layer, one outer-product accumulation per layer
-// on the way back, and a Gram matrix for the distillation relation.
+// on the way back, a Gram matrix for the distillation relation, and the
+// column Gram XᵀX of DDR's correlation matrix.
 //
 // Two scalar instantiations exist (src/math/backend.h):
 //
@@ -16,8 +17,10 @@
 //   * Each output element accumulates its terms in exactly the scalar
 //     order (ascending input index for forwards, ascending sample index
 //     for gradient sums, ascending output index for input gradients).
-//     Blocking only regroups independent accumulator targets; it never
-//     reorders additions into the same target.
+//     Blocking, register tiling and vector width (2-wide, or 4-wide in
+//     the target("avx2") versions — never with FMA) only regroup
+//     independent accumulator targets; they never reorder additions into
+//     the same target.
 //   * Exact-zero inputs are skipped, matching the scalar kernels' skip
 //     (relevant for -0.0 accumulators: acc + 0.0 can flip -0.0 to +0.0).
 //
@@ -87,6 +90,16 @@ void AccumulateOuterBatch(const T* in, const T* delta, size_t batch,
 template <typename T>
 void GemvBatchTransposed(const T* delta, size_t batch, size_t out_dim,
                          const T* w, size_t in_dim, T* dx);
+
+/// Column Gram matrix of a row-major m x n block: c (n x n, row-major) with
+///   c[i, j] = Σ_k x[k, i] · x[k, j].
+/// Each entry accumulates from +0.0 over ascending k and skips a term whose
+/// left operand x[k, i] is exactly zero — the order of the naive product
+/// (xᵀ)·x. Only the upper triangle is computed, then mirrored: on finite
+/// input c[j, i] computed directly would carry the same bits, because an
+/// accumulator that starts at +0.0 can never become −0.0, so adding a
+/// skipped-side zero term is a no-op.
+void ColumnGram(const double* x, size_t m, size_t n, double* c);
 
 /// Gram matrix of k packed rows: out(a, b) = Dot(x_a, x_b) for the
 /// row-major k x n block `x`. Symmetric; only the upper triangle (plus the

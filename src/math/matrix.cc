@@ -60,31 +60,6 @@ MatrixT<T> MatrixT<T>::RowSlice(size_t row0, size_t n_rows) const {
 }
 
 template <typename T>
-MatrixT<T> MatrixT<T>::Transposed() const {
-  MatrixT out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  }
-  return out;
-}
-
-template <typename T>
-MatrixT<T> MatrixT<T>::MatMul(const MatrixT& a, const MatrixT& b) {
-  HFR_CHECK_EQ(a.cols(), b.rows());
-  MatrixT out(a.rows(), b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t k = 0; k < a.cols(); ++k) {
-      T aik = a(i, k);
-      if (aik == T(0)) continue;
-      const T* brow = b.Row(k);
-      T* orow = out.Row(i);
-      for (size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
-template <typename T>
 T MatrixT<T>::FrobeniusNorm() const {
   T sum = T(0);
   for (T v : data_) sum += v * v;

@@ -92,12 +92,6 @@ class MatrixT {
   /// Copy of `n_rows` rows starting at `row0` (all columns).
   MatrixT RowSlice(size_t row0, size_t n_rows) const;
 
-  /// Matrix transpose.
-  MatrixT Transposed() const;
-
-  /// Dense matmul: (m x k) * (k x n) -> (m x n).
-  static MatrixT MatMul(const MatrixT& a, const MatrixT& b);
-
   /// Frobenius norm sqrt(sum of squares).
   T FrobeniusNorm() const;
 

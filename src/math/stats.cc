@@ -40,16 +40,18 @@ Matrix CovarianceMatrix(const Matrix& m) {
     const double* row = m.Row(r);
     for (size_t a = 0; a < n; ++a) {
       double da = row[a] - means[a];
+      double* ca = cov.Row(a);
       for (size_t b = a; b < n; ++b) {
-        cov(a, b) += da * (row[b] - means[b]);
+        ca[b] += da * (row[b] - means[b]);
       }
     }
   }
   double inv = 1.0 / static_cast<double>(m.rows());
   for (size_t a = 0; a < n; ++a) {
+    double* ca = cov.Row(a);
     for (size_t b = a; b < n; ++b) {
-      cov(a, b) *= inv;
-      cov(b, a) = cov(a, b);
+      ca[b] *= inv;
+      cov.Row(b)[a] = ca[b];
     }
   }
   return cov;

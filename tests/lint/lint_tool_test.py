@@ -9,7 +9,8 @@ tests/lint/fixtures/ and asserts, per rule R1-R5:
   - every *good* fixture exits zero with no findings;
   - suppressions with reasons silence findings, reasonless suppressions are
     themselves findings and silence nothing;
-  - the R3 owned-declaration check applies under src/ but not under tests/;
+  - the R3 owned-declaration check and the R5 ISA/optimize attribute check
+    apply under src/ but not under tests/;
   - baselined findings do not fail the run, and the JSON output reports
     them separately;
   - --list-rules names all five rules.
@@ -133,6 +134,28 @@ def main():
               "r3_bad_decl.cc under tests/: decl check does not apply",
               json.dumps(data.get("findings", []), indent=1))
 
+        # --- R5 attribute/pragma check is src/-scoped --------------------
+        attr_root = os.path.join(tmp, "attrroot")
+        for name in ("r5_bad_attr.cc", "r5_good_attr.cc"):
+            dst = os.path.join(attr_root, "src", name)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy(os.path.join(FIXTURES, name), dst)
+        rc, data, _ = run_lint(["src/r5_bad_attr.cc"], root=attr_root,
+                               baseline=bl)
+        findings = data.get("findings", [])
+        check(rc == 1 and len(findings) == 6
+              and all(f["rule"] == "R5" for f in findings),
+              "r5_bad_attr.cc under src/: 6 R5 findings",
+              json.dumps(findings, indent=1))
+        rc, data, _ = run_lint(["src/r5_good_attr.cc"], root=attr_root,
+                               baseline=bl)
+        check(rc == 0 and not data.get("findings"),
+              "r5_good_attr.cc under src/: clean",
+              json.dumps(data.get("findings", []), indent=1))
+        rc, data, _ = run_lint([fixture("r5_bad_attr.cc")], baseline=bl)
+        check(rc == 0 and not data.get("findings"),
+              "r5_bad_attr.cc under tests/: attribute check does not apply",
+              json.dumps(data.get("findings", []), indent=1))
         # --- baseline semantics ------------------------------------------
         rc, data, _ = run_lint([fixture("r1_bad.cc")], baseline=bl)
         keys = ["{}:{}:{}".format(f["file"], f["rule"], f["snippet"])

@@ -1,12 +1,17 @@
 // The batched micro-kernels must be bit-identical to their scalar
-// reference loops — batching regroups independent accumulator targets but
-// never the additions into one target. EXPECT_EQ on doubles is deliberate.
+// reference loops — batching, register tiling and vector width regroup
+// independent accumulator targets but never the additions into one
+// target. The fp64 checks compare bit patterns: EXPECT_EQ on doubles
+// would accept -0.0 for +0.0 (a broken exact-zero skip) and reject the
+// NaNs an unskipped Inf * 0 term must produce.
 #include "src/math/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/math/backend.h"
@@ -24,10 +29,79 @@ std::vector<double> RandomBlock(size_t n, uint64_t seed) {
   return v;
 }
 
-// The scalar FFN-layer loop (ffn.cc's original Forward body).
+// RandomBlock salted with exact zeros of both signs.
+std::vector<double> ZeroSalted(size_t n, uint64_t seed) {
+  std::vector<double> v = RandomBlock(n, seed);
+  for (size_t t = 0; t < n; ++t) {
+    if (t % 5 == 1) v[t] = 0.0;
+    if (t % 7 == 3) v[t] = -0.0;
+  }
+  return v;
+}
+
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+::testing::AssertionResult SameBits(const std::vector<double>& got,
+                                    const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+  }
+  for (size_t t = 0; t < got.size(); ++t) {
+    if (Bits(got[t]) != Bits(want[t])) {
+      return ::testing::AssertionFailure()
+             << "element " << t << ": " << got[t] << " (0x" << std::hex
+             << Bits(got[t]) << ") vs " << want[t] << " (0x" << Bits(want[t])
+             << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The shape sweep every fp64 kernel is pinned on: out_dim covers the
+// fixed widths, their tails and the wide tiled path; in_dim and batch
+// straddle the tile edges.
+const size_t kOutDims[] = {1, 2, 3, 4, 8, 16, 32, 128};
+const size_t kInDims[] = {1, 3, 8, 17, 64, 256};
+const size_t kBatches[] = {1, 2, 3, 5, 33, 100};
+
+// Sweep inputs. With `zeros`: x (batch x in_dim) zero-salted with input
+// column 0 all zero, and w with ±Inf in that column's row (the skip must
+// hide them). Without: a zero-free x, which the kernels run without the
+// skip test. Either way the seed row starts with −0.0.
+struct SweepCase {
+  size_t batch, in_dim, out_dim;
+  bool zeros;
+  std::vector<double> x, w, seed;
+};
+
+SweepCase MakeCase(size_t batch, size_t in_dim, size_t out_dim, bool zeros) {
+  SweepCase c{batch, in_dim, out_dim, zeros, {}, {}, {}};
+  const uint64_t salt = batch * 1000003 + in_dim * 1009 + out_dim;
+  c.w = RandomBlock(in_dim * out_dim, 2 + salt);
+  c.seed = ZeroSalted(out_dim, 3 + salt);
+  c.seed[0] = -0.0;
+  if (!zeros) {
+    c.x = RandomBlock(batch * in_dim, 1 + salt);
+    return c;
+  }
+  c.x = ZeroSalted(batch * in_dim, 1 + salt);
+  for (size_t b = 0; b < batch; ++b) c.x[b * in_dim] = 0.0;
+  for (size_t j = 0; j < out_dim; ++j) c.w[j] = (j % 2 == 0) ? kInf : -kInf;
+  return c;
+}
+
+// The scalar FFN-layer loop (ffn.cc's per-sample Forward body), resuming
+// from `init`.
 void ScalarGemv(const double* x, size_t in_dim, const double* w,
-                const double* bias, size_t out_dim, double* out) {
-  for (size_t j = 0; j < out_dim; ++j) out[j] = bias[j];
+                const double* init, size_t out_dim, double* out) {
+  for (size_t j = 0; j < out_dim; ++j) out[j] = init[j];
   for (size_t i = 0; i < in_dim; ++i) {
     double xi = x[i];
     if (xi == 0.0) continue;
@@ -35,50 +109,87 @@ void ScalarGemv(const double* x, size_t in_dim, const double* w,
   }
 }
 
-TEST(GemvBatchBiasedTest, BitIdenticalToPerSampleGemv) {
-  // Batch sizes straddle the kKernelRowBlock boundary.
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{31}, size_t{32},
-                       size_t{33}, size_t{100}}) {
-    for (size_t in_dim : {size_t{5}, size_t{16}, size_t{64}}) {
-      const size_t out_dim = 8;
-      std::vector<double> x = RandomBlock(batch * in_dim, 1 + batch);
-      std::vector<double> w = RandomBlock(in_dim * out_dim, 2 + in_dim);
-      std::vector<double> bias = RandomBlock(out_dim, 3);
-      // Exercise the zero-skip path.
-      for (size_t t = 0; t < x.size(); t += 3) x[t] = 0.0;
-
-      std::vector<double> batched(batch * out_dim);
-      GemvBatchBiased(x.data(), batch, in_dim, w.data(), bias.data(),
-                      out_dim, batched.data());
-
-      std::vector<double> ref(out_dim);
-      for (size_t b = 0; b < batch; ++b) {
-        ScalarGemv(x.data() + b * in_dim, in_dim, w.data(), bias.data(),
-                   out_dim, ref.data());
-        for (size_t j = 0; j < out_dim; ++j) {
-          ASSERT_EQ(batched[b * out_dim + j], ref[j])
-              << "batch=" << batch << " b=" << b << " j=" << j;
+// Runs `check` on every sweep shape, with and without exact zeros.
+template <typename Check>
+void ForEachSweepCase(Check check) {
+  for (bool zeros : {true, false}) {
+    for (size_t out_dim : kOutDims) {
+      for (size_t in_dim : kInDims) {
+        for (size_t batch : kBatches) {
+          SCOPED_TRACE(::testing::Message()
+                       << "out=" << out_dim << " in=" << in_dim
+                       << " batch=" << batch << " zeros=" << zeros);
+          check(MakeCase(batch, in_dim, out_dim, zeros));
+          if (::testing::Test::HasFatalFailure()) return;
         }
       }
     }
   }
 }
 
-TEST(AccumulateOuterBatchTest, BitIdenticalToSampleOrderAccumulation) {
-  const size_t in_dim = 12, out_dim = 8;
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-    std::vector<double> in = RandomBlock(batch * in_dim, 11 + batch);
-    std::vector<double> delta = RandomBlock(batch * out_dim, 13 + batch);
-    for (size_t t = 0; t < in.size(); t += 5) in[t] = 0.0;
+TEST(GemvBatchTest, BitIdenticalToPerSampleGemvAcrossShapes) {
+  ForEachSweepCase([](const SweepCase& c) {
+    const size_t batch = c.batch, in_dim = c.in_dim, out_dim = c.out_dim;
+    std::vector<double> ref(batch * out_dim);
+    for (size_t b = 0; b < batch; ++b) {
+      ScalarGemv(c.x.data() + b * in_dim, in_dim, c.w.data(), c.seed.data(),
+                 out_dim, ref.data() + b * out_dim);
+    }
+    std::vector<double> biased(batch * out_dim);
+    GemvBatchBiased(c.x.data(), batch, in_dim, c.w.data(), c.seed.data(),
+                    out_dim, biased.data());
+    ASSERT_TRUE(SameBits(biased, ref)) << "biased";
 
-    std::vector<double> gw(in_dim * out_dim, 0.25);
-    std::vector<double> gb(out_dim, -0.5);
-    std::vector<double> gw_ref = gw;
-    std::vector<double> gb_ref = gb;
+    // Resume: the first `split` inputs are folded into a per-row prefix
+    // the kernel resumes from.
+    const size_t split = in_dim / 2, rest = in_dim - split;
+    std::vector<double> prefix(out_dim), resumed(batch * out_dim);
+    for (size_t b = 0; b < batch; ++b) {
+      ScalarGemv(c.x.data() + b * in_dim, split, c.w.data(), c.seed.data(),
+                 out_dim, prefix.data());
+      GemvBatchResume(c.x.data() + b * in_dim + split, 1, in_dim, rest,
+                      c.w.data() + split * out_dim, prefix.data(), out_dim,
+                      resumed.data() + b * out_dim);
+    }
+    ASSERT_TRUE(SameBits(resumed, ref)) << "resumed";
+
+    // Strided rows: the suffix of every row, rows in_dim apart.
+    std::vector<double> strided(batch * out_dim), strided_ref(batch * out_dim);
+    GemvBatchResume(c.x.data() + split, batch, in_dim, rest,
+                    c.w.data() + split * out_dim, c.seed.data(), out_dim,
+                    strided.data());
+    for (size_t b = 0; b < batch; ++b) {
+      ScalarGemv(c.x.data() + b * in_dim + split, rest,
+                 c.w.data() + split * out_dim, c.seed.data(), out_dim,
+                 strided_ref.data() + b * out_dim);
+    }
+    ASSERT_TRUE(SameBits(strided, strided_ref)) << "strided";
+  });
+}
+
+TEST(AccumulateOuterBatchTest, BitIdenticalToSampleOrderAcrossShapes) {
+  ForEachSweepCase([](const SweepCase& c) {
+    const size_t batch = c.batch, in_dim = c.in_dim, out_dim = c.out_dim;
+    std::vector<double> in = c.x;
+    std::vector<double> delta = RandomBlock(batch * out_dim, 5 + batch);
+    if (c.zeros) {
+      // Zero-salted case: delta plays w's role, one ±Inf row behind an
+      // all-zero input row (the bias sum still takes it).
+      delta = ZeroSalted(batch * out_dim, 5 + batch);
+      const size_t dead = batch / 2;
+      for (size_t i = 0; i < in_dim; ++i) in[dead * in_dim + i] = 0.0;
+      for (size_t j = 0; j < out_dim; ++j) {
+        delta[dead * out_dim + j] = (j % 2 == 0) ? kInf : -kInf;
+      }
+    }
+    // Seeds include −0.0 accumulators.
+    std::vector<double> gw = ZeroSalted(in_dim * out_dim, 7 + in_dim);
+    std::vector<double> gb = c.seed;
+    gw[0] = -0.0;
+    std::vector<double> gw_ref = gw, gb_ref = gb;
 
     AccumulateOuterBatch(in.data(), delta.data(), batch, in_dim, out_dim,
                          gw.data(), gb.data());
-
     for (size_t b = 0; b < batch; ++b) {
       const double* irow = in.data() + b * in_dim;
       const double* drow = delta.data() + b * out_dim;
@@ -90,26 +201,62 @@ TEST(AccumulateOuterBatchTest, BitIdenticalToSampleOrderAccumulation) {
         }
       }
     }
-    for (size_t t = 0; t < gw.size(); ++t) ASSERT_EQ(gw[t], gw_ref[t]);
-    for (size_t t = 0; t < gb.size(); ++t) ASSERT_EQ(gb[t], gb_ref[t]);
-  }
+    ASSERT_TRUE(SameBits(gw, gw_ref)) << "gw";
+    ASSERT_TRUE(SameBits(gb, gb_ref)) << "gb";
+  });
 }
 
-TEST(GemvBatchTransposedTest, BitIdenticalToPerSampleDots) {
-  const size_t in_dim = 16, out_dim = 8;
-  for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-    std::vector<double> delta = RandomBlock(batch * out_dim, 17 + batch);
-    std::vector<double> w = RandomBlock(in_dim * out_dim, 19);
-    std::vector<double> dx(batch * in_dim);
-    GemvBatchTransposed(delta.data(), batch, out_dim, w.data(), in_dim,
+TEST(GemvBatchTransposedTest, BitIdenticalToPerSampleDotsAcrossShapes) {
+  ForEachSweepCase([](const SweepCase& c) {
+    const size_t batch = c.batch, in_dim = c.in_dim, out_dim = c.out_dim;
+    // No exact-zero skip here: in the zero-salted case the ±Inf weight row
+    // meets zero deltas and must come out NaN exactly as the scalar
+    // loop's does.
+    std::vector<double> delta = ZeroSalted(batch * out_dim, 11 + batch);
+    std::vector<double> dx(batch * in_dim), ref(batch * in_dim);
+    GemvBatchTransposed(delta.data(), batch, out_dim, c.w.data(), in_dim,
                         dx.data());
     for (size_t b = 0; b < batch; ++b) {
       for (size_t i = 0; i < in_dim; ++i) {
         double acc = 0.0;
         for (size_t j = 0; j < out_dim; ++j) {
-          acc += w[i * out_dim + j] * delta[b * out_dim + j];
+          acc += c.w[i * out_dim + j] * delta[b * out_dim + j];
         }
-        ASSERT_EQ(dx[b * in_dim + i], acc) << "b=" << b << " i=" << i;
+        ref[b * in_dim + i] = acc;
+      }
+    }
+    ASSERT_TRUE(SameBits(dx, ref));
+  });
+}
+
+void CheckColumnGram(size_t m, size_t n, bool zeros) {
+  std::vector<double> x = RandomBlock(m * n, 13 + m * 131 + n);
+  if (zeros) {
+    x = ZeroSalted(m * n, 13 + m * 131 + n);
+    // A constant (all-zero) column, as a standardized constant column is.
+    for (size_t k = 0; k < m; ++k) x[k * n + n / 2] = (k % 2) ? 0.0 : -0.0;
+  }
+  std::vector<double> c(n * n), ref(n * n, 0.0);
+  ColumnGram(x.data(), m, n, c.data());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < m; ++k) {
+      const double xki = x[k * n + i];
+      if (xki == 0.0) continue;
+      for (size_t j = 0; j < n; ++j) ref[i * n + j] += xki * x[k * n + j];
+    }
+  }
+  ASSERT_TRUE(SameBits(c, ref))
+      << "m=" << m << " n=" << n << " zeros=" << zeros;
+}
+
+TEST(ColumnGramTest, BitIdenticalToNaiveTransposeProduct) {
+  // The reference is the naive (xᵀ)·x product over the full square (no
+  // mirroring): pins the kernel's tiles and its mirror claim together.
+  for (bool zeros : {true, false}) {
+    for (size_t m : {1, 2, 3, 5, 33, 100, 256}) {
+      for (size_t n : {1, 2, 3, 4, 5, 8, 9, 17, 33, 64, 128}) {
+        CheckColumnGram(m, n, zeros);
+        if (HasFatalFailure()) return;
       }
     }
   }

@@ -93,34 +93,6 @@ TEST(MatrixTest, RowSlice) {
   EXPECT_EQ(s(1, 1), 6.0);
 }
 
-TEST(MatrixTest, Transposed) {
-  Matrix m = Iota(2, 3);
-  Matrix t = m.Transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_EQ(t(2, 0), 3.0);
-  EXPECT_EQ(t(0, 1), 4.0);
-}
-
-TEST(MatrixTest, MatMulAgainstHandComputed) {
-  Matrix a = Iota(2, 3);            // [1 2 3; 4 5 6]
-  Matrix b = Iota(3, 2);            // [1 2; 3 4; 5 6]
-  Matrix c = Matrix::MatMul(a, b);  // [22 28; 49 64]
-  EXPECT_DOUBLE_EQ(c(0, 0), 22.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 28.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 49.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 64.0);
-}
-
-TEST(MatrixTest, MatMulIdentity) {
-  Matrix a = Iota(3, 3);
-  Matrix eye(3, 3);
-  for (size_t i = 0; i < 3; ++i) eye(i, i) = 1.0;
-  Matrix c = Matrix::MatMul(a, eye);
-  for (size_t r = 0; r < 3; ++r)
-    for (size_t col = 0; col < 3; ++col) EXPECT_DOUBLE_EQ(c(r, col), a(r, col));
-}
-
 TEST(MatrixTest, FrobeniusNorm) {
   Matrix m(1, 2);
   m(0, 0) = 3.0;

@@ -18,7 +18,10 @@ to break in C++:
   R4 schedule-identity no std::this_thread / std::thread::id / pointer-keyed
                        ordering — thread identity and addresses vary run-to-run
   R5 fast-math         no reassociation flags in any CMake target; AVX2 TUs
-                       stay -mavx2 -mfma only
+                       stay -mavx2 -mfma only; in src/, no target/
+                       target_clones attribute or GCC target pragma naming
+                       fma, arch= or avx512, and no optimize attribute or
+                       pragma
 
 Suppressions (mandatory reason, checked non-empty):
 
@@ -106,7 +109,10 @@ RULES = {
         "fast-math",
         "Reassociating math flags (-ffast-math, -funsafe-math-optimizations, "
         "-fassociative-math, -freciprocal-math, -Ofast, -ffp-contract=fast) "
-        "break bitwise reproducibility; AVX2 TUs carry -mavx2/-mfma only.",
+        "break bitwise reproducibility; AVX2 TUs carry -mavx2/-mfma only. "
+        "In src/, target/target_clones attributes and GCC target pragmas "
+        "may not name fma, arch= or avx512 (implicit FMA contraction), and "
+        "optimize attributes/pragmas are forbidden.",
     ),
 }
 
@@ -330,6 +336,35 @@ def find_unordered_names(clean_lines):
     return names
 
 
+# R5 in C++ sources: ISA and optimization attributes/pragmas. Detection runs
+# on the cleaned line (so comments and string literals never match); the
+# attribute's string arguments are then read from the raw line.
+ISA_ATTR_RE = re.compile(
+    r"(?:__attribute__|\bgnu::).*\b_*(target|target_clones)_*\s*\(")
+OPTIMIZE_ATTR_RE = re.compile(
+    r"(?:__attribute__|\bgnu::).*\b_*optimize_*\s*\(")
+GCC_PRAGMA_RE = re.compile(r"#\s*pragma\s+GCC\s+(target|optimize)\b")
+CONTRACTING_ISA_RE = re.compile(r"fma|arch=|avx512")
+
+
+def r5_attribute_finding(clean_line, raw_line):
+    """Message for an R5 attribute/pragma on this line, or None."""
+    pragma = GCC_PRAGMA_RE.search(clean_line)
+    if OPTIMIZE_ATTR_RE.search(clean_line) or (
+            pragma and pragma.group(1) == "optimize"):
+        return ("optimize attribute/pragma overrides the build's "
+                "floating-point flags")
+    if ISA_ATTR_RE.search(clean_line) or pragma:
+        code = raw_line.split("//")[0]
+        names = [a for a in re.findall(r'"([^"]*)"', code)
+                 if CONTRACTING_ISA_RE.search(a)]
+        if names:
+            return ("ISA attribute/pragma {} enables FMA contraction or an "
+                    "unsanctioned ISA — fp64 code must keep separate "
+                    "multiplies and adds".format(names))
+    return None
+
+
 def scan_cxx_file(relpath, raw_lines, in_src):
     clean = clean_cxx(raw_lines)
     sup = Suppressions(relpath, raw_lines)
@@ -367,6 +402,10 @@ def scan_cxx_file(relpath, raw_lines, in_src):
             if pat.search(line):
                 emit(i, "R4", what)
                 break
+        if in_src:
+            r5 = r5_attribute_finding(line, raw_lines[i - 1])
+            if r5:
+                emit(i, "R5", r5)
         if "unordered_" in line and in_src:
             for m in UNORDERED_OWNED_DECL_RE.finditer(line):
                 prefix = line[: m.start()]
