@@ -151,7 +151,9 @@ HFR_TILE_INLINE void MulAdd(const MulAddArgs& m, size_t rows, size_t cols) {
 // True when the block (`outer` runs of `inner` contiguous values, runs
 // `stride` apart) holds an exact zero. The zero skip can only change a
 // result when it fires, so a zero-free left operand runs the branch-free
-// tiles — the same operations on the same targets.
+// tiles — the same operations on the same targets. Only DDR's two products
+// take this fork; in the FFN weight gradients it showed no end-to-end gain
+// (measurements in docs/PERFORMANCE.md).
 HFR_TILE_INLINE bool AnyExactZero(const double* p, size_t outer,
                                   size_t stride, size_t inner) {
   for (size_t o = 0; o < outer; ++o) {
@@ -231,13 +233,9 @@ HFR_TILE_INLINE void AccumulateOuterBatchTiles(const double* in,
                                                size_t batch, size_t in_dim,
                                                size_t out_dim, double* grads_w,
                                                double* grads_b) {
-  const MulAddArgs args{in,      1,       in_dim, batch,   delta,
-                        out_dim, grads_w, out_dim, grads_w, out_dim};
-  if (AnyExactZero(in, batch, in_dim, in_dim)) {
-    MulAdd<V, true>(args, in_dim, out_dim);
-  } else {
-    MulAdd<V, false>(args, in_dim, out_dim);
-  }
+  MulAdd<V, true>({in, 1, in_dim, batch, delta, out_dim, grads_w, out_dim,
+                   grads_w, out_dim},
+                  in_dim, out_dim);
   constexpr size_t L = kLanes<V>;
   size_t j = 0;
   for (; j + L <= out_dim; j += L) {
