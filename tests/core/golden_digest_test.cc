@@ -11,6 +11,14 @@
 // golden file exactly. An fp32_simd cell records metrics only and must
 // stay within 1e-3 of the golden values (the fp32 backend contract).
 //
+// Scenario cells pin the branches the grid never takes: over-selection,
+// faults with and without admission, async faults over delta downloads,
+// fp32 evaluation variants, and Standalone on fp32 or the reference
+// top-K. Their lines also record the 27 CommStats::ExportCounters()
+// values (exact on every backend) and, with eval_every set, each history
+// point's NDCG and mean train loss. Each runs at 1 and 2 threads against
+// the same line.
+//
 // The golden file is tests/golden/results.txt. It is only ever rewritten
 // on request:
 //
@@ -23,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -39,6 +48,9 @@ struct Cell {
   Method method;
   bool async;
   ComputeBackend backend;
+  // Scenario cells only: a key suffix and the config changes it names.
+  const char* scenario = nullptr;
+  void (*tweak)(ExperimentConfig*) = nullptr;
 };
 
 std::vector<Cell> Grid() {
@@ -74,10 +86,69 @@ ExperimentConfig SmallConfig() {
   return cfg;
 }
 
+// Cell 2's fault mix plus admission; cell 4 reuses it on the async path.
+void FaultsAndAdmission(ExperimentConfig* cfg) {
+  cfg->fault_upload_loss = 0.05;
+  cfg->fault_download_loss = 0.03;
+  cfg->fault_crash = 0.02;
+  cfg->fault_duplicate = 0.02;
+  cfg->fault_corrupt = 0.05;
+  cfg->admission_control = true;
+  cfg->admit_max_row_norm = 1.0;
+  cfg->admit_outlier_z = 6.0;
+}
+
+std::vector<Cell> Scenarios() {
+  constexpr BaseModel kNcf = BaseModel::kNcf;
+  constexpr Method kOurs = Method::kHeteFedRec;
+  constexpr ComputeBackend kFp64 = ComputeBackend::kFp64;
+  constexpr ComputeBackend kFp32 = ComputeBackend::kFp32;
+  constexpr ComputeBackend kSimd = ComputeBackend::kFp32Simd;
+  return {
+      {kNcf, kOurs, false, kFp64, "overselect",
+       [](ExperimentConfig* cfg) {
+         cfg->straggler_slack = 4;
+         cfg->round_deadline = 0.9;
+         cfg->availability = 0.8;
+         cfg->net_bandwidth_sigma = 1.0;
+         cfg->net_latency_sigma = 0.3;
+       }},
+      {kNcf, kOurs, false, kFp64, "faults_admission", FaultsAndAdmission},
+      {kNcf, kOurs, false, kFp64, "overselect_faults",
+       [](ExperimentConfig* cfg) {
+         cfg->fault_upload_loss = 0.05;
+         cfg->fault_crash = 0.05;
+         cfg->fault_duplicate = 0.05;
+         cfg->fault_corrupt = 0.05;
+         cfg->straggler_slack = 4;
+         cfg->net_bandwidth_sigma = 1.0;
+       }},
+      {kNcf, kOurs, true, kFp64, "faults_admission_delta",
+       [](ExperimentConfig* cfg) {
+         FaultsAndAdmission(cfg);
+         cfg->async_max_staleness = 16;
+         cfg->full_downloads = false;
+         cfg->availability = 0.8;
+         cfg->net_bandwidth_sigma = 1.0;
+         cfg->async_dispatch_batch = 8;
+       }},
+      {kNcf, kOurs, false, kSimd, "eval_every",
+       [](ExperimentConfig* cfg) { cfg->eval_every = 1; }},
+      {kNcf, Method::kClusteredFedRec, false, kFp32, "candidates",
+       [](ExperimentConfig* cfg) { cfg->eval_candidate_sample = 50; }},
+      {kNcf, Method::kStandalone, false, kSimd, "standalone",
+       [](ExperimentConfig*) {}},
+      {kNcf, Method::kStandalone, false, kFp64, "scalar_topk",
+       [](ExperimentConfig* cfg) { cfg->use_batched_topk = false; }},
+      {kNcf, kOurs, false, kFp32, "scalar_scoring",
+       [](ExperimentConfig* cfg) { cfg->use_batched_scoring = false; }},
+  };
+}
+
 std::string CellKey(const Cell& c) {
   return "[" + BaseModelName(c.model) + "|" + MethodName(c.method) + "|" +
          (c.async ? "async" : "sync") + "|" + ComputeBackendName(c.backend) +
-         "]";
+         (c.scenario != nullptr ? std::string("|") + c.scenario : "") + "]";
 }
 
 std::string Fmt(double v) {
@@ -87,10 +158,14 @@ std::string Fmt(double v) {
 }
 
 // 64-bit FNV-1a over the little-endian bytes of every double's bit pattern.
+// Every NaN hashes as one canonical quiet NaN: which NaN's sign and payload
+// an operation propagates depends on operand order, which the optimizer
+// may change, so only a NaN's position is build-independent.
 class Fnv1a {
  public:
   void Add(const Matrix& m) {
     for (double v : m.data()) {
+      if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
       uint64_t bits;
       std::memcpy(&bits, &v, sizeof(bits));
       for (int b = 0; b < 8; ++b) {
@@ -129,7 +204,7 @@ std::string CheckpointDigest(const std::string& path) {
 
 // Runs one cell and renders its golden line: the key, then space-separated
 // name=value fields.
-std::string RunCell(const Cell& c) {
+std::string RunCell(const Cell& c, size_t threads = 1) {
   const std::string ckpt = testing::TempDir() + "/golden_digest.ckpt";
   std::remove(ckpt.c_str());
 
@@ -137,6 +212,8 @@ std::string RunCell(const Cell& c) {
   cfg.base_model = c.model;
   cfg.async_mode = c.async;
   cfg.compute_backend = c.backend;
+  cfg.num_threads = threads;
+  if (c.tweak != nullptr) c.tweak(&cfg);
   const bool exact = c.backend == ComputeBackend::kFp64;
   if (exact) cfg.checkpoint_path = ckpt;
   auto runner = ExperimentRunner::Create(cfg);
@@ -157,6 +234,17 @@ std::string RunCell(const Cell& c) {
        << " transmitted=" << r.comm.TotalTransmitted()
        << " sim_s=" << Fmt(r.simulated_seconds)
        << " digest=" << CheckpointDigest(ckpt);
+  }
+  for (const EpochPoint& p : r.history) {
+    os << " ndcg_e" << p.epoch << "=" << Fmt(p.eval.overall.ndcg)
+       << " loss_e" << p.epoch << "=" << Fmt(p.mean_train_loss);
+  }
+  if (c.scenario != nullptr) {
+    os << " comm=";
+    const std::vector<uint64_t> counters = r.comm.ExportCounters();
+    for (size_t i = 0; i < counters.size(); ++i) {
+      os << (i ? "," : "") << counters[i];
+    }
   }
   std::remove(ckpt.c_str());
   return os.str();
@@ -184,44 +272,78 @@ std::string GoldenPath() {
   return here + "/../golden/results.txt";
 }
 
-TEST(GoldenDigest, MethodGridMatchesRecordedResults) {
-  const std::vector<Cell> cells = Grid();
+bool UpdateRequested() {
   const char* update = std::getenv("HFR_UPDATE_GOLDEN");
-  if (update != nullptr && std::string(update) == "1") {
-    std::ofstream out(GoldenPath());
-    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
-    for (const Cell& c : cells) out << RunCell(c) << "\n";
-    ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "rewrote " << GoldenPath();
-  }
+  return update != nullptr && std::string(update) == "1";
+}
 
+std::map<std::string, std::string> LoadGolden() {
   std::ifstream in(GoldenPath());
-  ASSERT_TRUE(in.good()) << "missing " << GoldenPath();
+  EXPECT_TRUE(in.good()) << "missing " << GoldenPath();
   std::map<std::string, std::string> golden;
   for (std::string line; std::getline(in, line);) {
     if (!line.empty()) golden[LineKey(line)] = line;
   }
-  ASSERT_EQ(golden.size(), cells.size())
-      << "golden file and grid disagree; regenerate with HFR_UPDATE_GOLDEN=1";
+  EXPECT_EQ(golden.size(), Grid().size() + Scenarios().size())
+      << "golden file and cells disagree; regenerate with HFR_UPDATE_GOLDEN=1";
+  return golden;
+}
 
+// fp64 lines must match exactly. fp32 lines match field by field: the
+// counters exactly, every metric within 1e-3.
+void ExpectMatches(const Cell& c, const std::string& got,
+                   const std::string& want_line) {
+  if (c.backend == ComputeBackend::kFp64) {
+    EXPECT_EQ(got, want_line);
+    return;
+  }
+  const auto want = LineFields(want_line);
+  const auto have = LineFields(got);
+  ASSERT_EQ(want.size(), have.size());
+  for (const auto& [name, value] : want) {
+    ASSERT_EQ(have.count(name), 1u) << name;
+    if (name == "comm") {
+      EXPECT_EQ(have.at(name), value) << name;
+      continue;
+    }
+    EXPECT_NEAR(std::strtod(have.at(name).c_str(), nullptr),
+                std::strtod(value.c_str(), nullptr), 1e-3)
+        << name;
+  }
+}
+
+TEST(GoldenDigest, MethodGridMatchesRecordedResults) {
+  const std::vector<Cell> cells = Grid();
+  if (UpdateRequested()) {
+    std::ofstream out(GoldenPath());
+    ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+    for (const Cell& c : cells) out << RunCell(c) << "\n";
+    for (const Cell& c : Scenarios()) out << RunCell(c) << "\n";
+    ASSERT_TRUE(out.good());
+    GTEST_SKIP() << "rewrote " << GoldenPath();
+  }
+
+  const std::map<std::string, std::string> golden = LoadGolden();
   for (const Cell& c : cells) {
     const std::string key = CellKey(c);
     SCOPED_TRACE(key);
     auto it = golden.find(key);
     ASSERT_NE(it, golden.end()) << "no golden line";
-    const std::string got = RunCell(c);
-    if (c.backend == ComputeBackend::kFp64) {
-      EXPECT_EQ(got, it->second);
-      continue;
-    }
-    const auto want = LineFields(it->second);
-    const auto have = LineFields(got);
-    ASSERT_EQ(want.size(), have.size());
-    for (const auto& [name, value] : want) {
-      ASSERT_EQ(have.count(name), 1u) << name;
-      EXPECT_NEAR(std::strtod(have.at(name).c_str(), nullptr),
-                  std::strtod(value.c_str(), nullptr), 1e-3)
-          << name;
+    ExpectMatches(c, RunCell(c), it->second);
+  }
+}
+
+TEST(GoldenDigest, ScenarioCellsMatchAtOneAndTwoThreads) {
+  if (UpdateRequested()) {
+    GTEST_SKIP() << "rewritten by MethodGridMatchesRecordedResults";
+  }
+  const std::map<std::string, std::string> golden = LoadGolden();
+  for (const Cell& c : Scenarios()) {
+    auto it = golden.find(CellKey(c));
+    ASSERT_NE(it, golden.end()) << "no golden line for " << CellKey(c);
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE(CellKey(c) + " threads=" + std::to_string(threads));
+      ExpectMatches(c, RunCell(c, threads), it->second);
     }
   }
 }
