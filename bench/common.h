@@ -22,7 +22,8 @@ void AddCommonFlags(CommandLine* cli);
 StatusOr<ExperimentConfig> ConfigFromFlags(const CommandLine& cli);
 
 /// Applies the per-dataset paper dimensions: {8,16,32} for ml/anime,
-/// {32,64,128} for douban (§V-D), unless --dims overrides.
+/// {32,64,128} for douban (§V-D). No bench takes a --dims flag; a bench
+/// that sweeps widths (Table VII) sets cfg.dims after this call.
 void ApplyPaperDims(ExperimentConfig* config);
 
 /// Output path helper: "<out_dir>/<name>.csv" (out_dir from flags).

@@ -142,8 +142,10 @@ bool IsHeterogeneous(Method m) {
 }
 
 Status ExperimentConfig::Validate() const {
-  if (dims[0] == 0 || dims[0] > dims[1] || dims[1] > dims[2]) {
-    return Status::InvalidArgument("dims must satisfy 0 < Ns <= Nm <= Nl");
+  // Strict: every multi-width method needs three distinct slot widths.
+  if (dims[0] == 0 || dims[0] >= dims[1] || dims[1] >= dims[2]) {
+    return Status::InvalidArgument(
+        "dims (--dims) must satisfy 0 < Ns < Nm < Nl");
   }
   if (data_scale <= 0.0 || data_scale > 1.0) {
     return Status::InvalidArgument("data_scale must be in (0, 1]");

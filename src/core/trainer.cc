@@ -7,7 +7,9 @@
 #include <memory>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "src/core/checkpoint.h"
 #include "src/core/local_trainer.h"
@@ -155,98 +157,185 @@ size_t EffectiveThreads(const ExperimentConfig& cfg) {
   return hw > 0 ? hw : 1;
 }
 
+/// Where an S-typed scorer writes `n` scores bound for the evaluator's
+/// double contract: fp64 writes `out` in place; fp32 writes thread-local
+/// float scratch (bounded by kEvalStreamBlock / the candidate-list length)
+/// that UpcastScores then widens into `out`.
+template <typename S>
+S* ScoreScratch(double* out, size_t n) {
+  if constexpr (std::is_same_v<S, double>) {
+    return out;
+  } else {
+    thread_local std::vector<S> scratch;
+    scratch.resize(n);
+    return scratch.data();
+  }
+}
+
+template <typename S>
+void UpcastScores(const S* scores, size_t n, double* out) {
+  if constexpr (!std::is_same_v<S, double>) {
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(scores[i]);
+  }
+}
+
 /// Shared evaluator scoring dispatch: the per-item reference loop, the
 /// in-place ScoreRange over the full span (full mode passes the contiguous
 /// ids [0, num_items)), or the id-list ScoreBatch (candidate mode).
 /// Requires a prior BeginUser on `sc`.
-void ScoreIdsForEval(const Scorer& sc, const Matrix& table,
-                     const FeedForwardNet& theta,
+template <typename S>
+void ScoreIdsForEval(const ScorerT<S>& sc, const MatrixT<S>& table,
+                     const FeedForwardNetT<S>& theta,
                      const std::vector<ItemId>& ids, bool use_batched,
                      bool full_span, double* out) {
+  S* scores = ScoreScratch<S>(out, ids.size());
   if (!use_batched) {
     for (size_t i = 0; i < ids.size(); ++i) {
-      out[i] = sc.Score(table, theta, ids[i]);
+      scores[i] = sc.Score(table, theta, ids[i]);
     }
   } else if (full_span) {
     // full_span promises ids == [0, table.rows()); scoring the wrong span
     // here would silently corrupt metrics.
     HFR_CHECK_EQ(ids.size(), table.rows());
-    sc.ScoreRange(table, theta, 0, ids.size(), out);
+    sc.ScoreRange(table, theta, 0, ids.size(), scores);
   } else {
-    sc.ScoreBatch(table, theta, ids.data(), ids.size(), out);
+    sc.ScoreBatch(table, theta, ids.data(), ids.size(), scores);
   }
+  UpcastScores(scores, ids.size(), out);
 }
 
 /// Score blocks fed to the fused top-K sink: per-user state (prefix, pu_)
 /// survives across ScoreRange calls, so scoring block [first, first + bs)
-/// yields the exact per-item logits of one full-span pass while `buf` only
-/// ever holds kEvalStreamBlock scores. Requires a prior BeginUser on `sc`.
+/// yields the exact per-item logits of one full-span pass while the
+/// thread-local block only ever holds kEvalStreamBlock scores. Requires a
+/// prior BeginUser on `sc`.
 constexpr size_t kEvalStreamBlock = 8 * Scorer::kScoreBlock;
 
-void StreamScoresForEval(const Scorer& sc, const Matrix& table,
-                         const FeedForwardNet& theta, bool use_batched,
-                         std::vector<double>* buf, TopKSelector* sink) {
+template <typename S>
+void StreamScoresForEval(const ScorerT<S>& sc, const MatrixT<S>& table,
+                         const FeedForwardNetT<S>& theta, bool use_batched,
+                         TopKSelector* sink) {
+  thread_local std::vector<double> block;
   const size_t n = table.rows();
-  buf->resize(std::min(kEvalStreamBlock, n));
+  block.resize(std::min(kEvalStreamBlock, n));
+  S* scores = ScoreScratch<S>(block.data(), block.size());
   for (size_t first = 0; first < n; first += kEvalStreamBlock) {
     const size_t bs = std::min(kEvalStreamBlock, n - first);
     if (use_batched) {
-      sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs,
-                    buf->data());
+      sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs, scores);
     } else {
       for (size_t i = 0; i < bs; ++i) {
-        (*buf)[i] = sc.Score(table, theta, static_cast<ItemId>(first + i));
+        scores[i] = sc.Score(table, theta, static_cast<ItemId>(first + i));
       }
     }
-    sink->Push(static_cast<ItemId>(first), buf->data(), bs);
+    UpcastScores(scores, bs, block.data());
+    sink->Push(static_cast<ItemId>(first), block.data(), bs);
   }
 }
 
-// fp32-backend overloads: score in float against float casts of the server
-// state, upcasting each block into the evaluator's double contract (the
-// metrics pipeline and top-K sink stay fp64). The thread_local scratch is
-// bounded by kEvalStreamBlock / the candidate-list length per thread.
-void ScoreIdsForEval(const ScorerF& sc, const MatrixF& table,
-                     const FeedForwardNetF& theta,
-                     const std::vector<ItemId>& ids, bool use_batched,
-                     bool full_span, double* out) {
-  thread_local std::vector<float> tmp;
-  tmp.resize(ids.size());
-  if (!use_batched) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      tmp[i] = sc.Score(table, theta, ids[i]);
-    }
-  } else if (full_span) {
-    HFR_CHECK_EQ(ids.size(), table.rows());
-    sc.ScoreRange(table, theta, 0, ids.size(), tmp.data());
+/// fp64 state as a scorer over scalar S sees it: fp64 borrows `src`, fp32
+/// casts it into `*cast` (the metrics pipeline and top-K sink stay fp64).
+template <typename S>
+const MatrixT<S>& ScalarView(const Matrix& src, MatrixT<S>* cast) {
+  if constexpr (std::is_same_v<S, double>) {
+    return src;
   } else {
-    sc.ScoreBatch(table, theta, ids.data(), ids.size(), tmp.data());
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    out[i] = static_cast<double>(tmp[i]);
+    cast->AssignCast(src);
+    return *cast;
   }
 }
 
-void StreamScoresForEval(const ScorerF& sc, const MatrixF& table,
-                         const FeedForwardNetF& theta, bool use_batched,
-                         std::vector<double>* buf, TopKSelector* sink) {
-  thread_local std::vector<float> tmp;
-  const size_t n = table.rows();
-  buf->resize(std::min(kEvalStreamBlock, n));
-  tmp.resize(std::min(kEvalStreamBlock, n));
-  for (size_t first = 0; first < n; first += kEvalStreamBlock) {
-    const size_t bs = std::min(kEvalStreamBlock, n - first);
-    if (use_batched) {
-      sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs, tmp.data());
-    } else {
-      for (size_t i = 0; i < bs; ++i) {
-        tmp[i] = sc.Score(table, theta, static_cast<ItemId>(first + i));
-      }
-    }
-    for (size_t i = 0; i < bs; ++i) (*buf)[i] = static_cast<double>(tmp[i]);
-    sink->Push(static_cast<ItemId>(first), buf->data(), bs);
+template <typename S>
+const FeedForwardNetT<S>& ScalarView(const FeedForwardNet& src,
+                                     FeedForwardNetT<S>* cast) {
+  if constexpr (std::is_same_v<S, double>) {
+    return src;
+  } else {
+    cast->AssignCastFrom(src);
+    return *cast;
   }
 }
+
+/// A client's persistent double user embedding as an S row.
+template <typename S>
+const S* ScalarRow(const Matrix& user_embedding, std::vector<S>* cast) {
+  const double* row = user_embedding.Row(0);
+  if constexpr (std::is_same_v<S, double>) {
+    return row;
+  } else {
+    cast->resize(user_embedding.cols());
+    for (size_t d = 0; d < cast->size(); ++d) {
+      (*cast)[d] = static_cast<S>(row[d]);
+    }
+    return cast->data();
+  }
+}
+
+/// Evaluates through `with_user(u, thread_slot, score)`, which begins user
+/// u's scorer on that thread and calls score(scorer, table, theta) with the
+/// backend's scalar. Full-catalogue evaluation streams score blocks
+/// straight into the top-K sink (no per-user O(items) buffer); the
+/// candidate slice and the partial_sort reference keep the id-list
+/// callback.
+template <typename WithUser>
+GroupedEval EvaluateUsers(const Evaluator& evaluator,
+                          const ExperimentConfig& cfg, ThreadPool* pool,
+                          const WithUser& with_user) {
+  if (cfg.use_batched_topk && cfg.eval_candidate_sample == 0) {
+    return evaluator.Evaluate(
+        Evaluator::StreamScoreFn(
+            [&](UserId u, size_t thread_slot, TopKSelector* sink) {
+              with_user(u, thread_slot, [&](const auto& sc, const auto& table,
+                                            const auto& theta) {
+                StreamScoresForEval(sc, table, theta, cfg.use_batched_scoring,
+                                    sink);
+              });
+            }),
+        pool);
+  }
+  return evaluator.Evaluate(
+      Evaluator::BatchScoreFn([&](UserId u, size_t thread_slot,
+                                  const std::vector<ItemId>& ids, double* out) {
+        with_user(u, thread_slot, [&](const auto& sc, const auto& table,
+                                      const auto& theta) {
+          ScoreIdsForEval(sc, table, theta, ids, cfg.use_batched_scoring,
+                          cfg.eval_candidate_sample == 0, out);
+        });
+      }),
+      pool);
+}
+
+/// Federated evaluation state over the working scalar S: one Scorer per
+/// (executing thread, server slot), constructed once and reused for every
+/// evaluated user (construction allocates per-width scratch). fp64 scores
+/// the server tables directly; fp32 refreshes float casts of every slot's
+/// table and Θ once per pass and casts each user row into per-thread
+/// scratch.
+template <typename S>
+struct EvalState {
+  std::vector<std::vector<ScorerT<S>>> scorers;  // [thread slot][server slot]
+  std::vector<std::vector<S>> user_rows;         // [thread slot]
+  std::vector<MatrixT<S>> table_casts;           // fp32 only
+  std::vector<FeedForwardNetT<S>> theta_casts;   // fp32 only
+  std::vector<const MatrixT<S>*> tables;         // this pass's scored state
+  std::vector<const FeedForwardNetT<S>*> thetas;
+
+  EvalState() = default;
+  EvalState(size_t num_threads, const ShardedServer& server, BaseModel model)
+      : scorers(num_threads),
+        user_rows(num_threads),
+        table_casts(server.num_slots()),
+        theta_casts(server.num_slots()),
+        tables(server.num_slots()),
+        thetas(server.num_slots()) {
+    for (std::vector<ScorerT<S>>& per_thread : scorers) {
+      per_thread.reserve(server.num_slots());
+      for (size_t s = 0; s < server.num_slots(); ++s) {
+        per_thread.emplace_back(model, server.width(s));
+      }
+    }
+  }
+};
 
 MethodSetup BuildSetup(const ExperimentConfig& cfg, Method method) {
   MethodSetup s;
@@ -304,11 +393,21 @@ MethodSetup BuildSetup(const ExperimentConfig& cfg, Method method) {
   return s;
 }
 
+/// One screened client of a dispatch batch: the key salting its network,
+/// fault and corruption draws, and the fault drawn with it.
+struct Dispatched {
+  UserId user;
+  uint64_t key;
+  FaultKind fault;
+};
+
 /// \brief One federated run: the shared executor core plus two schedules.
 ///
-/// Both schedules drive the same per-client machinery — dispatch (download
-/// accounting + local training), simulated completion timing, merge,
-/// distillation, evaluation — and differ only in *when* merges happen:
+/// Both schedules drive one client pipeline — Screen (gate, availability,
+/// fault draw) into batch_, TrainBatch, AccountDownload, Deliver (upload
+/// faults), then TryMerge (sync) or an AsyncAggregator submission — plus
+/// the same distillation and evaluation, and differ only in *when* merges
+/// happen:
 ///
 ///   SyncEpoch  — the paper's synchronous protocol, i.e. the degenerate
 ///     schedule of the event loop: a whole batch dispatches at one virtual
@@ -328,8 +427,7 @@ class FederatedRun {
         groups_(groups),
         setup_(BuildSetup(cfg, method)),
         method_(method),
-        root_(cfg.seed),
-        fp32_(cfg.compute_backend != ComputeBackend::kFp64) {
+        root_(cfg.seed) {
     // Arms (or disarms) the process-wide fp32 SIMD dispatch; falls back to
     // the scalar fp32 kernels (identical results) when AVX2 is unavailable.
     ActivateBackend(cfg_.compute_backend);
@@ -441,27 +539,12 @@ class FederatedRun {
         dataset_, groups_, cfg_.top_k, cfg_.eval_user_sample,
         cfg_.seed ^ 0xe5a1ULL, cfg_.eval_candidate_sample,
         cfg_.use_batched_topk);
-    // One Scorer per (executing thread, slot), constructed once and reused
-    // for every evaluated user (Scorer construction allocates per-width
-    // scratch; the evaluator likewise reuses per-thread scores buffers).
-    eval_stream_bufs_.resize(pool_->num_slots());
-    if (fp32_) {
-      eval_scorers_f_.resize(pool_->num_slots());
-      eval_user_f_.resize(pool_->num_slots());
-      for (size_t t = 0; t < pool_->num_slots(); ++t) {
-        eval_scorers_f_[t].reserve(server_->num_slots());
-        for (size_t s = 0; s < server_->num_slots(); ++s) {
-          eval_scorers_f_[t].emplace_back(cfg_.base_model, server_->width(s));
-        }
-      }
+    if (cfg_.compute_backend == ComputeBackend::kFp64) {
+      eval_.emplace<EvalState<double>>(pool_->num_slots(), *server_,
+                                       cfg_.base_model);
     } else {
-      eval_scorers_.resize(pool_->num_slots());
-      for (size_t t = 0; t < pool_->num_slots(); ++t) {
-        eval_scorers_[t].reserve(server_->num_slots());
-        for (size_t s = 0; s < server_->num_slots(); ++s) {
-          eval_scorers_[t].emplace_back(cfg_.base_model, server_->width(s));
-        }
-      }
+      eval_.emplace<EvalState<float>>(pool_->num_slots(), *server_,
+                                      cfg_.base_model);
     }
 
     if (cfg_.async_mode) {
@@ -564,11 +647,22 @@ class FederatedRun {
   }
 
  private:
-  /// Local training of one client against the current server tables.
-  void TrainOne(UserId u, size_t slot_idx, LocalUpdateResult* out) {
+  int GroupOf(UserId u) const { return static_cast<int>(clients_[u].group); }
+  size_t SlotOf(UserId u) const { return setup_.slot_of_group[GroupOf(u)]; }
+  const std::vector<LocalTaskSpec>& TasksOf(UserId u) const {
+    return setup_.tasks_of_group[GroupOf(u)];
+  }
+
+  /// Local training of one client against the current server tables. A
+  /// crash still runs the device (its RNG stream advances, so a resumed run
+  /// replays the identical draw) but loses the local work: the private
+  /// embedding reverts, and the update is discarded at upload.
+  /// Client-local, so parallel-safe.
+  void TrainOne(UserId u, size_t slot_idx, FaultKind fk,
+                LocalUpdateResult* out) {
     HFR_PROFILE("train");
     ClientState& client = clients_[u];
-    const int g = static_cast<int>(client.group);
+    const int g = GroupOf(u);
     const auto& tasks = setup_.tasks_of_group[g];
     std::vector<const FeedForwardNet*> thetas;
     thetas.reserve(tasks.size());
@@ -588,9 +682,11 @@ class FederatedRun {
     lopt.sparse_comm_accounting = cfg_.sparse_comm_accounting;
     lopt.backend = cfg_.compute_backend;
 
-    size_t slot = setup_.slot_of_group[g];
-    *out = trainers_[slot_idx]->Train(&client, server_->table(slot), thetas,
-                                      setup_.tasks_of_group[g], lopt);
+    Matrix saved;
+    if (fk == FaultKind::kCrash) saved = client.user_embedding;
+    *out = trainers_[slot_idx]->Train(&client, server_->table(SlotOf(u)),
+                                      thetas, tasks, lopt);
+    if (fk == FaultKind::kCrash) client.user_embedding = std::move(saved);
   }
 
   /// Download accounting for one trained client, in deterministic dispatch
@@ -598,8 +694,7 @@ class FederatedRun {
   /// the active protocol actually ships down; also records CommStats.
   size_t AccountDownload(UserId u, const LocalUpdateResult& update) {
     HFR_PROFILE("sync");
-    const size_t slot =
-        setup_.slot_of_group[static_cast<int>(clients_[u].group)];
+    const size_t slot = SlotOf(u);
     const Matrix& table = server_->table(slot);
     // update.params_down is the dense accounting: |V| + |Θ...|.
     const size_t theta_params = update.params_down - table.size();
@@ -619,34 +714,13 @@ class FederatedRun {
     return shipped;
   }
 
-  /// Merges one accepted update into the open round's accumulators.
-  void MergeOne(UserId u, const LocalUpdateResult& update) {
-    HFR_PROFILE("merge");
-    result_.comm.RecordUpload(clients_[u].group, update.params_up);
-    loss_sum_ += update.train_loss;
+  /// Merge bookkeeping both schedules share: the accepted upload, the
+  /// epoch's loss mean and the client's cleared failure streak.
+  void CountMerge(UserId u, size_t params_up, double train_loss) {
+    result_.comm.RecordUpload(clients_[u].group, params_up);
+    loss_sum_ += train_loss;
     loss_count_++;
-    double weight =
-        cfg_.aggregation == AggregationMode::kDataWeighted
-            ? static_cast<double>(dataset_.TrainItems(u).size())
-            : 1.0;
-    server_->UploadDelta(
-        setup_.tasks_of_group[static_cast<int>(clients_[u].group)], update,
-        weight);
-  }
-
-  /// Local training with the crash fault applied: the device ran (its RNG
-  /// stream advances, so a resumed run replays the identical draw) but the
-  /// local work is lost — the private embedding reverts, and the update is
-  /// discarded at resolve time. Client-local, so parallel-safe.
-  void TrainOneFaulted(UserId u, size_t slot_idx, FaultKind fk,
-                       LocalUpdateResult* out) {
-    if (fk != FaultKind::kCrash) {
-      TrainOne(u, slot_idx, out);
-      return;
-    }
-    Matrix saved = clients_[u].user_embedding;
-    TrainOne(u, slot_idx, out);
-    clients_[u].user_embedding = std::move(saved);
+    if (gate_) gate_->OnSuccess(u);
   }
 
   /// Schedules a failed transfer's retry: capped exponential backoff on the
@@ -662,87 +736,145 @@ class FederatedRun {
     queue_->Requeue(u);
   }
 
-  /// Admission gate in front of MergeOne: rejected updates quarantine the
-  /// client; accepted ones clear its failure streak. Returns true iff the
-  /// update merged.
+  /// Admission control rejected the client's update: quarantine it so it
+  /// re-enters (much later) with a fresh download.
+  void Reject(UserId u, bool nonfinite, double now) {
+    FaultStats* f = result_.comm.mutable_faults();
+    if (nonfinite) {
+      f->rejected_nonfinite++;
+      TraceFault("reject_nonfinite", "admission", u, now);
+    } else {
+      f->rejected_outlier++;
+      TraceFault("reject_outlier", "admission", u, now);
+    }
+    f->quarantines++;
+    if (gate_) gate_->Quarantine(u, now);
+    queue_->Requeue(u);
+  }
+
+  /// Admission gate in front of the merge into the open round's
+  /// accumulators. Returns true iff the update merged.
   bool TryMerge(UserId u, LocalUpdateResult* update, double now) {
     if (server_->admission_enabled()) {
-      const AdmissionDecision decision = server_->Admit(
-          setup_.tasks_of_group[static_cast<int>(clients_[u].group)], update);
-      FaultStats* f = result_.comm.mutable_faults();
-      f->rows_clipped += decision.rows_clipped;
+      const AdmissionDecision decision = server_->Admit(TasksOf(u), update);
+      result_.comm.mutable_faults()->rows_clipped += decision.rows_clipped;
       if (decision.verdict != AdmissionVerdict::kAccept) {
-        if (decision.verdict == AdmissionVerdict::kRejectNonFinite) {
-          f->rejected_nonfinite++;
-          TraceFault("reject_nonfinite", "admission", u, now);
-        } else {
-          f->rejected_outlier++;
-          TraceFault("reject_outlier", "admission", u, now);
-        }
-        f->quarantines++;
-        if (gate_) gate_->Quarantine(u, now);
-        queue_->Requeue(u);
+        Reject(u, decision.verdict == AdmissionVerdict::kRejectNonFinite, now);
         return false;
       }
     }
-    MergeOne(u, *update);
-    if (gate_) gate_->OnSuccess(u);
+    HFR_PROFILE("merge");
+    const double weight =
+        cfg_.aggregation == AggregationMode::kDataWeighted
+            ? static_cast<double>(dataset_.TrainItems(u).size())
+            : 1.0;
+    server_->UploadDelta(TasksOf(u), *update, weight);
+    CountMerge(u, update->params_up, update->train_loss);
     return true;
   }
 
-  /// Resolves one trained client's upload against its drawn fault
-  /// (synchronous schedule). Returns true when the update merged — only
-  /// merged clients extend the round barrier.
-  bool ResolveUpload(UserId u, FaultKind fk, uint64_t key,
-                     LocalUpdateResult* update) {
+  /// A crash or upload loss: the download happened (the replica committed)
+  /// but no update will ever arrive, so the client retries after backoff.
+  /// Returns true when `fk` lost the upload.
+  bool LoseUpload(UserId u, FaultKind fk, double now) {
+    if (fk != FaultKind::kCrash && fk != FaultKind::kUploadLoss) return false;
+    FaultStats* f = result_.comm.mutable_faults();
+    if (fk == FaultKind::kCrash) {
+      f->crashed++;
+      TraceFault("crash", "fault", u, now);
+    } else {
+      f->upload_lost++;
+      TraceFault("upload_loss", "fault", u, now);
+    }
+    FailAndRequeue(u, now);
+    return true;
+  }
+
+  /// Sends one trained client's upload through its drawn fault: counts its
+  /// skipped optimizer steps, then loses it or applies the in-flight
+  /// faults. A duplicate is delivered twice and deduped by the server by
+  /// (client, round id), so the redundant copy shows up only in the fault
+  /// counters; a corrupted update reaches admission damaged. Returns true
+  /// when the update reaches the server.
+  bool Deliver(const Dispatched& d, double now, LocalUpdateResult* update) {
     FaultStats* f = result_.comm.mutable_faults();
     f->nonfinite_grad_steps += update->nonfinite_grad_steps;
-    switch (fk) {
-      case FaultKind::kCrash:
-        f->crashed++;
-        TraceFault("crash", "fault", u, sim_clock_);
-        FailAndRequeue(u, sim_clock_);
-        return false;
-      case FaultKind::kUploadLoss:
-        f->upload_lost++;
-        TraceFault("upload_loss", "fault", u, sim_clock_);
-        FailAndRequeue(u, sim_clock_);
-        return false;
-      case FaultKind::kDuplicate:
-        // Delivered twice; the server dedups by (client, round id), so the
-        // redundant copy shows up only in the fault counters.
-        f->duplicates++;
-        TraceFault("duplicate", "fault", u, sim_clock_);
-        break;
-      case FaultKind::kCorrupt:
-        f->corrupted++;
-        TraceFault("corrupt", "fault", u, sim_clock_);
-        injector_->Corrupt(u, key, update);
-        break;
-      default:
-        break;
+    if (LoseUpload(d.user, d.fault, now)) return false;
+    if (d.fault == FaultKind::kDuplicate) {
+      f->duplicates++;
+      TraceFault("duplicate", "fault", d.user, now);
+    } else if (d.fault == FaultKind::kCorrupt) {
+      f->corrupted++;
+      TraceFault("corrupt", "fault", d.user, now);
+      injector_->Corrupt(d.user, d.key, update);
     }
-    return TryMerge(u, update, sim_clock_);
+    return true;
   }
 
   /// Simulated wall-clock seconds of one full participation: what the wire
   /// actually carries down (`down_scalars`, from AccountDownload) and up
   /// (packed touched rows on the sparse path, the dense delta otherwise),
-  /// plus local compute. `time_key` salts the per-participation latency
-  /// draw: the round id under the synchronous schedule, the dispatch
-  /// sequence number under the asynchronous one.
-  double ClientFinishSeconds(UserId u, uint64_t time_key, size_t down_scalars,
+  /// plus local compute. The participation key salts the latency draw.
+  double ClientFinishSeconds(const Dispatched& d, size_t down_scalars,
                              const LocalUpdateResult& up) const {
-    const size_t slot =
-        setup_.slot_of_group[static_cast<int>(clients_[u].group)];
-    const size_t theta_params = up.params_down - server_->table(slot).size();
+    const size_t theta_params =
+        up.params_down - server_->table(SlotOf(d.user)).size();
     const size_t up_scalars =
         up.sparse ? up.v_delta_sparse.ParamCount() + theta_params
                   : up.params_down;
-    return net_->FinishSeconds(u, time_key,
+    return net_->FinishSeconds(d.user, d.key,
                                down_scalars * cfg_.wire_scalar_bytes,
                                up_scalars * cfg_.wire_scalar_bytes,
                                up.train_samples);
+  }
+
+  /// Screens one queued client for dispatch at virtual instant `now` and
+  /// appends it to batch_ when it trains. The checks run in order:
+  /// excluded group, backoff gate, participation key, availability, fault
+  /// draw, download loss. "All Large/Exclusive" excludes data-poor clients
+  /// from the federation entirely: they receive the global model for
+  /// inference but never train, so even their private embeddings stay at
+  /// initialization (the severity of the paper's Table II drop). Clients
+  /// backing off or offline re-enter the queue for a later attempt. The
+  /// key salting the participation's draws is the round id under the
+  /// synchronous schedule and a fresh dispatch sequence number under the
+  /// asynchronous one.
+  void Screen(UserId u, double now) {
+    if (setup_.excluded[GroupOf(u)]) return;
+    if (gate_ && !gate_->Ready(u, now)) {
+      queue_->Requeue(u);
+      return;
+    }
+    const uint64_t key =
+        cfg_.async_mode ? dispatch_seq_++ : server_->versions().round();
+    if (!net_->Online(u, key)) {
+      queue_->Requeue(u);
+      return;
+    }
+    const FaultKind fk =
+        injector_ ? injector_->Draw(u, key) : FaultKind::kNone;
+    if (fk == FaultKind::kDownloadLoss) {
+      // The model never reaches the client: no download accounting, no
+      // training — the client retries after backoff.
+      result_.comm.mutable_faults()->download_lost++;
+      TraceFault("download_loss", "fault", u, now);
+      FailAndRequeue(u, now);
+      return;
+    }
+    batch_.push_back({u, key, fk});
+  }
+
+  /// Trains batch_[first, end) against the current tables into their
+  /// update slots, in parallel on the pool (inline when it has no
+  /// workers). Each client mutates only its own ClientState, its thread's
+  /// LocalTrainer scratch and its own slot while the server and dataset
+  /// stay read-only, so updates are bit-identical for every thread count.
+  void TrainBatch(size_t first, size_t end) {
+    updates_.resize(batch_.size());
+    pool_->ParallelFor(end - first, [&](size_t i, size_t slot_idx) {
+      const Dispatched& d = batch_[first + i];
+      TrainOne(d.user, slot_idx, d.fault, &updates_[first + i]);
+    });
   }
 
   /// The synchronous round protocol (the paper's), unchanged semantics on
@@ -765,41 +897,8 @@ class FederatedRun {
       --round_budget_;
       const std::vector<UserId> selected = queue_->NextRound();
       server_->BeginRound();
-      const uint64_t round_id = server_->versions().round();
-      // "All Large/Exclusive": data-poor clients are excluded from the
-      // federation entirely — they receive the global model for
-      // inference but are never selected for training, so even their
-      // private user embeddings stay at initialization. This matches the
-      // severity of the paper's reported drop (Table II). Offline clients
-      // re-enter the queue and are tried again in a later round.
-      std::vector<UserId> work;
-      std::vector<FaultKind> fault;  // aligned with work (kNone when off)
-      work.reserve(selected.size());
-      fault.reserve(selected.size());
-      for (UserId u : selected) {
-        if (setup_.excluded[static_cast<int>(clients_[u].group)]) continue;
-        if (gate_ && !gate_->Ready(u, sim_clock_)) {
-          // Backing off after a failure or quarantined: not selectable yet.
-          queue_->Requeue(u);
-          continue;
-        }
-        if (!net_->Online(u, round_id)) {
-          queue_->Requeue(u);
-          continue;
-        }
-        const FaultKind fk =
-            injector_ ? injector_->Draw(u, round_id) : FaultKind::kNone;
-        if (fk == FaultKind::kDownloadLoss) {
-          // The model never reaches the client: no download accounting, no
-          // training — the client retries after backoff.
-          result_.comm.mutable_faults()->download_lost++;
-          TraceFault("download_loss", "fault", u, sim_clock_);
-          FailAndRequeue(u, sim_clock_);
-          continue;
-        }
-        work.push_back(u);
-        fault.push_back(fk);
-      }
+      batch_.clear();
+      for (UserId u : selected) Screen(u, sim_clock_);
 
       // The round's barrier in simulated time: the server applies the
       // aggregate only once its slowest *merged* client has finished.
@@ -809,121 +908,95 @@ class FederatedRun {
       // every trace event inside the round is stamped with it, and the
       // barrier-close events below with round_start + round_seconds.
       const double round_start = sim_clock_;
+      auto count_merged = [&](UserId u, double finish) {
+        round_seconds = std::max(round_seconds, finish);
+        ++merged_count;
+        if (trace_) trace_round_merges_.push_back(u);
+      };
 
-      // Clients of a batch train in parallel (each mutates only its own
-      // ClientState and its thread's LocalTrainer scratch; the server and
-      // dataset are read-only during the batch). Updates land in
-      // per-client slots and merge into the server afterwards in batch
-      // order, so results are bit-identical for every thread count.
-      if (!over_select_ && pool_->num_workers() == 0) {
-        // Serial: merge each update immediately so only one is ever live
-        // (a full batch of dense reference deltas would be large).
-        LocalUpdateResult update;
-        for (size_t k = 0; k < work.size(); ++k) {
-          TrainOneFaulted(work[k], 0, fault[k], &update);
-          const size_t shipped = AccountDownload(work[k], update);
-          if (ResolveUpload(work[k], fault[k], round_id, &update)) {
-            const double fin =
-                ClientFinishSeconds(work[k], round_id, shipped, update);
-            round_seconds = std::max(round_seconds, fin);
-            ++merged_count;
-            if (trace_) trace_round_merges_.push_back(work[k]);
-            TraceTransfer(work[k], round_start, fin, /*merged=*/true);
+      if (!over_select_) {
+        // Updates merge into the server in batch order. A pool with
+        // workers trains the whole batch first; a serial one trains and
+        // merges one client at a time so only one update is ever live.
+        const size_t chunk = pool_->num_workers() == 0 ? 1 : batch_.size();
+        for (size_t first = 0; first < batch_.size(); first += chunk) {
+          const size_t end = std::min(batch_.size(), first + chunk);
+          TrainBatch(first, end);
+          for (size_t k = first; k < end; ++k) {
+            const Dispatched& d = batch_[k];
+            // Taken out of its slot, the update is freed once handled.
+            LocalUpdateResult update = std::move(updates_[k]);
+            const size_t shipped = AccountDownload(d.user, update);
+            if (Deliver(d, sim_clock_, &update) &&
+                TryMerge(d.user, &update, sim_clock_)) {
+              const double fin = ClientFinishSeconds(d, shipped, update);
+              count_merged(d.user, fin);
+              TraceTransfer(d.user, round_start, fin, /*merged=*/true);
+            }
           }
         }
       } else {
-        std::vector<LocalUpdateResult> updates(work.size());
-        if (pool_->num_workers() == 0) {
-          for (size_t k = 0; k < work.size(); ++k) {
-            TrainOneFaulted(work[k], 0, fault[k], &updates[k]);
+        // Over-selection: every selected client downloads and trains (its
+        // replica, embedding and RNG advance), but only the first
+        // clients_per_round simulated completions merge — in batch order,
+        // so results stay thread-count independent. Stragglers and
+        // deadline misses are discarded and re-queued; crashed and
+        // upload-lost clients never complete, so they leave the ranking
+        // entirely.
+        TrainBatch(0, batch_.size());
+        const size_t n = batch_.size();
+        std::vector<double> finish(n);
+        std::vector<uint8_t> eligible(n, 1);
+        for (size_t k = 0; k < n; ++k) {
+          const size_t down_scalars =
+              AccountDownload(batch_[k].user, updates_[k]);
+          finish[k] = ClientFinishSeconds(batch_[k], down_scalars, updates_[k]);
+          if (LoseUpload(batch_[k].user, batch_[k].fault, sim_clock_)) {
+            // Lost and merged clients count their skipped optimizer steps;
+            // an over-selected straggler's are never counted.
+            result_.comm.mutable_faults()->nonfinite_grad_steps +=
+                updates_[k].nonfinite_grad_steps;
+            eligible[k] = 0;
           }
-        } else {
-          pool_->ParallelFor(work.size(), [&](size_t k, size_t slot_idx) {
-            TrainOneFaulted(work[k], slot_idx, fault[k], &updates[k]);
-          });
         }
-        if (!over_select_) {
-          for (size_t k = 0; k < work.size(); ++k) {
-            const size_t shipped = AccountDownload(work[k], updates[k]);
-            if (ResolveUpload(work[k], fault[k], round_id, &updates[k])) {
-              const double fin = ClientFinishSeconds(work[k], round_id,
-                                                     shipped, updates[k]);
-              round_seconds = std::max(round_seconds, fin);
-              ++merged_count;
-              if (trace_) trace_round_merges_.push_back(work[k]);
-              TraceTransfer(work[k], round_start, fin, /*merged=*/true);
-            }
+        std::vector<size_t> order(n);
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+          return finish[a] != finish[b] ? finish[a] < finish[b] : a < b;
+        });
+        std::vector<uint8_t> merged(n, 0);
+        size_t taken = 0;
+        bool deadline_cut = false;
+        for (size_t k : order) {
+          if (!eligible[k]) continue;
+          if (taken >= cfg_.clients_per_round) break;
+          if (cfg_.round_deadline > 0.0 && finish[k] > cfg_.round_deadline) {
+            deadline_cut = true;
+            break;  // order is sorted: everyone later missed it too
           }
-        } else {
-          // Over-selection: every selected client downloads and trains
-          // (its replica, embedding and RNG advance), but only the first
-          // clients_per_round simulated completions merge — in batch
-          // order, so results stay thread-count independent. Stragglers
-          // and deadline misses are discarded and re-queued; crashed and
-          // upload-lost clients never complete, so they leave the ranking
-          // entirely.
-          std::vector<double> finish(work.size());
-          std::vector<uint8_t> eligible(work.size(), 1);
-          for (size_t k = 0; k < work.size(); ++k) {
-            const size_t down_scalars = AccountDownload(work[k], updates[k]);
-            finish[k] = ClientFinishSeconds(work[k], round_id, down_scalars,
-                                            updates[k]);
-            if (fault[k] == FaultKind::kCrash ||
-                fault[k] == FaultKind::kUploadLoss) {
-              FaultStats* f = result_.comm.mutable_faults();
-              f->nonfinite_grad_steps += updates[k].nonfinite_grad_steps;
-              if (fault[k] == FaultKind::kCrash) {
-                f->crashed++;
-                TraceFault("crash", "fault", work[k], sim_clock_);
-              } else {
-                f->upload_lost++;
-                TraceFault("upload_loss", "fault", work[k], sim_clock_);
-              }
-              FailAndRequeue(work[k], sim_clock_);
-              eligible[k] = 0;
-            }
+          merged[k] = 1;
+          taken++;
+        }
+        for (size_t k = 0; k < n; ++k) {
+          if (!eligible[k]) continue;
+          const Dispatched& d = batch_[k];
+          // Stragglers transferred too (their download is on the wire);
+          // the merged flag separates the two populations in the trace.
+          TraceTransfer(d.user, round_start, finish[k], merged[k] != 0);
+          if (!merged[k]) {
+            queue_->Requeue(d.user);
+          } else if (Deliver(d, sim_clock_, &updates_[k]) &&
+                     TryMerge(d.user, &updates_[k], sim_clock_)) {
+            count_merged(d.user, finish[k]);
           }
-          std::vector<size_t> order(work.size());
-          std::iota(order.begin(), order.end(), 0);
-          std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-            return finish[a] != finish[b] ? finish[a] < finish[b] : a < b;
-          });
-          std::vector<uint8_t> merged(work.size(), 0);
-          size_t taken = 0;
-          bool deadline_cut = false;
-          for (size_t k : order) {
-            if (!eligible[k]) continue;
-            if (taken >= cfg_.clients_per_round) break;
-            if (cfg_.round_deadline > 0.0 &&
-                finish[k] > cfg_.round_deadline) {
-              deadline_cut = true;
-              break;  // order is sorted: everyone later missed it too
-            }
-            merged[k] = 1;
-            taken++;
-          }
-          for (size_t k = 0; k < work.size(); ++k) {
-            if (!eligible[k]) continue;
-            // Stragglers transferred too (their download is on the wire);
-            // the merged flag separates the two populations in the trace.
-            TraceTransfer(work[k], round_start, finish[k], merged[k] != 0);
-            if (merged[k]) {
-              if (ResolveUpload(work[k], fault[k], round_id, &updates[k])) {
-                round_seconds = std::max(round_seconds, finish[k]);
-                ++merged_count;
-                if (trace_) trace_round_merges_.push_back(work[k]);
-              }
-            } else {
-              queue_->Requeue(work[k]);
-            }
-          }
-          if (deadline_cut) {
-            // The quota went unfilled because clients missed the deadline:
-            // the server waited the deadline out before closing the round.
-            round_seconds = cfg_.round_deadline;
-          }
+        }
+        if (deadline_cut) {
+          // The quota went unfilled because clients missed the deadline:
+          // the server waited the deadline out before closing the round.
+          round_seconds = cfg_.round_deadline;
         }
       }
+      updates_.clear();
       server_->FinishRound();
       if (setup_.reskd) {
         server_->Distill(kd_opts_, &kd_rng_);
@@ -983,104 +1056,36 @@ class FederatedRun {
   void AsyncDispatch(size_t* budget) {
     HFR_CHECK_GE(async_inflight_, agg_->in_flight());
     const size_t free_slots = async_inflight_ - agg_->in_flight();
-    dispatch_users_.clear();
-    dispatch_seqs_.clear();
-    dispatch_faults_.clear();
     const double now = agg_->clock_seconds();
-    while (dispatch_users_.size() < free_slots && !queue_->Exhausted() &&
+    batch_.clear();
+    while (batch_.size() < free_slots && !queue_->Exhausted() &&
            *budget > 0) {
       --*budget;
-      const UserId u = queue_->PopNext();
-      if (setup_.excluded[static_cast<int>(clients_[u].group)]) continue;
-      if (gate_ && !gate_->Ready(u, now)) {
-        // Backing off after a failure or quarantined: not selectable yet.
-        queue_->Requeue(u);
-        continue;
-      }
-      const uint64_t seq = dispatch_seq_++;
-      if (!net_->Online(u, seq)) {
-        queue_->Requeue(u);
-        continue;
-      }
-      const FaultKind fk =
-          injector_ ? injector_->Draw(u, seq) : FaultKind::kNone;
-      if (fk == FaultKind::kDownloadLoss) {
-        // The model never reaches the client: no download accounting, no
-        // training — the client retries after backoff.
-        result_.comm.mutable_faults()->download_lost++;
-        TraceFault("download_loss", "fault", u, now);
-        FailAndRequeue(u, now);
-        continue;
-      }
-      dispatch_users_.push_back(u);
-      dispatch_seqs_.push_back(seq);
-      dispatch_faults_.push_back(fk);
+      Screen(queue_->PopNext(), now);
     }
-    if (dispatch_users_.empty()) return;
+    if (batch_.empty()) return;
 
     // In-flight updates must coexist (they are "on the wire"), unlike the
-    // synchronous serial path's merge-immediately economy; on the default
-    // sparse path each holds only its touched rows.
-    dispatch_updates_.resize(dispatch_users_.size());
+    // synchronous serial path's one live update; on the default sparse
+    // path each holds only its touched rows.
     const uint64_t version = server_->versions().round();
-    if (pool_->num_workers() == 0) {
-      for (size_t k = 0; k < dispatch_users_.size(); ++k) {
-        TrainOneFaulted(dispatch_users_[k], 0, dispatch_faults_[k],
-                        &dispatch_updates_[k]);
-      }
-    } else {
-      pool_->ParallelFor(dispatch_users_.size(),
-                         [&](size_t k, size_t slot_idx) {
-                           TrainOneFaulted(dispatch_users_[k], slot_idx,
-                                           dispatch_faults_[k],
-                                           &dispatch_updates_[k]);
-                         });
-    }
+    TrainBatch(0, batch_.size());
     // Replica commits and the completion events in dispatch order.
-    for (size_t k = 0; k < dispatch_users_.size(); ++k) {
-      const UserId u = dispatch_users_[k];
-      const FaultKind fk = dispatch_faults_[k];
-      const size_t shipped = AccountDownload(u, dispatch_updates_[k]);
-      FaultStats* f = result_.comm.mutable_faults();
-      f->nonfinite_grad_steps += dispatch_updates_[k].nonfinite_grad_steps;
-      if (fk == FaultKind::kCrash || fk == FaultKind::kUploadLoss) {
-        // The download happened (the replica committed) but no completion
-        // event will ever arrive; the client retries after backoff.
-        if (fk == FaultKind::kCrash) {
-          f->crashed++;
-          TraceFault("crash", "fault", u, now);
-        } else {
-          f->upload_lost++;
-          TraceFault("upload_loss", "fault", u, now);
-        }
-        FailAndRequeue(u, now);
-        continue;
-      }
-      if (fk == FaultKind::kDuplicate) {
-        f->duplicates++;
-        TraceFault("duplicate", "fault", u, now);
-      }
-      if (fk == FaultKind::kCorrupt) {
-        f->corrupted++;
-        TraceFault("corrupt", "fault", u, now);
-        injector_->Corrupt(u, dispatch_seqs_[k], &dispatch_updates_[k]);
-      }
-      const double finish =
-          agg_->clock_seconds() +
-          ClientFinishSeconds(u, dispatch_seqs_[k], shipped,
-                              dispatch_updates_[k]);
+    for (size_t k = 0; k < batch_.size(); ++k) {
+      const Dispatched& d = batch_[k];
+      const size_t shipped = AccountDownload(d.user, updates_[k]);
+      if (!Deliver(d, now, &updates_[k])) continue;
+      const double finish = now + ClientFinishSeconds(d, shipped, updates_[k]);
       if (trace_) {
         JsonObj args;
-        args.U64("user", u).U64("seq", dispatch_seqs_[k]);
-        trace_->Complete("transfer", "net", agg_->clock_seconds(),
-                         finish - agg_->clock_seconds(),
-                         GroupTrack(clients_[u].group), args.Build());
+        args.U64("user", d.user).U64("seq", d.key);
+        trace_->Complete("transfer", "net", now, finish - now,
+                         GroupTrack(clients_[d.user].group), args.Build());
       }
-      agg_->Submit(
-          u, &setup_.tasks_of_group[static_cast<int>(clients_[u].group)],
-          std::move(dispatch_updates_[k]), version, finish);
+      agg_->Submit(d.user, &TasksOf(d.user), std::move(updates_[k]), version,
+                   finish);
     }
-    dispatch_updates_.clear();
+    updates_.clear();
   }
 
   /// Merge-on-arrival: completions pop in virtual-time order and merge (or
@@ -1099,12 +1104,9 @@ class FederatedRun {
       AsyncAggregator::Outcome out =
           agg_->MergeNext(kd_opts_, setup_.reskd ? &kd_rng_ : nullptr);
       const Group g = clients_[out.user].group;
+      result_.comm.mutable_faults()->rows_clipped += out.rows_clipped;
       if (out.merged) {
-        result_.comm.RecordUpload(g, out.params_up);
-        result_.comm.mutable_faults()->rows_clipped += out.rows_clipped;
-        loss_sum_ += out.train_loss;
-        loss_count_++;
-        if (gate_) gate_->OnSuccess(out.user);
+        CountMerge(out.user, out.params_up, out.train_loss);
         ++rounds_done_;
         if (tel_) metrics_.staleness->Observe(static_cast<double>(out.staleness));
         if (trace_) {
@@ -1128,22 +1130,7 @@ class FederatedRun {
           return;
         }
       } else if (out.rejected) {
-        // Admission control rejected the update: quarantine the client so
-        // it re-enters (much later) with a fresh download.
-        FaultStats* f = result_.comm.mutable_faults();
-        f->rows_clipped += out.rows_clipped;
-        if (out.rejected_nonfinite) {
-          f->rejected_nonfinite++;
-          TraceFault("reject_nonfinite", "admission", out.user,
-                     out.finish_seconds);
-        } else {
-          f->rejected_outlier++;
-          TraceFault("reject_outlier", "admission", out.user,
-                     out.finish_seconds);
-        }
-        f->quarantines++;
-        if (gate_) gate_->Quarantine(out.user, agg_->clock_seconds());
-        queue_->Requeue(out.user);
+        Reject(out.user, out.rejected_nonfinite, out.finish_seconds);
       } else {
         // Dropped by the staleness cap: the work is discarded and the
         // client re-queued for a fresh download, like a sync straggler.
@@ -1191,90 +1178,30 @@ class FederatedRun {
     TelemetryRound(epoch, duration, merged);
   }
 
-  /// fp32 backend: refreshes the float casts of every slot's table and Θ
-  /// once per evaluation pass (the server state mutates between passes).
-  void RefreshEvalCasts() {
-    const size_t ns = server_->num_slots();
-    eval_tables_f_.resize(ns);
-    eval_thetas_f_.resize(ns);
-    for (size_t s = 0; s < ns; ++s) {
-      eval_tables_f_[s].AssignCast(server_->table(s));
-      eval_thetas_f_[s].AssignCastFrom(server_->theta(s));
-    }
-  }
-
-  /// fp32 backend: BeginUser with a float cast of the client's persistent
-  /// double user embedding (per-thread scratch row).
-  ScorerF& BeginUserF(UserId u, size_t thread_slot, size_t slot) {
-    const ClientState& c = clients_[u];
-    ScorerF& sc = eval_scorers_f_[thread_slot][slot];
-    std::vector<float>& uf = eval_user_f_[thread_slot];
-    const double* ud = c.user_embedding.Row(0);
-    const size_t w = c.user_embedding.cols();
-    uf.resize(w);
-    for (size_t d = 0; d < w; ++d) uf[d] = static_cast<float>(ud[d]);
-    sc.BeginUser(uf.data(), eval_tables_f_[slot], dataset_.TrainItems(u));
-    return sc;
-  }
-
-  Evaluator::BatchScoreFn MakeScoreFn() {
-    if (fp32_) {
-      return [this](UserId u, size_t thread_slot,
-                    const std::vector<ItemId>& ids, double* out) {
-        size_t slot =
-            setup_.slot_of_group[static_cast<int>(clients_[u].group)];
-        ScorerF& sc = BeginUserF(u, thread_slot, slot);
-        ScoreIdsForEval(sc, eval_tables_f_[slot], eval_thetas_f_[slot], ids,
-                        cfg_.use_batched_scoring,
-                        cfg_.eval_candidate_sample == 0, out);
-      };
-    }
-    return [this](UserId u, size_t thread_slot,
-                  const std::vector<ItemId>& ids, double* out) {
-      const ClientState& c = clients_[u];
-      size_t slot = setup_.slot_of_group[static_cast<int>(c.group)];
-      Scorer& sc = eval_scorers_[thread_slot][slot];
-      sc.BeginUser(c.user_embedding.Row(0), server_->table(slot),
-                   dataset_.TrainItems(u));
-      ScoreIdsForEval(sc, server_->table(slot), server_->theta(slot), ids,
-                      cfg_.use_batched_scoring,
-                      cfg_.eval_candidate_sample == 0, out);
-    };
-  }
-
-  Evaluator::StreamScoreFn MakeStreamScoreFn() {
-    if (fp32_) {
-      return [this](UserId u, size_t thread_slot, TopKSelector* sink) {
-        size_t slot =
-            setup_.slot_of_group[static_cast<int>(clients_[u].group)];
-        ScorerF& sc = BeginUserF(u, thread_slot, slot);
-        StreamScoresForEval(sc, eval_tables_f_[slot], eval_thetas_f_[slot],
-                            cfg_.use_batched_scoring,
-                            &eval_stream_bufs_[thread_slot], sink);
-      };
-    }
-    return [this](UserId u, size_t thread_slot, TopKSelector* sink) {
-      const ClientState& c = clients_[u];
-      size_t slot = setup_.slot_of_group[static_cast<int>(c.group)];
-      Scorer& sc = eval_scorers_[thread_slot][slot];
-      sc.BeginUser(c.user_embedding.Row(0), server_->table(slot),
-                   dataset_.TrainItems(u));
-      StreamScoresForEval(sc, server_->table(slot), server_->theta(slot),
-                          cfg_.use_batched_scoring,
-                          &eval_stream_bufs_[thread_slot], sink);
-    };
-  }
-
-  /// Full-catalogue evaluation streams score blocks straight into the
-  /// top-K sink (no per-user O(items) buffer); the candidate slice and the
-  /// partial_sort reference keep the id-list callback.
   GroupedEval RunEvaluation() {
     HFR_PROFILE("eval");
-    if (fp32_) RefreshEvalCasts();
-    if (cfg_.use_batched_topk && cfg_.eval_candidate_sample == 0) {
-      return evaluator_->Evaluate(MakeStreamScoreFn(), pool_.get());
+    return std::visit([this](auto& state) { return Evaluate(&state); },
+                      eval_);
+  }
+
+  template <typename S>
+  GroupedEval Evaluate(EvalState<S>* st) {
+    // The server state mutates between passes, so the fp32 casts refresh
+    // once per pass; fp64 borrows the tables.
+    for (size_t s = 0; s < server_->num_slots(); ++s) {
+      st->tables[s] = &ScalarView(server_->table(s), &st->table_casts[s]);
+      st->thetas[s] = &ScalarView(server_->theta(s), &st->theta_casts[s]);
     }
-    return evaluator_->Evaluate(MakeScoreFn(), pool_.get());
+    return EvaluateUsers(
+        *evaluator_, cfg_, pool_.get(),
+        [this, st](UserId u, size_t thread_slot, const auto& score) {
+          const size_t slot = SlotOf(u);
+          ScorerT<S>& sc = st->scorers[thread_slot][slot];
+          sc.BeginUser(ScalarRow(clients_[u].user_embedding,
+                                 &st->user_rows[thread_slot]),
+                       *st->tables[slot], dataset_.TrainItems(u));
+          score(sc, *st->tables[slot], *st->thetas[slot]);
+        });
   }
 
   /// Writes the full run state to checkpoint_path + ".run" with an atomic
@@ -1640,16 +1567,8 @@ class FederatedRun {
   std::unique_ptr<SimulatedNetwork> net_;
   bool over_select_ = false;
   std::unique_ptr<Evaluator> evaluator_;
-  std::vector<std::vector<Scorer>> eval_scorers_;
-  std::vector<std::vector<double>> eval_stream_bufs_;  // per-thread blocks
-
-  // fp32 backend evaluation state (empty on fp64): float scorers mirror
-  // eval_scorers_; the table/Θ casts refresh once per evaluation pass.
-  const bool fp32_;
-  std::vector<std::vector<ScorerF>> eval_scorers_f_;
-  std::vector<MatrixF> eval_tables_f_;
-  std::vector<FeedForwardNetF> eval_thetas_f_;
-  std::vector<std::vector<float>> eval_user_f_;  // per-thread cast user rows
+  // Evaluation state of the active backend (fp64 or fp32/fp32_simd).
+  std::variant<EvalState<double>, EvalState<float>> eval_;
 
   // Robustness layer (docs/ROBUSTNESS.md); all null on default configs.
   std::unique_ptr<FaultInjector> injector_;
@@ -1667,10 +1586,11 @@ class FederatedRun {
   std::unique_ptr<AsyncAggregator> agg_;
   size_t async_inflight_ = 0;
   uint64_t dispatch_seq_ = 0;  // monotone across epochs; salts net draws
-  std::vector<UserId> dispatch_users_;
-  std::vector<uint64_t> dispatch_seqs_;
-  std::vector<FaultKind> dispatch_faults_;
-  std::vector<LocalUpdateResult> dispatch_updates_;
+
+  // The clients Screen admitted to the open sync round or async dispatch,
+  // and their updates (aligned by index).
+  std::vector<Dispatched> batch_;
+  std::vector<LocalUpdateResult> updates_;
 
   ExperimentResult result_;
   double loss_sum_ = 0.0;
@@ -1790,75 +1710,34 @@ ExperimentResult ExperimentRunner::RunStandalone() const {
     theta->AddScaled(update.theta_deltas[0], 1.0);
   };
 
-  // fp32 backend: score the freshly trained user through float casts of
-  // its table/Θ (training itself already ran in float via lopt.backend).
-  auto cast_user = [&](const Matrix& table, const FeedForwardNet& theta,
-                       const ClientState& client, MatrixF* tf,
-                       FeedForwardNetF* thf, std::vector<float>* uf) {
-    tf->AssignCast(table);
-    thf->AssignCastFrom(theta);
-    const double* ud = client.user_embedding.Row(0);
-    uf->resize(table.cols());
-    for (size_t d = 0; d < uf->size(); ++d) {
-      (*uf)[d] = static_cast<float>(ud[d]);
+  // Trains user u, then scores it through the backend's scalar: fp32
+  // scores float casts of its table, Θ and user row (training itself
+  // already ran in float via lopt.backend).
+  auto with_user = [&](UserId u, size_t thread_slot, const auto& score) {
+    Matrix table;
+    FeedForwardNet theta;
+    ClientState client;
+    train_user(u, thread_slot, &table, &theta, &client);
+    auto score_as = [&](auto scalar) {
+      using S = decltype(scalar);
+      MatrixT<S> table_cast;
+      FeedForwardNetT<S> theta_cast;
+      std::vector<S> user_cast;
+      const MatrixT<S>& t = ScalarView(table, &table_cast);
+      ScorerT<S> sc(cfg.base_model, table.cols());
+      sc.BeginUser(ScalarRow(client.user_embedding, &user_cast), t,
+                   dataset_.TrainItems(u));
+      score(sc, t, ScalarView(theta, &theta_cast));
+    };
+    if (fp32) {
+      score_as(float{});
+    } else {
+      score_as(double{});
     }
   };
 
   ExperimentResult result;
-  if (cfg.use_batched_topk && cfg.eval_candidate_sample == 0) {
-    // Fused path: trained scores stream into the top-K sink per block.
-    std::vector<std::vector<double>> stream_bufs(pool.num_slots());
-    auto stream_fn = [&](UserId u, size_t thread_slot, TopKSelector* sink) {
-      Matrix table;
-      FeedForwardNet theta;
-      ClientState client;
-      train_user(u, thread_slot, &table, &theta, &client);
-      if (fp32) {
-        MatrixF tf;
-        FeedForwardNetF thf;
-        std::vector<float> uf;
-        cast_user(table, theta, client, &tf, &thf, &uf);
-        ScorerF sc(cfg.base_model, table.cols());
-        sc.BeginUser(uf.data(), tf, dataset_.TrainItems(u));
-        StreamScoresForEval(sc, tf, thf, cfg.use_batched_scoring,
-                            &stream_bufs[thread_slot], sink);
-        return;
-      }
-      Scorer sc(cfg.base_model, table.cols());
-      sc.BeginUser(client.user_embedding.Row(0), table,
-                   dataset_.TrainItems(u));
-      StreamScoresForEval(sc, table, theta, cfg.use_batched_scoring,
-                          &stream_bufs[thread_slot], sink);
-    };
-    result.final_eval =
-        evaluator.Evaluate(Evaluator::StreamScoreFn(stream_fn), &pool);
-  } else {
-    auto score_fn = [&](UserId u, size_t thread_slot,
-                        const std::vector<ItemId>& ids, double* out) {
-      Matrix table;
-      FeedForwardNet theta;
-      ClientState client;
-      train_user(u, thread_slot, &table, &theta, &client);
-      if (fp32) {
-        MatrixF tf;
-        FeedForwardNetF thf;
-        std::vector<float> uf;
-        cast_user(table, theta, client, &tf, &thf, &uf);
-        ScorerF sc(cfg.base_model, table.cols());
-        sc.BeginUser(uf.data(), tf, dataset_.TrainItems(u));
-        ScoreIdsForEval(sc, tf, thf, ids, cfg.use_batched_scoring,
-                        cfg.eval_candidate_sample == 0, out);
-        return;
-      }
-      Scorer sc(cfg.base_model, table.cols());
-      sc.BeginUser(client.user_embedding.Row(0), table,
-                   dataset_.TrainItems(u));
-      ScoreIdsForEval(sc, table, theta, ids, cfg.use_batched_scoring,
-                      cfg.eval_candidate_sample == 0, out);
-    };
-    result.final_eval =
-        evaluator.Evaluate(Evaluator::BatchScoreFn(score_fn), &pool);
-  }
+  result.final_eval = EvaluateUsers(evaluator, cfg, &pool, with_user);
   result.train_seconds = timer.Seconds();
   if (cfg.profile) {
     const std::vector<Profiler::PhaseStat> stats = Profiler::Get().Collect();

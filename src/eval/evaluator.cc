@@ -73,7 +73,7 @@ GroupedEval Evaluator::Reduce(const PerUserFn& eval_user,
   auto run_one = [&](size_t k, size_t slot) {
     eval_user(k, slot, &recall[k], &ndcg[k], &counted[k]);
   };
-  if (pool != nullptr && pool->num_workers() > 0) {
+  if (pool != nullptr) {
     pool->ParallelFor(users_.size(), run_one);
   } else {
     for (size_t k = 0; k < users_.size(); ++k) run_one(k, 0);
@@ -128,50 +128,6 @@ void Evaluator::FinishUser(UserId u, SlotScratch* scratch, double* recall,
   }
 }
 
-void Evaluator::SelectMasked(SlotScratch* scratch) const {
-  if (use_batched_topk_) {
-    scratch->selector.SelectMasked(scratch->scores, scratch->masked, top_k_,
-                                   &scratch->topk);
-  } else {
-    scratch->selector.SelectMaskedReference(scratch->scores, scratch->masked,
-                                            top_k_, &scratch->topk);
-  }
-}
-
-GroupedEval Evaluator::Evaluate(const ScoreFn& score_fn) const {
-  return Evaluate(
-      [&score_fn](UserId u, size_t /*thread_slot*/,
-                  std::vector<double>* scores) { score_fn(u, scores); },
-      /*pool=*/nullptr);
-}
-
-GroupedEval Evaluator::Evaluate(const ThreadedScoreFn& score_fn,
-                                ThreadPool* pool) const {
-  const size_t n_slots = pool != nullptr ? pool->num_slots() : 1;
-  std::vector<SlotScratch> scratch(n_slots);
-  for (auto& s : scratch) s.masked.resize(ds_.num_items());
-
-  auto eval_user = [&](size_t k, size_t slot, double* recall, double* ndcg,
-                       uint8_t* counted) {
-    const UserId u = users_[k];
-    if (ds_.TestItems(u).empty()) return;
-    SlotScratch& s = scratch[slot];
-    {
-      HFR_PROFILE("score");
-      score_fn(u, slot, &s.scores);
-    }
-    HFR_CHECK_EQ(s.scores.size(), ds_.num_items());
-    BeginUser(u, &s);
-    {
-      HFR_PROFILE("topk");
-      SelectMasked(&s);
-    }
-    FinishUser(u, &s, recall, ndcg);
-    *counted = 1;
-  };
-  return Reduce(eval_user, pool);
-}
-
 GroupedEval Evaluator::Evaluate(const BatchScoreFn& score_fn,
                                 ThreadPool* pool) const {
   const size_t n_slots = pool != nullptr ? pool->num_slots() : 1;
@@ -194,7 +150,12 @@ GroupedEval Evaluator::Evaluate(const BatchScoreFn& score_fn,
         score_fn(u, slot, all_items_, s.scores.data());
       }
       HFR_PROFILE("topk");
-      SelectMasked(&s);
+      if (use_batched_topk_) {
+        s.selector.SelectMasked(s.scores, s.masked, top_k_, &s.topk);
+      } else {
+        s.selector.SelectMaskedReference(s.scores, s.masked, top_k_,
+                                         &s.topk);
+      }
     } else {
       // Candidate slice: test items + seeded negatives. Train items are
       // excluded by construction, so no mask is needed.

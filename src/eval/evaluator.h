@@ -5,10 +5,11 @@
 // held-out 20% test interactions. Reported overall and per client group
 // (Fig. 6 breaks NDCG down by Us/Um/Ul).
 //
-// Users are independent, so evaluation parallelizes over them: the
-// ThreadPool overloads compute per-user metrics into per-index slots and
-// reduce them serially in user order, making the result bit-identical for
-// every thread count (asserted by tests/eval/evaluator_test.cc).
+// Users are independent, so evaluation parallelizes over them: both
+// Evaluate overloads compute per-user metrics into per-index slots on the
+// ThreadPool and reduce them serially in user order, making the result
+// bit-identical for every thread count (asserted by
+// tests/eval/evaluator_test.cc).
 //
 // Candidate-sliced evaluation (`candidate_sample > 0`) scores only each
 // user's test items plus a seeded sample of never-interacted negative
@@ -62,21 +63,14 @@ struct GroupedEval {
 /// \brief Runs the ranking protocol against a scoring callback.
 class Evaluator {
  public:
-  /// Scores all items for a user: fills `scores` (resized to num_items).
-  using ScoreFn =
-      std::function<void(UserId user, std::vector<double>* scores)>;
-
-  /// Like ScoreFn, with the executing thread's slot (< pool->num_slots(),
-  /// or 0 when serial) so callers can keep per-thread scorer scratch. Must
-  /// be safe to invoke concurrently for distinct users on distinct slots.
-  using ThreadedScoreFn = std::function<void(
-      UserId user, size_t thread_slot, std::vector<double>* scores)>;
-
   /// Scores an explicit item-id list for a user: writes ids.size() logits
   /// into `out`, out[i] scoring ids[i]. The evaluator passes the full
   /// catalogue span in full mode and the user's candidate slice in
   /// candidate mode, so one callback (typically Scorer::ScoreBatch) serves
-  /// both. Same concurrency contract as ThreadedScoreFn.
+  /// both. `thread_slot` is the executing thread's slot (<
+  /// pool->num_slots(), or 0 when serial) so callers can keep per-thread
+  /// scorer scratch; the callback must be safe to invoke concurrently for
+  /// distinct users on distinct slots.
   using BatchScoreFn = std::function<void(
       UserId user, size_t thread_slot, const std::vector<ItemId>& ids,
       double* out)>;
@@ -87,7 +81,7 @@ class Evaluator {
   /// each item exactly once; train items are masked by the sink). This is
   /// the fused scoring+selection path — no O(items) score array or
   /// candidate vector is ever materialized. Full-catalogue mode only.
-  /// Same concurrency contract as ThreadedScoreFn.
+  /// Same concurrency contract as BatchScoreFn.
   using StreamScoreFn = std::function<void(UserId user, size_t thread_slot,
                                            TopKSelector* sink)>;
 
@@ -108,27 +102,17 @@ class Evaluator {
             size_t top_k = 20, size_t user_sample = 0, uint64_t seed = 9177,
             size_t candidate_sample = 0, bool use_batched_topk = true);
 
-  /// Evaluates `score_fn` over the (sampled) user population, serially.
-  /// Full-catalogue mode only (ignores candidate_sample).
-  GroupedEval Evaluate(const ScoreFn& score_fn) const;
-
-  /// Parallel evaluation over users. `pool` may be null (serial). Result is
-  /// bit-identical to the serial overload for any thread count.
-  /// Full-catalogue mode only (ignores candidate_sample).
-  GroupedEval Evaluate(const ThreadedScoreFn& score_fn,
-                       ThreadPool* pool) const;
-
-  /// Parallel evaluation through the id-list callback: full-catalogue
-  /// ranking when candidate_sample is 0 (bit-identical to the
-  /// ThreadedScoreFn overload given the same per-item scores), the
-  /// candidate slice otherwise.
+  /// Evaluates the (sampled) user population through the id-list
+  /// callback: full-catalogue ranking when candidate_sample is 0, the
+  /// candidate slice otherwise. `pool` may be null (serial); the result is
+  /// bit-identical for any thread count.
   GroupedEval Evaluate(const BatchScoreFn& score_fn, ThreadPool* pool) const;
 
   /// Fused evaluation through the streaming callback: scoring and top-K
   /// selection interleave per block, so per-user cost is O(items) score
   /// compares with no O(items) buffer, sort, or memset. Full-catalogue
-  /// mode only (CHECKs candidate_sample == 0); bit-identical to the other
-  /// overloads given the same per-item scores.
+  /// mode only (CHECKs candidate_sample == 0); bit-identical to the
+  /// BatchScoreFn overload given the same per-item scores.
   GroupedEval Evaluate(const StreamScoreFn& score_fn, ThreadPool* pool) const;
 
   /// The candidate id list for `u`: test items plus `candidate_sample`
@@ -162,9 +146,6 @@ class Evaluator {
   /// bits again — only the previously set bits, not an O(items) refill.
   void FinishUser(UserId u, SlotScratch* scratch, double* recall,
                   double* ndcg) const;
-  /// Top-K over a filled score array via the selector (heap) or the
-  /// partial_sort reference, per use_batched_topk_.
-  void SelectMasked(SlotScratch* scratch) const;
 
   const Dataset& ds_;
   const GroupAssignment& assignment_;

@@ -102,14 +102,6 @@ size_t CommStats::TotalTransmitted() const {
   return total;
 }
 
-double CommStats::AvgUploadBytes(Group g) const {
-  return AvgUpload(g) * static_cast<double>(wire_scalar_bytes_);
-}
-
-double CommStats::AvgDownloadBytes(Group g) const {
-  return AvgDownload(g) * static_cast<double>(wire_scalar_bytes_);
-}
-
 size_t CommStats::TotalBytes() const {
   return TotalTransmitted() * wire_scalar_bytes_;
 }

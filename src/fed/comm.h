@@ -123,9 +123,7 @@ class CommStats {
   void set_wire_scalar_bytes(size_t bytes) { wire_scalar_bytes_ = bytes; }
   size_t wire_scalar_bytes() const { return wire_scalar_bytes_; }
 
-  /// Byte views of the scalar counts under the configured wire format.
-  double AvgUploadBytes(Group g) const;
-  double AvgDownloadBytes(Group g) const;
+  /// Total bytes transmitted under the configured wire format.
   size_t TotalBytes() const;
 
   /// Robustness counters (fault injection / admission control).

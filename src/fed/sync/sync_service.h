@@ -69,11 +69,6 @@ class SyncService {
                 const Matrix& table, const VersionView& versions,
                 size_t theta_params);
 
-  /// Scalars the dense protocol would ship for the same download.
-  static size_t FullDownloadParams(const Matrix& table, size_t theta_params) {
-    return table.size() + theta_params;
-  }
-
   /// Drops one client's replica (it re-downloads everything next round).
   void Invalidate(UserId u);
 

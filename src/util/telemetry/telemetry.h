@@ -39,7 +39,6 @@ class Telemetry {
 
   bool metrics_on() const { return metrics_file_ != nullptr; }
   bool trace_on() const { return trace_ != nullptr; }
-  bool profile_on() const { return options_.profile; }
 
   MetricsRegistry* registry() { return &registry_; }
   /// Null when --trace_out is unset.

@@ -107,7 +107,13 @@ TEST(ConfigTest, DimOrderingEnforced) {
   EXPECT_FALSE(cfg.Validate().ok());
   cfg.dims = {0, 8, 16};
   EXPECT_FALSE(cfg.Validate().ok());
-  cfg.dims = {8, 8, 8};  // equal allowed (homogeneous runs)
+  cfg.dims = {8, 8, 8};  // equal widths leave multi-width methods no slots
+  EXPECT_FALSE(cfg.Validate().ok());
+  cfg.dims = {8, 8, 32};
+  EXPECT_FALSE(cfg.Validate().ok());
+  cfg.dims = {8, 16, 16};
+  EXPECT_FALSE(cfg.Validate().ok());
+  cfg.dims = {8, 16, 32};
   EXPECT_TRUE(cfg.Validate().ok());
 }
 

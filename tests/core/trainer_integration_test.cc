@@ -87,11 +87,12 @@ TEST(ExperimentRunnerTest, TrainingBeatsRandomScoring) {
   Evaluator ev((*runner)->dataset(), (*runner)->groups(), cfg.top_k,
                cfg.eval_user_sample, cfg.seed ^ 0xe5a1ULL);
   Rng rng(99);
-  auto random_fn = [&](UserId, std::vector<double>* scores) {
-    scores->resize((*runner)->dataset().num_items());
-    for (auto& s : *scores) s = rng.Uniform();
+  auto random_fn = [&](UserId, size_t, const std::vector<ItemId>& ids,
+                       double* out) {
+    for (size_t i = 0; i < ids.size(); ++i) out[i] = rng.Uniform();
   };
-  GroupedEval random_eval = ev.Evaluate(random_fn);
+  GroupedEval random_eval =
+      ev.Evaluate(Evaluator::BatchScoreFn(random_fn), /*pool=*/nullptr);
   EXPECT_GT(r.final_eval.overall.ndcg, 1.1 * random_eval.overall.ndcg);
   EXPECT_GT(r.final_eval.overall.recall, 1.1 * random_eval.overall.recall);
 }

@@ -6,7 +6,12 @@
 //
 // Prints overall + per-group metrics, the convergence curve when
 // --eval_every is set, communication totals, and the collapse diagnostic.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "src/core/trainer.h"
 #include "src/util/cli.h"
@@ -14,6 +19,41 @@
 
 namespace hetefedrec {
 namespace {
+
+// Splits "a,b,c" into exactly three comma-separated fields.
+bool SplitTriple(const std::string& s, std::string fields[3]) {
+  size_t pos = 0;
+  for (int i = 0; i < 3; ++i) {
+    const size_t comma = s.find(',', pos);
+    if ((comma == std::string::npos) != (i == 2)) return false;
+    fields[i] = s.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    pos = comma + 1;
+  }
+  return true;
+}
+
+// A width: decimal digits only (no sign, fraction or trailing junk).
+bool ParseWidth(const std::string& field, size_t* out) {
+  if (field.empty() || field.find_first_not_of("0123456789") != field.npos) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(field.c_str(), nullptr, 10);
+  *out = static_cast<size_t>(v);
+  return errno != ERANGE;
+}
+
+// A finite number that spans the whole field.
+bool ParseNumber(const std::string& field, double* out) {
+  if (field.empty() || std::isspace(static_cast<unsigned char>(field[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(field.c_str(), &end);
+  return end == field.c_str() + field.size() && errno != ERANGE &&
+         std::isfinite(*out);
+}
 
 int Main(int argc, char** argv) {
   CommandLine cli;
@@ -50,11 +90,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  auto parse_triple = [](const std::string& s, double out[3]) {
-    return std::sscanf(s.c_str(), "%lf,%lf,%lf", &out[0], &out[1],
-                       &out[2]) == 3;
-  };
-
   ExperimentConfig cfg;
   cfg.dataset = cli.GetString("dataset");
   cfg.data_scale = cli.GetDouble("data_scale");
@@ -76,18 +111,26 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  double triple[3];
-  if (!parse_triple(cli.GetString("dims"), triple)) {
-    std::fprintf(stderr, "bad --dims (expected Ns,Nm,Nl)\n");
+  std::string fields[3];
+  const std::string dims = cli.GetString("dims");
+  if (!SplitTriple(dims, fields) || !ParseWidth(fields[0], &cfg.dims[0]) ||
+      !ParseWidth(fields[1], &cfg.dims[1]) ||
+      !ParseWidth(fields[2], &cfg.dims[2])) {
+    std::fprintf(stderr,
+                 "bad --dims=%s (expected Ns,Nm,Nl: three integer widths)\n",
+                 dims.c_str());
     return 1;
   }
-  cfg.dims = {static_cast<size_t>(triple[0]), static_cast<size_t>(triple[1]),
-              static_cast<size_t>(triple[2])};
-  if (!parse_triple(cli.GetString("fractions"), triple)) {
-    std::fprintf(stderr, "bad --fractions (expected fs,fm,fl)\n");
+  const std::string fractions = cli.GetString("fractions");
+  if (!SplitTriple(fractions, fields) ||
+      !ParseNumber(fields[0], &cfg.group_fractions[0]) ||
+      !ParseNumber(fields[1], &cfg.group_fractions[1]) ||
+      !ParseNumber(fields[2], &cfg.group_fractions[2])) {
+    std::fprintf(stderr,
+                 "bad --fractions=%s (expected fs,fm,fl: three numbers)\n",
+                 fractions.c_str());
     return 1;
   }
-  cfg.group_fractions = {triple[0], triple[1], triple[2]};
 
   auto model = BaseModelByName(cli.GetString("model"));
   if (!model.ok()) {
