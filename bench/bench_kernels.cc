@@ -363,6 +363,56 @@ void BM_AdamStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStep)->Arg(8)->Arg(32)->Arg(128);
 
+// The item-embedding Adam of one client, the step client.adam_s times in
+// bench_e2e's traced run: two local epochs over a 2048-row table, the first
+// touching 256 rows, the second a gradient on two thirds of them, so the
+// other third takes decay-only steps. Each iteration resets the moments,
+// as every client does, so no moment decays into subnormals. Arg 1
+// selects the precision (0 fp64 | 1 fp32).
+template <typename T>
+void SparseRowAdamSteps(benchmark::State& state, size_t width) {
+  constexpr size_t kTouched = 256;
+  Matrix base = RandomTable(kItems, width, 31);
+  RowOverlayTableT<T> table;
+  table.Reset(&base);
+  SparseRowStoreT<T> first, second;
+  first.Reset(kItems, width);
+  second.Reset(kItems, width);
+  Rng rng(37);
+  for (size_t k = 0; k < kTouched; ++k) {
+    const size_t r = (k * 7 + 3) % kItems;
+    T* g = first.EnsureRow(r);
+    for (size_t d = 0; d < width; ++d) {
+      g[d] = static_cast<T>(rng.Normal(0.0, 0.1));
+    }
+    if (k % 3 != 0) std::copy(g, g + width, second.EnsureRow(r));
+  }
+  SparseRowAdamT<T> adam;
+  for (auto _ : state) {
+    adam.Reset(kItems, width);
+    adam.Step(&table, first);
+    adam.Step(&table, second);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kTouched * width);
+}
+
+void BM_SparseRowAdamStep(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  if (state.range(1) == 0) {
+    SparseRowAdamSteps<double>(state, width);
+  } else {
+    SparseRowAdamSteps<float>(state, width);
+  }
+}
+BENCHMARK(BM_SparseRowAdamStep)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({32, 0})
+    ->Args({32, 1})
+    ->Args({128, 0})
+    ->Args({128, 1});
+
 void BM_DecorrelationLossAndGrad(benchmark::State& state) {
   const size_t width = static_cast<size_t>(state.range(0));
   const size_t sample_rows = static_cast<size_t>(state.range(1));

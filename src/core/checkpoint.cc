@@ -1,7 +1,9 @@
 #include "src/core/checkpoint.h"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <system_error>
 
 #include "src/fed/shard/sharded_server.h"
 
@@ -83,8 +85,11 @@ StatusOr<Matrix> ReadMatrix(std::istream* in) {
   auto cols = ReadU64(in);
   if (!cols.ok()) return cols.status();
   // 1 GiB sanity cap: dimensions beyond any model in this project signal a
-  // corrupt stream, not a big model.
-  if (*rows * *cols > (1ull << 27)) {
+  // corrupt stream, not a big model. Each dimension is bounded first, so
+  // the product cannot wrap.
+  constexpr uint64_t kMaxElements = 1ull << 27;
+  if (*rows > kMaxElements || *cols > kMaxElements ||
+      *rows * *cols > kMaxElements) {
     return Status::InvalidArgument("checkpoint matrix implausibly large");
   }
   Matrix m(*rows, *cols);
@@ -180,7 +185,13 @@ StatusOr<FeedForwardNet> ReadFfn(std::istream* in) {
     biases.push_back(std::move(b).value());
   }
   // Reconstruct the architecture from the matrix shapes, then install the
-  // parameters.
+  // parameters. The network constructor rejects an empty layer by aborting,
+  // so a stream that claims one is refused here.
+  for (const Matrix& w : weights) {
+    if (w.rows() == 0 || w.cols() == 0) {
+      return Status::InvalidArgument("checkpoint FFN layer is empty");
+    }
+  }
   std::vector<size_t> hidden;
   for (size_t l = 0; l + 1 < weights.size(); ++l) {
     hidden.push_back(weights[l].cols());
@@ -225,7 +236,13 @@ StatusOr<ServerCheckpoint> LoadServerCheckpoint(const std::string& path) {
     if (meta->first == "base_model") {
       ckpt.base_model_name = meta->second;
     } else if (meta->first == "num_slots") {
-      num_slots = static_cast<size_t>(std::stoul(meta->second));
+      const std::string& v = meta->second;
+      const auto parsed =
+          std::from_chars(v.data(), v.data() + v.size(), num_slots);
+      if (parsed.ec != std::errc() || parsed.ptr != v.data() + v.size()) {
+        return Status::InvalidArgument(
+            "checkpoint num_slots is not a whole number");
+      }
       break;
     } else {
       return Status::InvalidArgument("unknown checkpoint meta key " +

@@ -1,17 +1,198 @@
 #include "src/math/adam.h"
 
 #include <cmath>
+#include <cstring>
+#include <type_traits>
+
+#include "src/math/backend.h"
+
+#if defined(__SSE2__)
+#include <immintrin.h>  // declares the __builtin_ia32_sqrt* builtins
+#endif
 
 namespace hetefedrec {
 
 namespace {
 
+// Branch-free, so the scan vectorizes.
 template <typename T>
 bool AllFinite(const T* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(x[i])) return false;
+  unsigned finite = 1;
+  for (size_t i = 0; i < n; ++i) finite &= std::isfinite(x[i]) ? 1u : 0u;
+  return finite != 0;
+}
+
+// --- the element update, at vector width --------------------------------
+//
+// Every element runs these operations, in this order (the scalar loop
+// they replaced is the oracle in tests/math/adam_test.cc):
+//
+//   m = b1·m + (1 − b1)·g
+//   v = b2·v + ((1 − b2)·g)·g
+//   p = p − (lr·(m / bias1)) / (sqrt(v / bias2) + eps)
+//
+// Elements are independent and IEEE division and square root are
+// correctly rounded in SIMD too, so vector lanes change no bits. Nothing
+// here is compiled with FMA: the AVX2 entry points are target("avx2"),
+// which does not include it, so no multiply and add can be contracted.
+// The square root is the SSE/AVX instruction rather than std::sqrt, whose
+// errno path keeps GCC from vectorizing the loop. The baseline build runs
+// 16-byte vectors; with the AVX2 code paths and an AVX2 CPU the step runs
+// 32-byte vectors (dispatch as in kernels.cc).
+#ifdef HFR_HAVE_AVX2_TU
+#define HFR_ADAM_AVX2 __attribute__((target("avx2")))
+#endif
+// The helpers must inline into the entry points: a standalone copy would
+// be compiled for the baseline ISA, where a 32-byte vector has no
+// register to live in.
+#define HFR_ADAM_INLINE inline __attribute__((always_inline))
+
+template <typename T, size_t kBytes>
+struct VecOf {
+  typedef T type __attribute__((vector_size(kBytes)));
+};
+
+// The 32-byte builtins return an AVX vector from a function compiled for
+// the baseline ISA, which -Wpsabi flags as an ABI change; the helper
+// always inlines into an AVX2 entry point, so no such return exists.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+template <typename V>
+HFR_ADAM_INLINE void SqrtInPlace(V* x) {
+#if defined(__SSE2__)
+  if constexpr (std::is_same_v<V, VecOf<double, 16>::type>) {
+    *x = __builtin_ia32_sqrtpd(*x);
+  } else if constexpr (std::is_same_v<V, VecOf<float, 16>::type>) {
+    *x = __builtin_ia32_sqrtps(*x);
+  } else if constexpr (std::is_same_v<V, VecOf<double, 32>::type>) {
+    *x = __builtin_ia32_sqrtpd256(*x);
+  } else {
+    *x = __builtin_ia32_sqrtps256(*x);
   }
-  return true;
+#else
+  for (size_t l = 0; l < sizeof(V) / sizeof((*x)[0]); ++l) {
+    (*x)[l] = std::sqrt((*x)[l]);
+  }
+#endif
+}
+#pragma GCC diagnostic pop
+
+// One step's scalars, cast to T once. A touched row that has no gradient
+// row this step steps with g = +0, whose terms (1 − b1)·0 and
+// ((1 − b2)·0)·0 are hoisted into m_zero and v_zero.
+template <typename T>
+struct StepScalars {
+  T b1, b2, c1, c2, bias1, bias2, lr, eps, m_zero, v_zero;
+};
+
+template <typename T>
+StepScalars<T> MakeStepScalars(const AdamOptions& o, long long t) {
+  StepScalars<T> s;
+  s.b1 = static_cast<T>(o.beta1);
+  s.b2 = static_cast<T>(o.beta2);
+  s.c1 = T(1) - s.b1;
+  s.c2 = T(1) - s.b2;
+  // Bias corrections in double regardless of T (cast once): keeps the
+  // double path bit-identical and costs one conversion per step.
+  s.bias1 = static_cast<T>(1.0 - std::pow(o.beta1, static_cast<double>(t)));
+  s.bias2 = static_cast<T>(1.0 - std::pow(o.beta2, static_cast<double>(t)));
+  s.lr = static_cast<T>(o.lr);
+  s.eps = static_cast<T>(o.eps);
+  s.m_zero = s.c1 * T(0);
+  s.v_zero = s.c2 * T(0) * T(0);
+  return s;
+}
+
+// One vector of elements; kDecay elements have no gradient (g unused).
+template <typename V, bool kDecay, typename T>
+HFR_ADAM_INLINE void StepBlock(const StepScalars<T>& s, const T* g, T* m,
+                               T* v, T* p) {
+  V mv, vv, pv;
+  std::memcpy(&mv, m, sizeof(V));
+  std::memcpy(&vv, v, sizeof(V));
+  std::memcpy(&pv, p, sizeof(V));
+  if constexpr (kDecay) {
+    mv = s.b1 * mv + s.m_zero;
+    vv = s.b2 * vv + s.v_zero;
+  } else {
+    V gv;
+    std::memcpy(&gv, g, sizeof(V));
+    mv = s.b1 * mv + s.c1 * gv;
+    vv = s.b2 * vv + s.c2 * gv * gv;
+  }
+  V root = vv / s.bias2;
+  SqrtInPlace(&root);
+  pv -= s.lr * (mv / s.bias1) / (root + s.eps);
+  std::memcpy(m, &mv, sizeof(V));
+  std::memcpy(v, &vv, sizeof(V));
+  std::memcpy(p, &pv, sizeof(V));
+}
+
+// n elements: whole vectors, then the tail as one zero-padded vector.
+template <typename V, bool kDecay, typename T>
+HFR_ADAM_INLINE void StepRow(const StepScalars<T>& s, const T* g, T* m, T* v,
+                             T* p, size_t n) {
+  constexpr size_t L = sizeof(V) / sizeof(T);
+  size_t d = 0;
+  for (; d + L <= n; d += L) {
+    StepBlock<V, kDecay>(s, kDecay ? nullptr : g + d, m + d, v + d, p + d);
+  }
+  if (d == n) return;
+  const size_t bytes = (n - d) * sizeof(T);
+  T gt[L] = {}, mt[L] = {}, vt[L] = {}, pt[L] = {};
+  if constexpr (!kDecay) std::memcpy(gt, g + d, bytes);
+  std::memcpy(mt, m + d, bytes);
+  std::memcpy(vt, v + d, bytes);
+  std::memcpy(pt, p + d, bytes);
+  StepBlock<V, kDecay>(s, gt, mt, vt, pt);
+  std::memcpy(m + d, mt, bytes);
+  std::memcpy(v + d, vt, bytes);
+  std::memcpy(p + d, pt, bytes);
+}
+
+// Every touched row: gradient rows and decay-only rows run separate
+// loops, so neither tests for a gradient per element.
+template <typename V, typename T>
+HFR_ADAM_INLINE void StepTouchedRows(const StepScalars<T>& s,
+                                     const SparseRowStoreT<T>& grad,
+                                     SparseRowStoreT<T>* moments,
+                                     RowOverlayTableT<T>* table) {
+  const size_t w = table->cols();
+  for (uint32_t r : moments->touched()) {
+    T* m = moments->RowOrNull(r);
+    const T* g = grad.RowOrNull(r);
+    T* p = table->MutableRow(r);
+    if (g != nullptr) {
+      StepRow<V, false>(s, g, m, m + w, p, w);
+    } else {
+      StepRow<V, true>(s, g, m, m + w, p, w);
+    }
+  }
+}
+
+#ifdef HFR_HAVE_AVX2_TU
+template <typename T>
+HFR_ADAM_AVX2 void StepDenseAvx2(const StepScalars<T>& s, const T* g, T* m,
+                                 T* v, T* p, size_t n) {
+  StepRow<typename VecOf<T, 32>::type, false>(s, g, m, v, p, n);
+}
+
+template <typename T>
+HFR_ADAM_AVX2 void StepTouchedRowsAvx2(const StepScalars<T>& s,
+                                       const SparseRowStoreT<T>& grad,
+                                       SparseRowStoreT<T>* moments,
+                                       RowOverlayTableT<T>* table) {
+  StepTouchedRows<typename VecOf<T, 32>::type>(s, grad, moments, table);
+}
+#endif  // HFR_HAVE_AVX2_TU
+
+template <typename T>
+void StepDense(const StepScalars<T>& s, const T* g, T* m, T* v, T* p,
+               size_t n) {
+#ifdef HFR_HAVE_AVX2_TU
+  if (CpuHasAvx2()) return StepDenseAvx2(s, g, m, v, p, n);
+#endif
+  StepRow<typename VecOf<T, 16>::type, false>(s, g, m, v, p, n);
 }
 
 }  // namespace
@@ -29,29 +210,9 @@ void AdamT<T>::Step(MatrixT<T>* param, const MatrixT<T>& grad) {
   }
   HFR_CHECK(m_.SameShape(*param));
   ++t_;
-  const T b1 = static_cast<T>(options_.beta1);
-  const T b2 = static_cast<T>(options_.beta2);
-  const T one(1);
-  // Bias corrections in double regardless of T (cast once): keeps the
-  // double path bit-identical and costs one conversion per step.
-  const T bias1 =
-      static_cast<T>(1.0 - std::pow(options_.beta1, static_cast<double>(t_)));
-  const T bias2 =
-      static_cast<T>(1.0 - std::pow(options_.beta2, static_cast<double>(t_)));
-  const T lr = static_cast<T>(options_.lr);
-  const T eps = static_cast<T>(options_.eps);
-  T* p = param->data().data();
-  T* m = m_.data().data();
-  T* v = v_.data().data();
-  const T* g = grad.data().data();
-  const size_t n = param->size();
-  for (size_t i = 0; i < n; ++i) {
-    m[i] = b1 * m[i] + (one - b1) * g[i];
-    v[i] = b2 * v[i] + (one - b2) * g[i] * g[i];
-    T mhat = m[i] / bias1;
-    T vhat = v[i] / bias2;
-    p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-  }
+  StepDense(MakeStepScalars<T>(options_, t_), grad.data().data(),
+            m_.data().data(), v_.data().data(), param->data().data(),
+            param->size());
 }
 
 template <typename T>
@@ -87,32 +248,14 @@ void SparseRowAdamT<T>::Step(RowOverlayTableT<T>* table,
     }
   }
   ++t_;
-  const T b1 = static_cast<T>(options_.beta1);
-  const T b2 = static_cast<T>(options_.beta2);
-  const T one(1);
-  const T bias1 =
-      static_cast<T>(1.0 - std::pow(options_.beta1, static_cast<double>(t_)));
-  const T bias2 =
-      static_cast<T>(1.0 - std::pow(options_.beta2, static_cast<double>(t_)));
-  const T lr = static_cast<T>(options_.lr);
-  const T eps = static_cast<T>(options_.eps);
+  const StepScalars<T> s = MakeStepScalars<T>(options_, t_);
   // Enroll this step's gradient rows first so pointers into `moments_`
   // stay stable during the update sweep.
   for (uint32_t r : grad.touched()) moments_.EnsureRow(r);
-  for (uint32_t r : moments_.touched()) {
-    T* m = moments_.RowOrNull(r);
-    T* v = m + w;
-    const T* g = grad.RowOrNull(r);
-    T* p = table->MutableRow(r);
-    for (size_t d = 0; d < w; ++d) {
-      const T gd = g != nullptr ? g[d] : T(0);
-      m[d] = b1 * m[d] + (one - b1) * gd;
-      v[d] = b2 * v[d] + (one - b2) * gd * gd;
-      const T mhat = m[d] / bias1;
-      const T vhat = v[d] / bias2;
-      p[d] -= lr * mhat / (std::sqrt(vhat) + eps);
-    }
-  }
+#ifdef HFR_HAVE_AVX2_TU
+  if (CpuHasAvx2()) return StepTouchedRowsAvx2(s, grad, &moments_, table);
+#endif
+  StepTouchedRows<typename VecOf<T, 16>::type>(s, grad, &moments_, table);
 }
 
 template class SparseRowAdamT<double>;

@@ -52,6 +52,10 @@ class AdamT {
   /// Cleared by `Reset` along with the moments.
   long long skipped_steps() const { return skipped_; }
 
+  /// First and second moments; empty before the first step (tests).
+  const MatrixT<T>& first_moment() const { return m_; }
+  const MatrixT<T>& second_moment() const { return v_; }
+
  private:
   AdamOptions options_;
   MatrixT<T> m_;
@@ -102,6 +106,9 @@ class SparseRowAdamT {
   /// Steps dropped because the gradient contained a non-finite value.
   /// Cleared by `Reset` along with the moments.
   long long skipped_steps() const { return skipped_; }
+
+  /// Per touched row: [m(0..w), v(0..w)] (tests).
+  const SparseRowStoreT<T>& moments() const { return moments_; }
 
  private:
   AdamOptions options_;

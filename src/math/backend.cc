@@ -32,10 +32,18 @@ std::string ComputeBackendName(ComputeBackend backend) {
   return "fp64";
 }
 
+bool CpuHasAvx2() {
+#if defined(HFR_HAVE_AVX2_TU) && (defined(__x86_64__) || defined(__i386__))
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
+#else
+  return false;
+#endif
+}
+
 bool CpuSupportsFp32Simd() {
 #if defined(HFR_HAVE_AVX2_TU) && (defined(__x86_64__) || defined(__i386__))
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  static const bool supported = CpuHasAvx2() && __builtin_cpu_supports("fma");
   return supported;
 #else
   return false;

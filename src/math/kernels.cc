@@ -295,11 +295,6 @@ HFR_TILE_INLINE void ColumnGramTiles(const double* x, size_t m, size_t n,
 }
 
 #ifdef HFR_HAVE_AVX2_TU
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-
 HFR_FP64_AVX2 void GemvBatchResumeAvx2(const double* x, size_t batch,
                                        size_t x_stride, size_t in_dim,
                                        const double* w, const double* init,

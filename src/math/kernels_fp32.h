@@ -11,8 +11,9 @@
 //             i.e. HFR_DISABLE_AVX2=OFF).
 //
 // Because _mm256_fmadd_ps and std::fmaf both round once, and both paths
-// accumulate in the same lane order, the two sets are bit-identical on the
-// same inputs (pinned by tests/math/kernels_test.cc Fp32DispatchBitIdentity).
+// run the same operations per output element in the same order, the two
+// sets are bit-identical on the same inputs (pinned by the shape sweep in
+// tests/math/kernels_test.cc, Fp32DispatchTest.ScalarMatchesAvx2BitForBit).
 // Callers never include this header directly — the public templated kernels
 // in src/math/kernels.h dispatch here for T = float.
 //
@@ -20,14 +21,23 @@
 // fp32 backend trades the fp64 path's bit-identity bookkeeping for
 // branchless inner loops):
 //
-//   j-parallel kernels (GemvBatchResume/AccumulateOuterBatch): each output
-//     element j accumulates over its reduction index ascending with one
-//     fused multiply-add per term — lanes are independent, so vector width
-//     never changes the per-element order.
-//   dot-shaped kernels (GemvBatchTransposed, Dot): 8 lane accumulators over
-//     ascending 8-element chunks (first chunk a plain product, later chunks
-//     fused), reduced (l0+l4, l1+l5, l2+l6, l3+l7) → (s0+s2, s1+s3) →
-//     (t0+t1), then the tail elements fused in ascending order.
+//   j-parallel kernels (GemvBatchResume with out_dim >= 2,
+//     AccumulateOuterBatch): each output element accumulates over its
+//     reduction index ascending with one fused multiply-add per term, from
+//     its initial value (the bias, the resumed prefix, the current
+//     gradient). The AVX2 set keeps rows x 8 tiles of these independent
+//     outputs in registers across the whole reduction: (b, j) tiles for
+//     the forward, i-blocked (i, j) gradient panels over the batch, and an
+//     out_dim-1 gradient column as 8-wide blocks of i.
+//   dot-shaped kernels (GemvBatchTransposed, Dot, GemvBatchResume with
+//     out_dim 1): n >= 8 terms run 8 lane accumulators over ascending
+//     8-element chunks (first chunk a plain product, later chunks fused),
+//     reduced (l0+l4, l1+l5, l2+l6, l3+l7) → (s0+s2, s1+s3) → (t0+t1),
+//     then the tail terms fused in ascending order; n < 8 terms are an
+//     ascending fmaf chain from +0 (so a −0 product yields +0). The AVX2
+//     GemvBatchTransposed runs this whole per-output sequence in each lane,
+//     8 outputs i at a time over a transposed copy of w; Dot and the
+//     out_dim-1 forward reduce horizontally.
 #ifndef HETEFEDREC_MATH_KERNELS_FP32_H_
 #define HETEFEDREC_MATH_KERNELS_FP32_H_
 

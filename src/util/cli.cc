@@ -37,7 +37,8 @@ bool ParsedFully(const std::string& value, const char* end) {
 void CommandLine::AddFlag(const std::string& name,
                           const std::string& default_value,
                           const std::string& help) {
-  flags_[name] = Flag{default_value, help};
+  const bool added = flags_.emplace(name, Flag{default_value, help}).second;
+  HFR_CHECK(added) << "flag --" << name << " registered twice";
 }
 
 Status CommandLine::Parse(int argc, char** argv) {

@@ -18,7 +18,8 @@ namespace hetefedrec {
 /// \brief Declarative flag registry + parser.
 class CommandLine {
  public:
-  /// Registers a flag with a default value and help text.
+  /// Registers a flag with a default value and help text. Registering a
+  /// name twice is a programming error and aborts.
   void AddFlag(const std::string& name, const std::string& default_value,
                const std::string& help);
 

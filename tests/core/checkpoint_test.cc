@@ -147,5 +147,90 @@ TEST(CheckpointTest, TruncatedServerCheckpointFails) {
   std::remove(path.c_str());
 }
 
+// --- hand-built streams: malformed records fail with a Status ------------
+
+void PutU32(std::ostream* out, uint32_t v) {
+  out->write(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void PutU64(std::ostream* out, uint64_t v) {
+  out->write(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void PutMatrixHeader(std::ostream* out, uint64_t rows, uint64_t cols) {
+  PutU32(out, static_cast<uint32_t>(RecordTag::kMatrix));
+  PutU64(out, rows);
+  PutU64(out, cols);
+}
+
+TEST(CheckpointTest, OversizedMatrixDimensionsFailWithoutWrapping) {
+  // 2^62 x 4 wraps to 0 elements when multiplied first; each dimension
+  // alone exceeds the cap. No payload follows any of these headers.
+  const std::pair<uint64_t, uint64_t> shapes[] = {
+      {1ull << 62, 4},
+      {4, 1ull << 62},
+      {1ull << 32, 1ull << 32},
+      {~0ull, ~0ull},
+      {(1ull << 27) + 1, 0},
+      {0, (1ull << 27) + 1},
+      {1ull << 14, (1ull << 13) + 1},
+  };
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(::testing::Message() << rows << " x " << cols);
+    std::stringstream ss;
+    PutMatrixHeader(&ss, rows, cols);
+    auto r = ReadMatrix(&ss);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  // A plausible header is accepted, and the missing payload is what fails.
+  std::stringstream ss;
+  PutMatrixHeader(&ss, 3, 4);
+  auto r = ReadMatrix(&ss);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+}
+
+TEST(CheckpointTest, EmptyFfnLayerFails) {
+  // A zero-row first weight would reach the network constructor, whose
+  // check aborts; the reader must refuse it first.
+  for (const auto& [rows, cols] :
+       {std::pair<uint64_t, uint64_t>{0, 8}, {8, 0}}) {
+    SCOPED_TRACE(::testing::Message() << rows << " x " << cols);
+    std::stringstream ss;
+    PutU32(&ss, static_cast<uint32_t>(RecordTag::kFfn));
+    PutU64(&ss, 1);
+    PutMatrixHeader(&ss, rows, cols);
+    PutMatrixHeader(&ss, 1, cols);
+    ss.write(std::string(cols * sizeof(double), '\0').data(),
+             static_cast<std::streamsize>(cols * sizeof(double)));
+    auto r = ReadFfn(&ss);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(CheckpointTest, NonNumericSlotCountFails) {
+  const std::string path = TempPath("bad_slots.bin");
+  for (const std::string& value :
+       {std::string(""), std::string("abc"), std::string("3x"),
+        std::string(" 3"), std::string("+3"), std::string("-1"),
+        std::string("0x3"), std::string("99999999999999999999999"),
+        std::string("3\0", 2)}) {
+    SCOPED_TRACE("num_slots='" + value + "'");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      ASSERT_TRUE(WriteCheckpointHeader(&out).ok());
+      ASSERT_TRUE(WriteMeta(&out, "base_model", "ncf").ok());
+      ASSERT_TRUE(WriteMeta(&out, "num_slots", value).ok());
+      ASSERT_TRUE(WriteEnd(&out).ok());
+    }
+    auto r = LoadServerCheckpoint(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace hetefedrec

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -45,18 +46,27 @@ uint64_t Bits(double v) {
   return u;
 }
 
-::testing::AssertionResult SameBits(const std::vector<double>& got,
-                                    const std::vector<double>& want) {
+uint32_t Bits(float v) {
+  uint32_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+template <typename T>
+::testing::AssertionResult SameBits(const std::vector<T>& got,
+                                    const std::vector<T>& want) {
   if (got.size() != want.size()) {
     return ::testing::AssertionFailure() << "size " << got.size() << " vs "
                                          << want.size();
   }
   for (size_t t = 0; t < got.size(); ++t) {
     if (Bits(got[t]) != Bits(want[t])) {
-      return ::testing::AssertionFailure()
-             << "element " << t << ": " << got[t] << " (0x" << std::hex
-             << Bits(got[t]) << ") vs " << want[t] << " (0x" << Bits(want[t])
-             << ")";
+      // One Message, so std::hex reaches the bit patterns.
+      ::testing::Message msg;
+      msg << "element " << t << ": " << got[t] << " (0x" << std::hex
+          << Bits(got[t]) << ") vs " << want[t] << " (0x" << Bits(want[t])
+          << ")";
+      return ::testing::AssertionFailure() << msg;
     }
   }
   return ::testing::AssertionSuccess();
@@ -411,6 +421,16 @@ std::vector<float> RandomFloats(size_t n, uint64_t seed) {
 
 #ifdef HFR_HAVE_AVX2_TU
 
+// RandomFloats salted with exact zeros of both signs.
+std::vector<float> ZeroSaltedFloats(size_t n, uint64_t seed) {
+  std::vector<float> v = RandomFloats(n, seed);
+  for (size_t t = 0; t < n; ++t) {
+    if (t % 5 == 1) v[t] = 0.0f;
+    if (t % 7 == 3) v[t] = -0.0f;
+  }
+  return v;
+}
+
 TEST(Fp32DispatchTest, ScalarMatchesAvx2BitForBit) {
   if (!CpuSupportsFp32Simd()) {
     GTEST_SKIP() << "CPU lacks AVX2+FMA";
@@ -419,52 +439,80 @@ TEST(Fp32DispatchTest, ScalarMatchesAvx2BitForBit) {
   // chunks, chunks + tail.
   for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{16}, size_t{37},
                    size_t{64}, size_t{129}}) {
-    std::vector<float> a = RandomFloats(n, 301 + n);
-    std::vector<float> b = RandomFloats(n, 307 + n);
-    const float ds = fp32::DotScalar(a.data(), b.data(), n);
-    const float dv = fp32::DotAvx2(a.data(), b.data(), n);
-    EXPECT_EQ(ds, dv) << "Dot n=" << n;
-
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    std::vector<float> a = ZeroSaltedFloats(n, 301 + n);
+    std::vector<float> b = ZeroSaltedFloats(n, 307 + n);
+    EXPECT_EQ(Bits(fp32::DotAvx2(a.data(), b.data(), n)),
+              Bits(fp32::DotScalar(a.data(), b.data(), n)))
+        << "Dot";
     std::vector<float> ys = a, yv = a;
     fp32::AxpyScalar(0.37f, b.data(), ys.data(), n);
     fp32::AxpyAvx2(0.37f, b.data(), yv.data(), n);
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(ys[i], yv[i]) << "Axpy " << i;
+    EXPECT_TRUE(SameBits(yv, ys)) << "Axpy";
   }
 
-  const size_t batch = 33, in_dim = 19, out_dim = 8;
-  std::vector<float> x = RandomFloats(batch * in_dim, 311);
-  std::vector<float> w = RandomFloats(in_dim * out_dim, 313);
-  std::vector<float> init = RandomFloats(out_dim, 317);
-  std::vector<float> outs(batch * out_dim), outv(batch * out_dim);
-  fp32::GemvBatchResumeScalar(x.data(), batch, in_dim, in_dim, w.data(),
-                              init.data(), out_dim, outs.data());
-  fp32::GemvBatchResumeAvx2(x.data(), batch, in_dim, in_dim, w.data(),
-                            init.data(), out_dim, outv.data());
-  for (size_t t = 0; t < outs.size(); ++t) {
-    EXPECT_EQ(outs[t], outv[t]) << "GemvBatchResume " << t;
-  }
+  // Every shape the tiles split differently: out_dim below, at and past
+  // one 8-lane block (1 is the FFN output layer, where the input gradient
+  // is fmaf(w, d, +0)); in_dim and batch straddle the row tiles and the
+  // masked column blocks. Inputs carry exact zeros of both signs, and from
+  // batch 3 on one row of x and of delta carries +Inf / -Inf.
+  const size_t kFp32OutDims[] = {1, 2, 3, 7, 8, 9, 16, 17};
+  const size_t kFp32InDims[] = {1, 3, 8, 17, 64};
+  const size_t kFp32Batches[] = {1, 2, 3, 4, 5, 33, 100};
+  constexpr float kInfF = std::numeric_limits<float>::infinity();
+  for (size_t out_dim : kFp32OutDims) {
+    for (size_t in_dim : kFp32InDims) {
+      for (size_t batch : kFp32Batches) {
+        SCOPED_TRACE(::testing::Message() << "out=" << out_dim
+                                          << " in=" << in_dim
+                                          << " batch=" << batch);
+        const uint64_t salt = batch * 1000003 + in_dim * 1009 + out_dim;
+        const size_t x_stride = in_dim + 3;
+        std::vector<float> x = ZeroSaltedFloats(batch * x_stride, 311 + salt);
+        std::vector<float> w = ZeroSaltedFloats(in_dim * out_dim, 313 + salt);
+        std::vector<float> init = ZeroSaltedFloats(out_dim, 317 + salt);
+        std::vector<float> delta =
+            ZeroSaltedFloats(batch * out_dim, 331 + salt);
+        if (batch >= 3) {
+          x[1 * x_stride + in_dim / 2] = kInfF;
+          x[(batch - 1) * x_stride] = -kInfF;
+          delta[2 * out_dim + out_dim - 1] = -kInfF;
+        }
 
-  std::vector<float> delta = RandomFloats(batch * out_dim, 331);
-  std::vector<float> gws(in_dim * out_dim, 0.25f), gbs(out_dim, -0.5f);
-  std::vector<float> gwv = gws, gbv = gbs;
-  fp32::AccumulateOuterBatchScalar(x.data(), delta.data(), batch, in_dim,
-                                   out_dim, gws.data(), gbs.data());
-  fp32::AccumulateOuterBatchAvx2(x.data(), delta.data(), batch, in_dim,
-                                 out_dim, gwv.data(), gbv.data());
-  for (size_t t = 0; t < gws.size(); ++t) {
-    EXPECT_EQ(gws[t], gwv[t]) << "AccumulateOuterBatch.gw " << t;
-  }
-  for (size_t t = 0; t < gbs.size(); ++t) {
-    EXPECT_EQ(gbs[t], gbv[t]) << "AccumulateOuterBatch.gb " << t;
-  }
+        std::vector<float> outs(batch * out_dim), outv(batch * out_dim);
+        fp32::GemvBatchResumeScalar(x.data(), batch, x_stride, in_dim,
+                                    w.data(), init.data(), out_dim,
+                                    outs.data());
+        fp32::GemvBatchResumeAvx2(x.data(), batch, x_stride, in_dim, w.data(),
+                                  init.data(), out_dim, outv.data());
+        ASSERT_TRUE(SameBits(outv, outs)) << "GemvBatchResume";
 
-  std::vector<float> dxs(batch * in_dim), dxv(batch * in_dim);
-  fp32::GemvBatchTransposedScalar(delta.data(), batch, out_dim, w.data(),
-                                  in_dim, dxs.data());
-  fp32::GemvBatchTransposedAvx2(delta.data(), batch, out_dim, w.data(),
-                                in_dim, dxv.data());
-  for (size_t t = 0; t < dxs.size(); ++t) {
-    EXPECT_EQ(dxs[t], dxv[t]) << "GemvBatchTransposed " << t;
+        // The contiguous rows of x are the layer input; the panels start
+        // from non-zero values.
+        std::vector<float> in(batch * in_dim);
+        for (size_t r = 0; r < batch; ++r) {
+          std::copy(x.begin() + r * x_stride,
+                    x.begin() + r * x_stride + in_dim, in.begin() + r * in_dim);
+        }
+        std::vector<float> gws = ZeroSaltedFloats(in_dim * out_dim, 337 + salt);
+        std::vector<float> gbs = ZeroSaltedFloats(out_dim, 347 + salt);
+        std::vector<float> gwv = gws, gbv = gbs;
+        fp32::AccumulateOuterBatchScalar(in.data(), delta.data(), batch,
+                                         in_dim, out_dim, gws.data(),
+                                         gbs.data());
+        fp32::AccumulateOuterBatchAvx2(in.data(), delta.data(), batch, in_dim,
+                                       out_dim, gwv.data(), gbv.data());
+        ASSERT_TRUE(SameBits(gwv, gws)) << "AccumulateOuterBatch.gw";
+        ASSERT_TRUE(SameBits(gbv, gbs)) << "AccumulateOuterBatch.gb";
+
+        std::vector<float> dxs(batch * in_dim), dxv(batch * in_dim);
+        fp32::GemvBatchTransposedScalar(delta.data(), batch, out_dim,
+                                        w.data(), in_dim, dxs.data());
+        fp32::GemvBatchTransposedAvx2(delta.data(), batch, out_dim, w.data(),
+                                      in_dim, dxv.data());
+        ASSERT_TRUE(SameBits(dxv, dxs)) << "GemvBatchTransposed";
+      }
+    }
   }
 }
 

@@ -169,5 +169,25 @@ TEST(CliDeathTest, MalformedBoolFails) {
   }
 }
 
+// A second registration of a name would silently replace the first
+// flag's default and help; it stops the program instead.
+TEST(CliDeathTest, DuplicateRegistrationFails) {
+  EXPECT_DEATH(
+      {
+        CommandLine cli;
+        cli.AddFlag("epochs", "18", "global epochs");
+        cli.AddFlag("epochs", "4", "global epochs");
+      },
+      "flag --epochs registered twice");
+  // A binary flag that repeats a shared experiment flag.
+  EXPECT_DEATH(
+      {
+        CommandLine cli;
+        RegisterExperimentFlags(&cli);
+        cli.AddFlag("agg", "mean", "mean | sum | weighted");
+      },
+      "flag --agg registered twice");
+}
+
 }  // namespace
 }  // namespace hetefedrec

@@ -70,7 +70,6 @@ int Main(int argc, char** argv) {
   cli.AddFlag("clients_per_round", "64", "round size");
   cli.AddFlag("lr", "0.001", "Adam learning rate");
   cli.AddFlag("alpha", "1.0", "DDR weight");
-  cli.AddFlag("agg", "mean", "mean | sum | weighted");
   cli.AddFlag("udl", "true", "unified dual-task learning");
   cli.AddFlag("ddr", "true", "decorrelation regularization");
   cli.AddFlag("reskd", "true", "relation-based ensemble distillation");
