@@ -2,12 +2,10 @@
 
 #include <cmath>
 #include <cstring>
-#include <type_traits>
-
-#include "src/math/backend.h"
+#include <vector>
 
 #if defined(__SSE2__)
-#include <immintrin.h>  // declares the __builtin_ia32_sqrt* builtins
+#include <emmintrin.h>
 #endif
 
 namespace hetefedrec {
@@ -32,57 +30,36 @@ bool AllFinite(const T* x, size_t n) {
 //   p = p − (lr·(m / bias1)) / (sqrt(v / bias2) + eps)
 //
 // Elements are independent and IEEE division and square root are
-// correctly rounded in SIMD too, so vector lanes change no bits. Nothing
-// here is compiled with FMA: the AVX2 entry points are target("avx2"),
-// which does not include it, so no multiply and add can be contracted.
-// The square root is the SSE/AVX instruction rather than std::sqrt, whose
-// errno path keeps GCC from vectorizing the loop. The baseline build runs
-// 16-byte vectors; with the AVX2 code paths and an AVX2 CPU the step runs
-// 32-byte vectors (dispatch as in kernels.cc).
-#ifdef HFR_HAVE_AVX2_TU
-#define HFR_ADAM_AVX2 __attribute__((target("avx2")))
-#endif
-// The helpers must inline into the entry points: a standalone copy would
-// be compiled for the baseline ISA, where a 32-byte vector has no
-// register to live in.
-#define HFR_ADAM_INLINE inline __attribute__((always_inline))
-
-template <typename T, size_t kBytes>
-struct VecOf {
-  typedef T type __attribute__((vector_size(kBytes)));
+// correctly rounded in SIMD too, so vector lanes change no bits. On
+// x86-64 this translation unit builds for the baseline ISA, which has no
+// FMA, so no multiply and add can be contracted. The square root is the
+// SSE instruction rather than std::sqrt, whose errno path keeps GCC from
+// vectorizing the loop. The step runs 16-byte vectors on every CPU:
+// 32-byte AVX2 entry points saved about 8 % of client.adam_s on the one
+// fp32 workload, under 1 % of its run, which did not pay for a second
+// ISA path (docs/PERFORMANCE.md).
+template <typename T>
+struct Vec {
+  typedef T type __attribute__((vector_size(16)));
 };
 
-// The 32-byte builtins return an AVX vector from a function compiled for
-// the baseline ISA, which -Wpsabi flags as an ABI change; the helper
-// always inlines into an AVX2 entry point, so no such return exists.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-template <typename V>
-HFR_ADAM_INLINE void SqrtInPlace(V* x) {
 #if defined(__SSE2__)
-  if constexpr (std::is_same_v<V, VecOf<double, 16>::type>) {
-    *x = __builtin_ia32_sqrtpd(*x);
-  } else if constexpr (std::is_same_v<V, VecOf<float, 16>::type>) {
-    *x = __builtin_ia32_sqrtps(*x);
-  } else if constexpr (std::is_same_v<V, VecOf<double, 32>::type>) {
-    *x = __builtin_ia32_sqrtpd256(*x);
-  } else {
-    *x = __builtin_ia32_sqrtps256(*x);
-  }
+inline Vec<double>::type Sqrt(Vec<double>::type x) { return _mm_sqrt_pd(x); }
+inline Vec<float>::type Sqrt(Vec<float>::type x) { return _mm_sqrt_ps(x); }
 #else
-  for (size_t l = 0; l < sizeof(V) / sizeof((*x)[0]); ++l) {
-    (*x)[l] = std::sqrt((*x)[l]);
+template <typename V>
+V Sqrt(V x) {
+  for (size_t l = 0; l < sizeof(V) / sizeof(x[0]); ++l) {
+    x[l] = std::sqrt(x[l]);
   }
-#endif
+  return x;
 }
-#pragma GCC diagnostic pop
+#endif
 
-// One step's scalars, cast to T once. A touched row that has no gradient
-// row this step steps with g = +0, whose terms (1 − b1)·0 and
-// ((1 − b2)·0)·0 are hoisted into m_zero and v_zero.
+// One step's scalars, cast to T once.
 template <typename T>
 struct StepScalars {
-  T b1, b2, c1, c2, bias1, bias2, lr, eps, m_zero, v_zero;
+  T b1, b2, c1, c2, bias1, bias2, lr, eps;
 };
 
 template <typename T>
@@ -98,101 +75,46 @@ StepScalars<T> MakeStepScalars(const AdamOptions& o, long long t) {
   s.bias2 = static_cast<T>(1.0 - std::pow(o.beta2, static_cast<double>(t)));
   s.lr = static_cast<T>(o.lr);
   s.eps = static_cast<T>(o.eps);
-  s.m_zero = s.c1 * T(0);
-  s.v_zero = s.c2 * T(0) * T(0);
   return s;
 }
 
-// One vector of elements; kDecay elements have no gradient (g unused).
-template <typename V, bool kDecay, typename T>
-HFR_ADAM_INLINE void StepBlock(const StepScalars<T>& s, const T* g, T* m,
-                               T* v, T* p) {
-  V mv, vv, pv;
+// One vector of elements.
+template <typename T>
+inline void StepBlock(const StepScalars<T>& s, const T* g, T* m, T* v, T* p) {
+  typedef typename Vec<T>::type V;
+  V gv, mv, vv, pv;
+  std::memcpy(&gv, g, sizeof(V));
   std::memcpy(&mv, m, sizeof(V));
   std::memcpy(&vv, v, sizeof(V));
   std::memcpy(&pv, p, sizeof(V));
-  if constexpr (kDecay) {
-    mv = s.b1 * mv + s.m_zero;
-    vv = s.b2 * vv + s.v_zero;
-  } else {
-    V gv;
-    std::memcpy(&gv, g, sizeof(V));
-    mv = s.b1 * mv + s.c1 * gv;
-    vv = s.b2 * vv + s.c2 * gv * gv;
-  }
-  V root = vv / s.bias2;
-  SqrtInPlace(&root);
-  pv -= s.lr * (mv / s.bias1) / (root + s.eps);
+  mv = s.b1 * mv + s.c1 * gv;
+  vv = s.b2 * vv + s.c2 * gv * gv;
+  pv -= s.lr * (mv / s.bias1) / (Sqrt(vv / s.bias2) + s.eps);
   std::memcpy(m, &mv, sizeof(V));
   std::memcpy(v, &vv, sizeof(V));
   std::memcpy(p, &pv, sizeof(V));
 }
 
 // n elements: whole vectors, then the tail as one zero-padded vector.
-template <typename V, bool kDecay, typename T>
-HFR_ADAM_INLINE void StepRow(const StepScalars<T>& s, const T* g, T* m, T* v,
-                             T* p, size_t n) {
-  constexpr size_t L = sizeof(V) / sizeof(T);
+// Declared inline so GCC inlines it into the row loop: a call per row
+// cost up to 1.2x in BM_SparseRowAdamStep.
+template <typename T>
+inline void StepRow(const StepScalars<T>& s, const T* g, T* m, T* v, T* p,
+                    size_t n) {
+  constexpr size_t L = sizeof(typename Vec<T>::type) / sizeof(T);
   size_t d = 0;
-  for (; d + L <= n; d += L) {
-    StepBlock<V, kDecay>(s, kDecay ? nullptr : g + d, m + d, v + d, p + d);
-  }
+  for (; d + L <= n; d += L) StepBlock(s, g + d, m + d, v + d, p + d);
   if (d == n) return;
   const size_t bytes = (n - d) * sizeof(T);
   T gt[L] = {}, mt[L] = {}, vt[L] = {}, pt[L] = {};
-  if constexpr (!kDecay) std::memcpy(gt, g + d, bytes);
+  std::memcpy(gt, g + d, bytes);
   std::memcpy(mt, m + d, bytes);
   std::memcpy(vt, v + d, bytes);
   std::memcpy(pt, p + d, bytes);
-  StepBlock<V, kDecay>(s, gt, mt, vt, pt);
+  StepBlock(s, gt, mt, vt, pt);
   std::memcpy(m + d, mt, bytes);
   std::memcpy(v + d, vt, bytes);
   std::memcpy(p + d, pt, bytes);
-}
-
-// Every touched row: gradient rows and decay-only rows run separate
-// loops, so neither tests for a gradient per element.
-template <typename V, typename T>
-HFR_ADAM_INLINE void StepTouchedRows(const StepScalars<T>& s,
-                                     const SparseRowStoreT<T>& grad,
-                                     SparseRowStoreT<T>* moments,
-                                     RowOverlayTableT<T>* table) {
-  const size_t w = table->cols();
-  for (uint32_t r : moments->touched()) {
-    T* m = moments->RowOrNull(r);
-    const T* g = grad.RowOrNull(r);
-    T* p = table->MutableRow(r);
-    if (g != nullptr) {
-      StepRow<V, false>(s, g, m, m + w, p, w);
-    } else {
-      StepRow<V, true>(s, g, m, m + w, p, w);
-    }
-  }
-}
-
-#ifdef HFR_HAVE_AVX2_TU
-template <typename T>
-HFR_ADAM_AVX2 void StepDenseAvx2(const StepScalars<T>& s, const T* g, T* m,
-                                 T* v, T* p, size_t n) {
-  StepRow<typename VecOf<T, 32>::type, false>(s, g, m, v, p, n);
-}
-
-template <typename T>
-HFR_ADAM_AVX2 void StepTouchedRowsAvx2(const StepScalars<T>& s,
-                                       const SparseRowStoreT<T>& grad,
-                                       SparseRowStoreT<T>* moments,
-                                       RowOverlayTableT<T>* table) {
-  StepTouchedRows<typename VecOf<T, 32>::type>(s, grad, moments, table);
-}
-#endif  // HFR_HAVE_AVX2_TU
-
-template <typename T>
-void StepDense(const StepScalars<T>& s, const T* g, T* m, T* v, T* p,
-               size_t n) {
-#ifdef HFR_HAVE_AVX2_TU
-  if (CpuHasAvx2()) return StepDenseAvx2(s, g, m, v, p, n);
-#endif
-  StepRow<typename VecOf<T, 16>::type, false>(s, g, m, v, p, n);
 }
 
 }  // namespace
@@ -210,9 +132,9 @@ void AdamT<T>::Step(MatrixT<T>* param, const MatrixT<T>& grad) {
   }
   HFR_CHECK(m_.SameShape(*param));
   ++t_;
-  StepDense(MakeStepScalars<T>(options_, t_), grad.data().data(),
-            m_.data().data(), v_.data().data(), param->data().data(),
-            param->size());
+  StepRow(MakeStepScalars<T>(options_, t_), grad.data().data(),
+          m_.data().data(), v_.data().data(), param->data().data(),
+          param->size());
 }
 
 template <typename T>
@@ -252,10 +174,16 @@ void SparseRowAdamT<T>::Step(RowOverlayTableT<T>* table,
   // Enroll this step's gradient rows first so pointers into `moments_`
   // stay stable during the update sweep.
   for (uint32_t r : grad.touched()) moments_.EnsureRow(r);
-#ifdef HFR_HAVE_AVX2_TU
-  if (CpuHasAvx2()) return StepTouchedRowsAvx2(s, grad, &moments_, table);
-#endif
-  StepTouchedRows<typename VecOf<T, 16>::type>(s, grad, &moments_, table);
+  // A touched row with no gradient row this step steps with g = +0, read
+  // from a zero row, so no element tests for a gradient.
+  thread_local std::vector<T> zeros;
+  if (zeros.size() < w) zeros.assign(w, T(0));
+  for (uint32_t r : moments_.touched()) {
+    T* m = moments_.RowOrNull(r);
+    const T* g = grad.RowOrNull(r);
+    StepRow(s, g != nullptr ? g : zeros.data(), m, m + w, table->MutableRow(r),
+            w);
+  }
 }
 
 template class SparseRowAdamT<double>;

@@ -50,9 +50,9 @@ std::string ComputeBackendName(ComputeBackend backend);
 bool CpuSupportsFp32Simd();
 
 /// True when the CPU reports AVX2 and the build has the AVX2 code paths
-/// (HFR_DISABLE_AVX2 off). The fp64 kernels and the Adam step then run
-/// their target("avx2") entry points; those never use FMA, so they give
-/// the same bits as the baseline ones. Cached after the first call.
+/// (HFR_DISABLE_AVX2 off). The fp64 kernels then run their target("avx2")
+/// entry points; those never use FMA, so they give the same bits as the
+/// baseline ones. Cached after the first call.
 bool CpuHasAvx2();
 
 /// Process-wide switch consulted by the float kernel entry points: when
