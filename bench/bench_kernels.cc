@@ -553,8 +553,7 @@ void BM_FederatedRound(benchmark::State& state) {
     for (auto& client : setup.clients) {
       LocalUpdateResult up = trainer.Train(
           &client, server.table(0), {&server.theta(0)}, tasks, opt);
-      uploaded_rows += up.sparse ? up.v_delta_sparse.num_rows()
-                                 : up.v_delta.rows();
+      uploaded_rows += up.v_delta.num_rows();
       server.UploadDelta(tasks, up);
     }
     server.FinishRound();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <type_traits>
 
 #include "src/core/decorrelation.h"
@@ -329,35 +330,32 @@ LocalUpdateResult LocalTrainer::TrainImpl(
 
   // Deltas to upload, always upcast to double at this boundary — the wire
   // and the server aggregation are fp64 storage of record on every
-  // backend. Identical arithmetic on both row paths: the dense path's
-  // delta is exactly 0.0 outside the touched set (zero gradient in every
-  // epoch keeps the Adam moments and step at exactly zero).
-  size_t v_upload_params = global_table.size();
+  // backend. The sparse path ships its touched rows, the dense path every
+  // row; the dense delta is exactly 0.0 outside the touched set (zero
+  // gradient in every epoch keeps the Adam moments and step at exactly
+  // zero), so both paths aggregate to the same bits.
+  SparseRowUpdate& up = result.v_delta;
+  up.width = width;
   if constexpr (kSparse) {
-    result.sparse = true;
-    SparseRowUpdate& up = result.v_delta_sparse;
-    up.width = width;
     up.rows.assign(scr.v_overlay.touched().begin(),
                    scr.v_overlay.touched().end());
     std::sort(up.rows.begin(), up.rows.end());
-    up.data.resize(up.rows.size() * width);
-    for (size_t k = 0; k < up.rows.size(); ++k) {
-      const S* local = scr.v_overlay.Row(up.rows[k]);
-      const double* base = global_table.Row(up.rows[k]);
-      double* out = up.data.data() + k * width;
-      for (size_t d = 0; d < width; ++d) {
-        out[d] = static_cast<double>(local[d]) - base[d];
-      }
-    }
-    if (options.sparse_comm_accounting) v_upload_params = up.ParamCount();
   } else {
-    if constexpr (kFp64) {
-      result.v_delta = scr.v_local;
-    } else {
-      result.v_delta.AssignCast(scr.v_local);
-    }
-    result.v_delta.AddScaled(global_table, -1.0);
+    up.rows.resize(global_table.rows());
+    std::iota(up.rows.begin(), up.rows.end(), 0u);
   }
+  up.data.resize(up.rows.size() * width);
+  for (size_t k = 0; k < up.rows.size(); ++k) {
+    const S* local = vtab.Row(up.rows[k]);
+    const double* base = global_table.Row(up.rows[k]);
+    double* out = up.data.data() + k * width;
+    for (size_t d = 0; d < width; ++d) {
+      out[d] = static_cast<double>(local[d]) - base[d];
+    }
+  }
+  const size_t v_upload_params = kSparse && options.sparse_comm_accounting
+                                     ? up.ParamCount()
+                                     : global_table.size();
   result.theta_deltas.resize(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
     FeedForwardNet d;

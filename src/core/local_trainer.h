@@ -9,13 +9,14 @@
 // regularizer (Eq. 14). The private user embedding is updated in place
 // (Eq. 3) and never leaves the client.
 //
-// Two bit-identical execution paths exist:
+// Two bit-identical execution paths exist, and both upload one form, a
+// SparseRowUpdate (rows ascending) — the only form the server accepts:
 //   dense  (use_sparse = false): the reference implementation — the client
-//     copies the full item table, accumulates a dense gradient and uploads
-//     a dense delta. O(num_items × width) per round.
+//     copies the full item table, accumulates a dense gradient, runs dense
+//     Adam and uploads every row. O(num_items × width) per round.
 //   sparse (use_sparse = true, default): the client reads the global table
 //     through a copy-on-write RowOverlayTable, accumulates gradients in a
-//     SparseRowStore and uploads a SparseRowUpdate over touched rows only.
+//     SparseRowStore and uploads the touched rows only.
 //     O(|interactions| × width) per round. Rows outside the touched set are
 //     provably untouched by Adam (their gradient is exactly zero in every
 //     epoch, so their moments and step stay exactly 0.0) — see
@@ -50,13 +51,9 @@ struct LocalTaskSpec {
 
 /// \brief What a client uploads after local training.
 struct LocalUpdateResult {
-  /// True when the update was produced by the sparse path: `v_delta_sparse`
-  /// is populated and `v_delta` is empty (and vice versa).
-  bool sparse = false;
-  /// V_local - V_received (dense, |V| x client width). Dense path only.
-  Matrix v_delta;
-  /// Touched-row deltas (rows ascending). Sparse path only.
-  SparseRowUpdate v_delta_sparse;
+  /// V_local - V_received at the client's width, rows ascending: the
+  /// touched rows on the sparse path, every row on the dense path.
+  SparseRowUpdate v_delta;
   /// Θ_local - Θ_received per task, aligned with the task list.
   std::vector<FeedForwardNet> theta_deltas;
   /// Mean per-sample BCE loss (summed over tasks) in the final local epoch.

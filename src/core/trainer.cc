@@ -699,7 +699,8 @@ class FederatedRun {
     // update.params_down is the dense accounting: |V| + |Θ...|.
     const size_t theta_params = update.params_down - table.size();
     size_t shipped = update.params_down;
-    if (delta_sync_ && update.sparse) {
+    // Dense clients read the whole table, so they hold no subscription.
+    if (delta_sync_ && cfg_.use_sparse_updates) {
       SyncPlan plan = sync_->Sync(u, slot, update.read_rows, table,
                                   server_->versions(), theta_params);
       shipped = plan.params;
@@ -813,15 +814,16 @@ class FederatedRun {
 
   /// Simulated wall-clock seconds of one full participation: what the wire
   /// actually carries down (`down_scalars`, from AccountDownload) and up
-  /// (packed touched rows on the sparse path, the dense delta otherwise),
-  /// plus local compute. The participation key salts the latency draw.
+  /// (packed touched rows on the sparse path, the dense table and Θ
+  /// otherwise), plus local compute. The participation key salts the
+  /// latency draw.
   double ClientFinishSeconds(const Dispatched& d, size_t down_scalars,
                              const LocalUpdateResult& up) const {
     const size_t theta_params =
         up.params_down - server_->table(SlotOf(d.user)).size();
-    const size_t up_scalars =
-        up.sparse ? up.v_delta_sparse.ParamCount() + theta_params
-                  : up.params_down;
+    const size_t up_scalars = cfg_.use_sparse_updates
+                                  ? up.v_delta.ParamCount() + theta_params
+                                  : up.params_down;
     return net_->FinishSeconds(d.user, d.key,
                                down_scalars * cfg_.wire_scalar_bytes,
                                up_scalars * cfg_.wire_scalar_bytes,
@@ -1702,11 +1704,7 @@ ExperimentResult ExperimentRunner::RunStandalone() const {
     lopt.backend = cfg.compute_backend;
     LocalUpdateResult update =
         local.Train(client, *table, {theta}, tasks, lopt);
-    if (update.sparse) {
-      update.v_delta_sparse.AddScaledTo(table, 1.0);
-    } else {
-      table->AddScaled(update.v_delta, 1.0);
-    }
+    update.v_delta.AddScaledTo(table, 1.0);
     theta->AddScaled(update.theta_deltas[0], 1.0);
   };
 

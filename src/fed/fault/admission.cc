@@ -73,13 +73,8 @@ AdmissionDecision AdmissionController::Admit(size_t slot,
   AdmissionDecision decision;
 
   // Gate 1: finite scan over everything the client uploads.
-  bool finite = true;
-  if (update->sparse) {
-    finite = AllFinite(update->v_delta_sparse.data.data(),
-                       update->v_delta_sparse.data.size());
-  } else {
-    finite = AllFinite(update->v_delta.data().data(), update->v_delta.size());
-  }
+  SparseRowUpdate& up = update->v_delta;
+  bool finite = AllFinite(up.data.data(), up.data.size());
   for (const FeedForwardNet& d : update->theta_deltas) {
     if (!finite) break;
     finite = FfnFinite(d);
@@ -92,17 +87,9 @@ AdmissionDecision AdmissionController::Admit(size_t slot,
   // Gate 2: per-row norm clipping on the item-table delta.
   double sum_sq = 0.0;
   const double cap = options_.max_row_norm;
-  if (update->sparse) {
-    SparseRowUpdate& up = update->v_delta_sparse;
-    for (size_t k = 0; k < up.num_rows(); ++k) {
-      double* row = up.data.data() + k * up.width;
-      if (ClipRow(row, up.width, cap, &sum_sq)) ++decision.rows_clipped;
-    }
-  } else {
-    Matrix& d = update->v_delta;
-    for (size_t r = 0; r < d.rows(); ++r) {
-      if (ClipRow(d.Row(r), d.cols(), cap, &sum_sq)) ++decision.rows_clipped;
-    }
+  for (size_t k = 0; k < up.num_rows(); ++k) {
+    double* row = up.data.data() + k * up.width;
+    if (ClipRow(row, up.width, cap, &sum_sq)) ++decision.rows_clipped;
   }
   decision.update_norm = std::sqrt(sum_sq);
 

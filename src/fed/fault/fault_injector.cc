@@ -53,15 +53,8 @@ CorruptMode FaultInjector::Corrupt(UserId u, uint64_t key,
   Rng draw =
       base_.Fork(kCorruptStream).Fork(static_cast<uint64_t>(u)).Fork(key);
   const CorruptMode mode = static_cast<CorruptMode>(draw.UniformInt(3));
-  double* data = nullptr;
-  size_t n = 0;
-  if (update->sparse) {
-    data = update->v_delta_sparse.data.data();
-    n = update->v_delta_sparse.data.size();
-  } else {
-    data = update->v_delta.data().data();
-    n = update->v_delta.size();
-  }
+  double* data = update->v_delta.data.data();
+  const size_t n = update->v_delta.data.size();
   if (n == 0) return mode;
   switch (mode) {
     case CorruptMode::kNaN: {

@@ -82,29 +82,22 @@ void ShardedServer::MarkTouched(uint32_t row, Shard* shard) {
 }
 
 void ShardedServer::BeginRound() {
-  // Zero only what the previous round dirtied: per shard after an
-  // all-sparse round, everything after a round with a dense update (or the
-  // first round, where the constructor already zero-initialized).
+  // Zero only what the previous round dirtied (the constructor
+  // zero-initialized the buffers for the first round).
   for (Shard& sh : shards_) {
-    if (round_has_dense_) {
-      sh.v_agg.SetZero();
-      for (auto& m : sh.v_agg_per_slot) m.SetZero();
-    } else {
-      for (uint32_t r : sh.touched) {
-        double* row = sh.v_agg.Row(r - sh.lo);
-        std::fill(row, row + sh.v_agg.cols(), 0.0);
-        for (auto& m : sh.v_agg_per_slot) {
-          double* srow = m.Row(r - sh.lo);
-          std::fill(srow, srow + m.cols(), 0.0);
-        }
+    for (uint32_t r : sh.touched) {
+      double* row = sh.v_agg.Row(r - sh.lo);
+      std::fill(row, row + sh.v_agg.cols(), 0.0);
+      for (auto& m : sh.v_agg_per_slot) {
+        double* srow = m.Row(r - sh.lo);
+        std::fill(srow, srow + m.cols(), 0.0);
       }
+      touched_mask_[r] = 0;
     }
-    for (uint32_t r : sh.touched) touched_mask_[r] = 0;
     sh.touched.clear();
     // Lockstep: every shard's version table advances each round.
     sh.versions.AdvanceRound();
   }
-  round_has_dense_ = false;
 
   std::fill(segment_weight_.begin(), segment_weight_.end(), 0.0);
   std::fill(slot_weight_.begin(), slot_weight_.end(), 0.0);
@@ -119,8 +112,8 @@ void ShardedServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
   HFR_CHECK(round_open_);
   HFR_CHECK(!tasks.empty());
   HFR_CHECK_GE(weight, 0.0);
-  const size_t client_width =
-      update.sparse ? update.v_delta_sparse.width : update.v_delta.cols();
+  const SparseRowUpdate& up = update.v_delta;
+  const size_t client_width = up.width;
   HFR_CHECK_EQ(tasks.back().width, client_width);
 
   // Eq. 7-8: route each delta row to its shard's buffer — zero-padded to
@@ -130,29 +123,15 @@ void ShardedServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
     HFR_CHECK_LT(slot, tables_.size());
     HFR_CHECK_EQ(tables_[slot].cols(), client_width);
   }
-  if (update.sparse) {
-    const SparseRowUpdate& up = update.v_delta_sparse;
-    for (size_t k = 0; k < up.num_rows(); ++k) {
-      const uint32_t r = up.rows[k];
-      Shard& sh = shards_[shard_of_row(r)];
-      MarkTouched(r, &sh);
-      double* dst = shared_aggregation_
-                        ? sh.v_agg.Row(r - sh.lo)
-                        : sh.v_agg_per_slot[slot].Row(r - sh.lo);
-      Axpy(weight, up.RowData(k), dst, client_width);
-      sh.upload_scalars += client_width;
-    }
-  } else {
-    HFR_CHECK_EQ(update.v_delta.rows(), num_items_);
-    round_has_dense_ = true;
-    for (Shard& sh : shards_) {
-      for (size_t r = 0; r < sh.rows; ++r) {
-        double* dst = shared_aggregation_ ? sh.v_agg.Row(r)
-                                          : sh.v_agg_per_slot[slot].Row(r);
-        Axpy(weight, update.v_delta.Row(sh.lo + r), dst, client_width);
-      }
-      sh.upload_scalars += static_cast<uint64_t>(sh.rows) * client_width;
-    }
+  for (size_t k = 0; k < up.num_rows(); ++k) {
+    const uint32_t r = up.rows[k];
+    Shard& sh = shards_[shard_of_row(r)];
+    MarkTouched(r, &sh);
+    double* dst = shared_aggregation_
+                      ? sh.v_agg.Row(r - sh.lo)
+                      : sh.v_agg_per_slot[slot].Row(r - sh.lo);
+    Axpy(weight, up.RowData(k), dst, client_width);
+    sh.upload_scalars += client_width;
   }
 
   if (shared_aggregation_) {
@@ -177,8 +156,6 @@ void ShardedServer::FinishRound() {
   HFR_CHECK(round_open_);
   round_open_ = false;
 
-  const bool all_rows = round_has_dense_;
-
   if (shared_aggregation_) {
     // Eq. 8-9: every slot applies the leading-column slice of the padded
     // aggregate. Under kMean/kDataWeighted each *width segment* is
@@ -202,15 +179,10 @@ void ShardedServer::FinishRound() {
           seg_scale = 1.0 / segment_weight_[seg];
         }
         for (const Shard& sh : shards_) {
-          auto apply_row = [&](size_t r) {
+          for (uint32_t r : sh.touched) {
             const double* src = sh.v_agg.Row(r - sh.lo);
             double* dst = tables_[s].Row(r);
             for (size_t c = col0; c < col1; ++c) dst[c] += seg_scale * src[c];
-          };
-          if (all_rows) {
-            for (size_t r = sh.lo; r < sh.lo + sh.rows; ++r) apply_row(r);
-          } else {
-            for (uint32_t r : sh.touched) apply_row(r);
           }
         }
         col0 = col1;
@@ -223,16 +195,9 @@ void ShardedServer::FinishRound() {
                                ? 1.0
                                : 1.0 / slot_weight_[s];
       for (const Shard& sh : shards_) {
-        if (all_rows) {
-          for (size_t r = 0; r < sh.rows; ++r) {
-            Axpy(scale, sh.v_agg_per_slot[s].Row(r),
-                 tables_[s].Row(sh.lo + r), tables_[s].cols());
-          }
-        } else {
-          for (uint32_t r : sh.touched) {
-            Axpy(scale, sh.v_agg_per_slot[s].Row(r - sh.lo),
-                 tables_[s].Row(r), tables_[s].cols());
-          }
+        for (uint32_t r : sh.touched) {
+          Axpy(scale, sh.v_agg_per_slot[s].Row(r - sh.lo), tables_[s].Row(r),
+               tables_[s].cols());
         }
       }
     }
@@ -251,10 +216,7 @@ void ShardedServer::FinishRound() {
   // segment it reads received weight. The row set is the one the apply
   // loops visited; stamping a touched row for every eligible slot is a
   // (safe) over-approximation in clustered mode, where the touched lists
-  // are not split per slot. The criterion uses the global weights, so
-  // every shard stamps the same slots — dense rounds raise every shard's
-  // StampAll floor in the same round (the lockstep invariant Snapshot
-  // relies on).
+  // are not split per slot.
   for (size_t s = 0; s < tables_.size(); ++s) {
     bool changed = false;
     if (shared_aggregation_) {
@@ -266,12 +228,8 @@ void ShardedServer::FinishRound() {
     }
     if (!changed) continue;
     for (Shard& sh : shards_) {
-      if (all_rows) {
-        sh.versions.StampAll(s);
-      } else {
-        for (uint32_t r : sh.touched) {
-          sh.versions.Stamp(s, static_cast<uint32_t>(r - sh.lo));
-        }
+      for (uint32_t r : sh.touched) {
+        sh.versions.Stamp(s, static_cast<uint32_t>(r - sh.lo));
       }
     }
   }
@@ -312,14 +270,6 @@ double ShardedServer::Distill(const DistillationOptions& options, Rng* rng) {
   return loss;
 }
 
-void ShardedServer::StampRows(size_t slot,
-                              const std::vector<uint32_t>& rows) {
-  for (uint32_t r : rows) {
-    Shard& sh = shards_[shard_of_row(r)];
-    sh.versions.Stamp(slot, static_cast<uint32_t>(r - sh.lo));
-  }
-}
-
 AdmissionDecision ShardedServer::Admit(
     const std::vector<LocalTaskSpec>& tasks, LocalUpdateResult* update) {
   HFR_CHECK(admission_ != nullptr);
@@ -335,8 +285,8 @@ ServerSnapshot ShardedServer::Snapshot() const {
   snap.version_floors.reserve(tables_.size());
   snap.versions.reserve(tables_.size());
   for (size_t s = 0; s < tables_.size(); ++s) {
-    // Floors are identical across shards (dense rounds StampAll every
-    // shard in lockstep), so shard 0's floor is the global floor.
+    // Floors are identical across shards (only Restore sets them, to the
+    // same value on every shard), so shard 0's floor is the global floor.
     snap.version_floors.push_back(shards_[0].versions.floor_of(s));
     std::vector<uint64_t> merged;
     merged.reserve(num_items_);

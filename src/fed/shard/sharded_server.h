@@ -30,13 +30,17 @@
 // result is *bit-identical* for every shard count (pinned by
 // tests/core/sharding_equivalence_test and tests/fed/sharded_server_test).
 //
+// Every client update arrives as a SparseRowUpdate over the rows it
+// changed (all rows from the dense reference trainer), so each round costs
+// O(rows touched) in accumulate, apply, stamp and the next round's clear.
+//
 // Round lockstep: BeginRound advances every shard's version table, so all
-// shards always agree on the current round and on the per-slot StampAll
-// floors (dense rounds stamp every shard in the same FinishRound). That
-// invariant is what lets Snapshot() export one global `version_round` and
-// per-slot floors while concatenating the raw per-row stamps by row range —
-// a shard-count-independent layout, making checkpoints portable across
-// shard counts.
+// shards always agree on the current round, and RestoreSnapshot gives every
+// shard the same per-slot version floors. That invariant is what lets
+// Snapshot() export one global `version_round` and per-slot floors while
+// concatenating the raw per-row stamps by row range — a
+// shard-count-independent layout, making checkpoints portable across shard
+// counts.
 #ifndef HETEFEDREC_FED_SHARD_SHARDED_SERVER_H_
 #define HETEFEDREC_FED_SHARD_SHARDED_SERVER_H_
 
@@ -59,7 +63,7 @@ namespace hetefedrec {
 ///
 /// Field-for-field the server portion of `RunState` (src/core/run_state.h):
 /// whole-catalogue per-slot tables and thetas, plus the raw version-stamp
-/// state (per-slot StampAll floors and per-row stamps, *not* floored).
+/// state (per-slot floors and per-row stamps, *not* floored).
 /// The server concatenates its per-shard state into this layout on
 /// Snapshot and splits it back on RestoreSnapshot, which is what makes
 /// checkpoints portable across shard counts.
@@ -138,24 +142,22 @@ class ShardedServer {
 
   // ---- Round protocol -------------------------------------------------
   /// Clears the round accumulators and advances the version round. Cost is
-  /// proportional to the rows touched in the *previous* round (full-table
-  /// only after a round that saw a dense update).
+  /// proportional to the rows touched in the *previous* round.
   void BeginRound();
   /// Adds one client's uploaded update (Eq. 7-8 accumulation). `tasks`
   /// describes which slot each theta delta belongs to and the width of
   /// v_delta (its last entry). `weight` scales the update's contribution
-  /// (1.0 for kSum/kMean; the client's |Di| under kDataWeighted). Sparse
-  /// updates are scattered row-by-row and enroll their rows in the round's
-  /// touched set; dense and sparse updates may be mixed within a round.
+  /// (1.0 for kSum/kMean; the client's |Di| under kDataWeighted). The
+  /// update's rows are scattered one by one and enroll in the round's
+  /// touched set.
   /// Not thread-safe — parallel rounds merge their results through calls
   /// in deterministic merge order.
   void UploadDelta(const std::vector<LocalTaskSpec>& tasks,
                    const LocalUpdateResult& update, double weight = 1.0);
   /// Applies the aggregated updates to every slot (Eq. 9 / Eq. 15) and
-  /// stamps the changed rows. When every update this round was sparse,
-  /// only rows in the round's touched set are visited — rows outside it
-  /// have an exactly-zero aggregate, so skipping them is bit-identical to
-  /// the dense sweep.
+  /// stamps the changed rows. Only rows in the round's touched set are
+  /// visited — rows outside it have an exactly-zero aggregate, so skipping
+  /// them is bit-identical to a full sweep.
   void FinishRound();
   /// Applies one client's update immediately, scaled by `scale` — the
   /// asynchronous merge-on-arrival primitive (docs/SYNC.md). Equivalent to
@@ -163,9 +165,9 @@ class ShardedServer {
   /// verbatim times `scale` regardless of the configured aggregation mode
   /// (a mean over one update would cancel the staleness weight). Advances
   /// the version and stamps the touched rows like any round. Must not be
-  /// called with a round open. A *dense* update pays a full accumulator
-  /// zero + all-rows apply per merge, so async runs should keep
-  /// use_sparse_updates on — the dense reference path is for equivalence
+  /// called with a round open. An all-rows update from the dense reference
+  /// trainer pays an all-rows clear + apply per merge, so async runs
+  /// should keep use_sparse_updates on — the dense path is for equivalence
   /// checks, not throughput.
   void ApplyUpdate(const std::vector<LocalTaskSpec>& tasks,
                    const LocalUpdateResult& update, double scale);
@@ -173,11 +175,6 @@ class ShardedServer {
   /// distilled rows of every slot; returns the mean pre-distillation
   /// relation loss (0, and a no-op, with one slot).
   double Distill(const DistillationOptions& options, Rng* rng);
-  /// Marks `rows` of `slot` as changed at the current round — the hook for
-  /// callers that mutate table bytes outside the round protocol (e.g. via
-  /// a restored checkpoint delta or an external editor). Over-stamping is
-  /// always safe.
-  void StampRows(size_t slot, const std::vector<uint32_t>& rows);
 
   // ---- Admission control ----------------------------------------------
   /// Installs update admission control (docs/ROBUSTNESS.md). The server
@@ -213,8 +210,8 @@ class ShardedServer {
     Matrix v_agg;
     /// Per-slot aggregate buffers (rows x width(slot)), clustered mode.
     std::vector<Matrix> v_agg_per_slot;
-    /// Global row ids touched by this round's sparse uploads, in upload
-    /// order (deduplicated through the server-wide touched mask).
+    /// Global row ids touched by this round's uploads, in upload order
+    /// (deduplicated through the server-wide touched mask).
     std::vector<uint32_t> touched;
     /// Lifetime item-delta scalars routed into this shard's rows.
     uint64_t upload_scalars = 0;
@@ -259,9 +256,6 @@ class ShardedServer {
   std::vector<FeedForwardNet> theta_agg_;
   std::vector<double> theta_weight_;
   bool round_open_ = false;
-  /// A dense update contributed this round: FinishRound/BeginRound fall
-  /// back to full sweeps instead of the touched rows.
-  bool round_has_dense_ = false;
   std::vector<uint8_t> touched_mask_;  // global row ids
 
   AdmissionController* admission_ = nullptr;  // not owned

@@ -65,9 +65,8 @@ StreamLoopResult RunStreamingRounds(ShardedServer* server,
   const Rng loop_root(options.seed);
   std::vector<double> user_embed(width);
   LocalUpdateResult up;
-  up.sparse = true;
   up.theta_deltas.push_back(FeedForwardNet::ZerosLike(server->theta(slot)));
-  up.v_delta_sparse.width = width;
+  up.v_delta.width = width;
 
   StreamLoopResult result;
   uint64_t scalars_before = 0;
@@ -93,7 +92,7 @@ StreamLoopResult RunStreamingRounds(ShardedServer* server,
 
       // One implicit-feedback MF-SGD step per interacted row against the
       // live (pre-round) table: delta = lr * (1 - sigmoid(<e_u, v_i>)) e_u.
-      SparseRowUpdate& sp = up.v_delta_sparse;
+      SparseRowUpdate& sp = up.v_delta;
       sp.rows = client.items;  // distinct, ascending — the required order
       sp.data.resize(sp.rows.size() * width);
       for (size_t k_row = 0; k_row < sp.rows.size(); ++k_row) {

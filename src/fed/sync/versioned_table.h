@@ -70,13 +70,6 @@ class VersionedTable : public VersionView {
     versions_[slot][row] = round_;
   }
 
-  /// Marks every row of one slot as changed this round. O(1): kept as a
-  /// per-slot floor so dense rounds don't pay an O(num_rows) sweep.
-  void StampAll(size_t slot) {
-    HFR_CHECK_LT(slot, versions_.size());
-    floor_[slot] = round_;
-  }
-
   /// Last round in which (slot, row) could have changed.
   uint64_t Version(size_t slot, size_t row) const {
     HFR_CHECK_LT(slot, versions_.size());
@@ -113,7 +106,10 @@ class VersionedTable : public VersionView {
   size_t num_rows_ = 0;
   uint64_t round_ = 0;
   std::vector<std::vector<uint64_t>> versions_;  // [slot][row]
-  std::vector<uint64_t> floor_;                  // per-slot StampAll floor
+  /// Per-slot lower bound on every row's version. Only Restore sets it:
+  /// run states written before dense updates were stamped per row carry
+  /// one (the run-state format keeps the field until its next version).
+  std::vector<uint64_t> floor_;
 };
 
 }  // namespace hetefedrec

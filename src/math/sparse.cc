@@ -1,7 +1,5 @@
 #include "src/math/sparse.h"
 
-#include <algorithm>
-
 namespace hetefedrec {
 
 template <typename T>
@@ -104,36 +102,6 @@ void SparseRowUpdate::AddScaledTo(Matrix* dst, double scale) const {
     HFR_CHECK_LT(rows[k], dst->rows());
     Axpy(scale, RowData(k), dst->Row(rows[k]), width);
   }
-}
-
-Matrix SparseRowUpdate::ToDense(size_t num_rows) const {
-  Matrix out(num_rows, width);
-  for (size_t k = 0; k < rows.size(); ++k) {
-    HFR_CHECK_LT(rows[k], num_rows);
-    const double* src = RowData(k);
-    std::copy(src, src + width, out.Row(rows[k]));
-  }
-  return out;
-}
-
-SparseRowUpdate SparseRowUpdate::FromDense(const Matrix& dense) {
-  SparseRowUpdate out;
-  out.width = dense.cols();
-  for (size_t r = 0; r < dense.rows(); ++r) {
-    const double* row = dense.Row(r);
-    bool nonzero = false;
-    for (size_t c = 0; c < dense.cols(); ++c) {
-      if (row[c] != 0.0) {
-        nonzero = true;
-        break;
-      }
-    }
-    if (nonzero) {
-      out.rows.push_back(static_cast<uint32_t>(r));
-      out.data.insert(out.data.end(), row, row + dense.cols());
-    }
-  }
-  return out;
 }
 
 }  // namespace hetefedrec

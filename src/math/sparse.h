@@ -15,9 +15,9 @@
 //                      through to the base until a row is first mutated.
 //                      This is the client's "local table" without the
 //                      dense download copy.
-//   SparseRowUpdate  — immutable packed upload (sorted touched rows +
-//                      packed per-row delta data), the sparse analogue of
-//                      the dense `v_delta` matrix. Always double: the wire
+//   SparseRowUpdate  — packed upload (ascending rows + packed per-row
+//                      delta data), the one form in which a client's item
+//                      delta reaches the server. Always double: the wire
 //                      and the server aggregation are fp64 storage of
 //                      record on every compute backend.
 //
@@ -191,7 +191,7 @@ using RowOverlayTableF = RowOverlayTableT<float>;
 extern template class RowOverlayTableT<double>;
 extern template class RowOverlayTableT<float>;
 
-/// \brief Immutable packed upload: touched rows (ascending) + per-row data.
+/// \brief Packed upload: rows (ascending) + per-row data.
 struct SparseRowUpdate {
   size_t width = 0;
   std::vector<uint32_t> rows;  // strictly ascending
@@ -209,14 +209,6 @@ struct SparseRowUpdate {
   /// dst->Row(rows[k])[0..width) += scale * RowData(k). `dst` may be wider
   /// (leading-column semantics, Eq. 7-8).
   void AddScaledTo(Matrix* dst, double scale) const;
-
-  /// Dense |num_rows x width| matrix with the packed rows scattered in
-  /// (test/debug helper).
-  Matrix ToDense(size_t num_rows) const;
-
-  /// Packs every row of `dense` whose values are not all exactly zero
-  /// (test/debug helper — production code builds updates from overlays).
-  static SparseRowUpdate FromDense(const Matrix& dense);
 };
 
 }  // namespace hetefedrec

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "src/core/trainer.h"
 #include "src/fed/shard/sharded_server.h"
@@ -16,8 +17,11 @@ LocalUpdateResult MakeUpdate(const ShardedServer& server,
                              const std::vector<LocalTaskSpec>& tasks,
                              double value) {
   LocalUpdateResult r;
-  r.v_delta = Matrix(kItems, tasks.back().width);
-  r.v_delta.Fill(value);
+  // Every row, as the dense reference trainer uploads.
+  r.v_delta.width = tasks.back().width;
+  r.v_delta.rows.resize(kItems);
+  std::iota(r.v_delta.rows.begin(), r.v_delta.rows.end(), 0u);
+  r.v_delta.data.assign(kItems * tasks.back().width, value);
   for (const auto& t : tasks) {
     r.theta_deltas.push_back(FeedForwardNet::ZerosLike(server.theta(t.slot)));
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/math/activations.h"
@@ -40,6 +41,19 @@ struct Globals {
   }
 };
 
+// These tests run the dense reference path (the options' default), which
+// uploads every row in ascending order: packed row r is item row r.
+double DeltaAt(const LocalUpdateResult& res, size_t r, size_t c) {
+  EXPECT_EQ(res.v_delta.rows[r], r);
+  return res.v_delta.RowData(r)[c];
+}
+
+double MaxAbsDelta(const LocalUpdateResult& res) {
+  double m = 0.0;
+  for (double v : res.v_delta.data) m = std::max(m, std::abs(v));
+  return m;
+}
+
 TEST(LocalTrainerTest, SingleTaskProducesDeltasAndCounts) {
   Dataset ds = MakeDataset();
   Globals g({4}, 1);
@@ -53,9 +67,11 @@ TEST(LocalTrainerTest, SingleTaskProducesDeltasAndCounts) {
   std::vector<LocalTaskSpec> tasks = {{0, 4}};
   auto res = trainer.Train(&client, g.table, {&g.thetas[0]}, tasks, opt);
 
-  EXPECT_EQ(res.v_delta.rows(), kItems);
-  EXPECT_EQ(res.v_delta.cols(), 4u);
-  EXPECT_GT(res.v_delta.MaxAbs(), 0.0);
+  ASSERT_EQ(res.v_delta.num_rows(), kItems);
+  for (size_t r = 0; r < kItems; ++r) EXPECT_EQ(res.v_delta.rows[r], r);
+  EXPECT_EQ(res.v_delta.width, 4u);
+  EXPECT_EQ(res.v_delta.data.size(), kItems * 4u);
+  EXPECT_GT(MaxAbsDelta(res), 0.0);
   ASSERT_EQ(res.theta_deltas.size(), 1u);
   EXPECT_GT(res.theta_deltas[0].MaxAbs(), 0.0);
   EXPECT_GT(res.train_loss, 0.0);
@@ -104,7 +120,7 @@ TEST(LocalTrainerTest, UntouchedItemRowsHaveZeroDelta) {
   for (size_t r = 0; r < kItems; ++r) {
     double row_max = 0;
     for (size_t c = 0; c < 4; ++c) {
-      row_max = std::max(row_max, std::abs(res.v_delta(r, c)));
+      row_max = std::max(row_max, std::abs(DeltaAt(res, r, c)));
     }
     if (row_max == 0.0) zero_rows++;
   }
@@ -130,7 +146,7 @@ TEST(LocalTrainerTest, DdrMakesDeltaDense) {
   for (size_t r = 0; r < kItems; ++r) {
     double row_max = 0;
     for (size_t c = 0; c < 4; ++c) {
-      row_max = std::max(row_max, std::abs(res.v_delta(r, c)));
+      row_max = std::max(row_max, std::abs(DeltaAt(res, r, c)));
     }
     if (row_max == 0.0) zero_rows++;
   }
@@ -194,8 +210,10 @@ TEST(LocalTrainerTest, DeterministicForSameClientState) {
   };
   auto a = run();
   auto b = run();
-  for (size_t i = 0; i < a.v_delta.data().size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.v_delta.data()[i], b.v_delta.data()[i]);
+  ASSERT_EQ(a.v_delta.rows, b.v_delta.rows);
+  ASSERT_EQ(a.v_delta.data.size(), b.v_delta.data.size());
+  for (size_t i = 0; i < a.v_delta.data.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.v_delta.data[i], b.v_delta.data[i]);
   }
   EXPECT_DOUBLE_EQ(a.train_loss, b.train_loss);
 }
@@ -215,7 +233,7 @@ TEST(LocalTrainerTest, ValidationCarveOutRecordsLoss) {
   auto res = trainer.Train(&client, g.table, {&g.thetas[0]}, {{0, 4}}, opt);
   EXPECT_GT(res.validation_loss, 0.0);
   EXPECT_TRUE(std::isfinite(res.validation_loss));
-  EXPECT_GT(res.v_delta.MaxAbs(), 0.0);
+  EXPECT_GT(MaxAbsDelta(res), 0.0);
 }
 
 TEST(LocalTrainerTest, ValidationSkippedForTinyClients) {
@@ -271,7 +289,7 @@ TEST(LocalTrainerTest, LightGcnPathProducesFiniteUpdates) {
   auto res = trainer.Train(
       &client, g.table, {&g.thetas[0], &g.thetas[1], &g.thetas[2]}, tasks,
       opt);
-  for (double v : res.v_delta.data()) EXPECT_TRUE(std::isfinite(v));
+  for (double v : res.v_delta.data) EXPECT_TRUE(std::isfinite(v));
   EXPECT_TRUE(std::isfinite(res.train_loss));
 }
 

@@ -3,6 +3,7 @@
 // and round composition.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <tuple>
 
 #include "src/fed/shard/sharded_server.h"
@@ -37,8 +38,11 @@ class ServerPropertyTest : public testing::TestWithParam<Params> {
                                   const std::vector<LocalTaskSpec>& tasks,
                                   double value) {
     LocalUpdateResult r;
-    r.v_delta = Matrix(kItems, tasks.back().width);
-    r.v_delta.Fill(value);
+    // Every row, as the dense reference trainer uploads.
+    r.v_delta.width = tasks.back().width;
+    r.v_delta.rows.resize(kItems);
+    std::iota(r.v_delta.rows.begin(), r.v_delta.rows.end(), 0u);
+    r.v_delta.data.assign(kItems * tasks.back().width, value);
     for (const auto& t : tasks) {
       r.theta_deltas.push_back(
           FeedForwardNet::ZerosLike(server.theta(t.slot)));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 
 namespace hetefedrec {
@@ -34,8 +35,11 @@ LocalUpdateResult MakeUpdate(size_t width, double v_value,
                              const std::vector<LocalTaskSpec>& tasks,
                              const ShardedServer& server) {
   LocalUpdateResult r;
-  r.v_delta = Matrix(kItems, width);
-  r.v_delta.Fill(v_value);
+  // Every row, as the dense reference trainer uploads.
+  r.v_delta.width = width;
+  r.v_delta.rows.resize(kItems);
+  std::iota(r.v_delta.rows.begin(), r.v_delta.rows.end(), 0u);
+  r.v_delta.data.assign(kItems * width, v_value);
   for (const auto& task : tasks) {
     FeedForwardNet d = FeedForwardNet::ZerosLike(server.theta(task.slot));
     r.theta_deltas.push_back(std::move(d));

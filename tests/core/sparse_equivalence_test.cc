@@ -4,6 +4,7 @@
 // compare doubles with EXPECT_EQ on purpose.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -99,7 +100,18 @@ void RunRounds(FedFixture* f, const Dataset& ds, bool use_sparse,
       opt.min_validation_positives = 5;
       LocalUpdateResult up = f->trainer.Train(
           &f->clients[u], f->server.table(slot), thetas, tasks, opt);
-      EXPECT_EQ(up.sparse, use_sparse);
+      // The dense path uploads every row; the sparse path a subset of the
+      // rows it read, ascending.
+      if (use_sparse) {
+        EXPECT_TRUE(std::is_sorted(up.v_delta.rows.begin(),
+                                   up.v_delta.rows.end()));
+        EXPECT_TRUE(std::includes(up.read_rows.begin(), up.read_rows.end(),
+                                  up.v_delta.rows.begin(),
+                                  up.v_delta.rows.end()));
+      } else {
+        ASSERT_EQ(up.v_delta.num_rows(), kItems);
+        for (size_t r = 0; r < kItems; ++r) EXPECT_EQ(up.v_delta.rows[r], r);
+      }
       f->server.UploadDelta(tasks, up, agg == AggregationMode::kDataWeighted
                                           ? 10.0
                                           : 1.0);

@@ -21,13 +21,13 @@ FaultOptions AllFaults(uint64_t seed) {
   return o;
 }
 
-LocalUpdateResult SparseUpdate(size_t rows, size_t width, double value) {
+// Rows 0..rows-1 of a client delta, every value `value`.
+LocalUpdateResult RowUpdate(size_t rows, size_t width, double value) {
   LocalUpdateResult u;
-  u.sparse = true;
-  u.v_delta_sparse.width = width;
+  u.v_delta.width = width;
   for (size_t r = 0; r < rows; ++r) {
-    u.v_delta_sparse.rows.push_back(static_cast<uint32_t>(r));
-    for (size_t d = 0; d < width; ++d) u.v_delta_sparse.data.push_back(value);
+    u.v_delta.rows.push_back(static_cast<uint32_t>(r));
+    for (size_t d = 0; d < width; ++d) u.v_delta.data.push_back(value);
   }
   return u;
 }
@@ -92,45 +92,40 @@ TEST(FaultInjectorTest, CorruptIsDeterministicAndBreaksTheUpdate) {
   bool saw_nonfinite = false;
   bool saw_large = false;
   for (uint64_t key = 0; key < 32; ++key) {
-    LocalUpdateResult u1 = SparseUpdate(4, 8, 0.5);
-    LocalUpdateResult u2 = SparseUpdate(4, 8, 0.5);
+    LocalUpdateResult u1 = RowUpdate(4, 8, 0.5);
+    LocalUpdateResult u2 = RowUpdate(4, 8, 0.5);
     const CorruptMode m1 = inj.Corrupt(5, key, &u1);
     const CorruptMode m2 = inj.Corrupt(5, key, &u2);
     EXPECT_EQ(m1, m2);
-    ASSERT_EQ(u1.v_delta_sparse.data.size(), u2.v_delta_sparse.data.size());
-    for (size_t i = 0; i < u1.v_delta_sparse.data.size(); ++i) {
-      const double a = u1.v_delta_sparse.data[i];
-      const double b = u2.v_delta_sparse.data[i];
+    ASSERT_EQ(u1.v_delta.data.size(), u2.v_delta.data.size());
+    for (size_t i = 0; i < u1.v_delta.data.size(); ++i) {
+      const double a = u1.v_delta.data[i];
+      const double b = u2.v_delta.data[i];
       EXPECT_TRUE((std::isnan(a) && std::isnan(b)) || a == b);
     }
     if (m1 == CorruptMode::kNaN) {
       saw_nonfinite = true;
-      EXPECT_TRUE(std::isnan(u1.v_delta_sparse.data[0]));
+      EXPECT_TRUE(std::isnan(u1.v_delta.data[0]));
     } else if (m1 == CorruptMode::kInf) {
       saw_nonfinite = true;
-      EXPECT_TRUE(std::isinf(u1.v_delta_sparse.data[0]));
+      EXPECT_TRUE(std::isinf(u1.v_delta.data[0]));
     } else {
       saw_large = true;
-      EXPECT_DOUBLE_EQ(u1.v_delta_sparse.data[0], 500.0);
+      EXPECT_DOUBLE_EQ(u1.v_delta.data[0], 500.0);
     }
   }
   EXPECT_TRUE(saw_nonfinite);
   EXPECT_TRUE(saw_large);
 }
 
-TEST(FaultInjectorTest, CorruptDensePath) {
+TEST(FaultInjectorTest, CorruptFullRowUpdate) {
+  // Every row of a 4-item table, as the dense reference trainer uploads.
   FaultInjector inj{AllFaults(11)};
-  LocalUpdateResult u;
-  u.v_delta = Matrix(4, 8);
-  for (size_t r = 0; r < 4; ++r) {
-    for (size_t c = 0; c < 8; ++c) u.v_delta(r, c) = 0.25;
-  }
+  LocalUpdateResult u = RowUpdate(4, 8, 0.25);
   inj.Corrupt(3, 0, &u);
   bool changed = false;
-  for (size_t r = 0; r < 4 && !changed; ++r) {
-    for (size_t c = 0; c < 8 && !changed; ++c) {
-      changed = !(u.v_delta(r, c) == 0.25);
-    }
+  for (size_t i = 0; i < u.v_delta.data.size() && !changed; ++i) {
+    changed = !(u.v_delta.data[i] == 0.25);
   }
   EXPECT_TRUE(changed);
 }
@@ -247,7 +242,7 @@ AdmissionOptions StrictAdmission() {
 
 TEST(AdmissionTest, AcceptsCleanUpdate) {
   AdmissionController ctl(2, StrictAdmission());
-  LocalUpdateResult u = SparseUpdate(2, 4, 0.1);
+  LocalUpdateResult u = RowUpdate(2, 4, 0.1);
   const AdmissionDecision d = ctl.Admit(0, &u);
   EXPECT_EQ(d.verdict, AdmissionVerdict::kAccept);
   EXPECT_EQ(d.rows_clipped, 0u);
@@ -256,11 +251,11 @@ TEST(AdmissionTest, AcceptsCleanUpdate) {
 
 TEST(AdmissionTest, RejectsNonFiniteAnywhere) {
   AdmissionController ctl(1, StrictAdmission());
-  LocalUpdateResult u = SparseUpdate(2, 4, 0.1);
-  u.v_delta_sparse.data[5] = std::nan("");
+  LocalUpdateResult u = RowUpdate(2, 4, 0.1);
+  u.v_delta.data[5] = std::nan("");
   EXPECT_EQ(ctl.Admit(0, &u).verdict, AdmissionVerdict::kRejectNonFinite);
 
-  LocalUpdateResult v = SparseUpdate(2, 4, 0.1);
+  LocalUpdateResult v = RowUpdate(2, 4, 0.1);
   v.theta_deltas.emplace_back(8, std::vector<size_t>{4, 4});
   v.theta_deltas[0].weight(0)(0, 0) =
       std::numeric_limits<double>::infinity();
@@ -269,18 +264,18 @@ TEST(AdmissionTest, RejectsNonFiniteAnywhere) {
 
 TEST(AdmissionTest, ClipsOversizedRowsInPlace) {
   AdmissionController ctl(1, StrictAdmission());
-  LocalUpdateResult u = SparseUpdate(3, 4, 0.1);
-  for (size_t d = 0; d < 4; ++d) u.v_delta_sparse.data[4 + d] = 10.0;  // row 1
+  LocalUpdateResult u = RowUpdate(3, 4, 0.1);
+  for (size_t d = 0; d < 4; ++d) u.v_delta.data[4 + d] = 10.0;  // row 1
   const AdmissionDecision dec = ctl.Admit(0, &u);
   EXPECT_EQ(dec.verdict, AdmissionVerdict::kAccept);
   EXPECT_EQ(dec.rows_clipped, 1u);
   double sq = 0.0;
   for (size_t d = 0; d < 4; ++d) {
-    sq += u.v_delta_sparse.data[4 + d] * u.v_delta_sparse.data[4 + d];
+    sq += u.v_delta.data[4 + d] * u.v_delta.data[4 + d];
   }
   EXPECT_NEAR(std::sqrt(sq), 1.0, 1e-12);
   // Untouched rows stay bit-identical.
-  EXPECT_DOUBLE_EQ(u.v_delta_sparse.data[0], 0.1);
+  EXPECT_DOUBLE_EQ(u.v_delta.data[0], 0.1);
 }
 
 TEST(AdmissionTest, OutlierGateRejectsOnlyAfterHistoryWarmsUp) {
@@ -289,21 +284,21 @@ TEST(AdmissionTest, OutlierGateRejectsOnlyAfterHistoryWarmsUp) {
   AdmissionController ctl(1, o);
 
   // Before min_history accepted norms exist, even a huge update passes.
-  LocalUpdateResult big = SparseUpdate(2, 4, 50.0);
+  LocalUpdateResult big = RowUpdate(2, 4, 50.0);
   EXPECT_EQ(ctl.Admit(0, &big).verdict, AdmissionVerdict::kAccept);
 
   AdmissionController warm(1, o);
   for (int i = 0; i < 8; ++i) {
-    LocalUpdateResult u = SparseUpdate(2, 4, 0.1 + 0.01 * i);
+    LocalUpdateResult u = RowUpdate(2, 4, 0.1 + 0.01 * i);
     ASSERT_EQ(warm.Admit(0, &u).verdict, AdmissionVerdict::kAccept);
   }
-  LocalUpdateResult outlier = SparseUpdate(2, 4, 50.0);
+  LocalUpdateResult outlier = RowUpdate(2, 4, 50.0);
   EXPECT_EQ(warm.Admit(0, &outlier).verdict, AdmissionVerdict::kRejectOutlier);
   // Below-median updates are never outliers (one-sided gate).
-  LocalUpdateResult tiny = SparseUpdate(2, 4, 1e-6);
+  LocalUpdateResult tiny = RowUpdate(2, 4, 1e-6);
   EXPECT_EQ(warm.Admit(0, &tiny).verdict, AdmissionVerdict::kAccept);
   // The rejection did not pollute the window: normal updates still pass.
-  LocalUpdateResult normal = SparseUpdate(2, 4, 0.12);
+  LocalUpdateResult normal = RowUpdate(2, 4, 0.12);
   EXPECT_EQ(warm.Admit(0, &normal).verdict, AdmissionVerdict::kAccept);
 }
 
@@ -312,12 +307,12 @@ TEST(AdmissionTest, SlotsHaveIndependentWindows) {
   o.max_row_norm = 0.0;
   AdmissionController ctl(2, o);
   for (int i = 0; i < 8; ++i) {
-    LocalUpdateResult u = SparseUpdate(2, 4, 0.1);
+    LocalUpdateResult u = RowUpdate(2, 4, 0.1);
     ASSERT_EQ(ctl.Admit(0, &u).verdict, AdmissionVerdict::kAccept);
   }
   // Slot 1 has no history, so the same huge norm is accepted there.
-  LocalUpdateResult big0 = SparseUpdate(2, 4, 50.0);
-  LocalUpdateResult big1 = SparseUpdate(2, 4, 50.0);
+  LocalUpdateResult big0 = RowUpdate(2, 4, 50.0);
+  LocalUpdateResult big1 = RowUpdate(2, 4, 50.0);
   EXPECT_EQ(ctl.Admit(0, &big0).verdict, AdmissionVerdict::kRejectOutlier);
   EXPECT_EQ(ctl.Admit(1, &big1).verdict, AdmissionVerdict::kAccept);
 }
@@ -329,7 +324,7 @@ TEST(AdmissionTest, WindowIsBoundedAndRoundTrips) {
   o.outlier_min_history = 2;
   AdmissionController ctl(1, o);
   for (int i = 0; i < 20; ++i) {
-    LocalUpdateResult u = SparseUpdate(1, 4, 0.1 + 0.001 * i);
+    LocalUpdateResult u = RowUpdate(1, 4, 0.1 + 0.001 * i);
     ctl.Admit(0, &u);
   }
   const auto history = ctl.ExportHistory();
@@ -340,8 +335,8 @@ TEST(AdmissionTest, WindowIsBoundedAndRoundTrips) {
 
   AdmissionController fresh(1, o);
   fresh.RestoreHistory(history);
-  LocalUpdateResult probe_a = SparseUpdate(1, 4, 50.0);
-  LocalUpdateResult probe_b = SparseUpdate(1, 4, 50.0);
+  LocalUpdateResult probe_a = RowUpdate(1, 4, 50.0);
+  LocalUpdateResult probe_b = RowUpdate(1, 4, 50.0);
   EXPECT_EQ(ctl.Admit(0, &probe_a).verdict, fresh.Admit(0, &probe_b).verdict);
 }
 

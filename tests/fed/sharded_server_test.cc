@@ -1,9 +1,9 @@
 // ShardedServer shard contract: range geometry and row routing,
-// bit-identity of higher shard counts against one shard for sparse and
-// dense uploads (both aggregation layouts), lockstep version stamping
-// through the routing view, per-shard upload accounting, StampRows, and
-// the Snapshot/RestoreSnapshot round-trip including shard-count
-// portability of a snapshot.
+// bit-identity of higher shard counts against one shard for touched-row and
+// full-row uploads (both aggregation layouts), lockstep version stamping
+// through the routing view, per-shard upload accounting, and the
+// Snapshot/RestoreSnapshot round-trip including shard-count portability of
+// a snapshot.
 #include "src/fed/shard/sharded_server.h"
 
 #include <gtest/gtest.h>
@@ -43,32 +43,28 @@ std::vector<LocalTaskSpec> TasksUpTo(size_t group,
   return tasks;
 }
 
-LocalUpdateResult DenseUpdate(size_t width, double v_value,
-                              const std::vector<LocalTaskSpec>& tasks,
-                              const ShardedServer& server) {
-  LocalUpdateResult r;
-  r.v_delta = Matrix(kItems, width);
-  r.v_delta.Fill(v_value);
-  for (const auto& task : tasks) {
-    r.theta_deltas.push_back(FeedForwardNet::ZerosLike(server.theta(task.slot)));
-  }
-  return r;
-}
-
 LocalUpdateResult SparseUpdate(size_t width,
                                const std::vector<uint32_t>& rows,
                                double v_value,
                                const std::vector<LocalTaskSpec>& tasks,
                                const ShardedServer& server) {
   LocalUpdateResult r;
-  r.sparse = true;
-  r.v_delta_sparse.width = width;
-  r.v_delta_sparse.rows = rows;
-  r.v_delta_sparse.data.assign(rows.size() * width, v_value);
+  r.v_delta.width = width;
+  r.v_delta.rows = rows;
+  r.v_delta.data.assign(rows.size() * width, v_value);
   for (const auto& task : tasks) {
     r.theta_deltas.push_back(FeedForwardNet::ZerosLike(server.theta(task.slot)));
   }
   return r;
+}
+
+// Every row of the catalogue, as the dense reference trainer uploads.
+LocalUpdateResult FullRowUpdate(size_t width, double v_value,
+                                const std::vector<LocalTaskSpec>& tasks,
+                                const ShardedServer& server) {
+  std::vector<uint32_t> rows(kItems);
+  for (size_t r = 0; r < kItems; ++r) rows[r] = static_cast<uint32_t>(r);
+  return SparseUpdate(width, rows, v_value, tasks, server);
 }
 
 void ExpectSameTables(const ShardedServer& a, const ShardedServer& b) {
@@ -115,7 +111,7 @@ TEST(ShardedServerTest, InitialStateIsShardCountInvariant) {
 }
 
 // The core arithmetic contract, isolated from the trainer: a mixed round
-// of sparse and dense uploads of every width lands bit-identically on one
+// of touched-row and full-row uploads of every width lands bit-identically on one
 // shard and on several higher shard counts — shared (padded) and
 // clustered layouts, mean and sum modes.
 TEST(ShardedServerTest, MixedRoundMatchesOneShardAnyShardCount) {
@@ -134,7 +130,7 @@ TEST(ShardedServerTest, MixedRoundMatchesOneShardAnyShardCount) {
         server->UploadDelta(
             large, SparseUpdate(8, {3, 7, 11, 19}, -0.5, large, *server));
         server->UploadDelta(medium,
-                            DenseUpdate(4, 0.125, medium, *server), 2.0);
+                            FullRowUpdate(4, 0.125, medium, *server), 2.0);
         server->UploadDelta(
             large, SparseUpdate(8, {0, 22}, 0.75, large, *server));
         server->FinishRound();
@@ -170,12 +166,45 @@ TEST(ShardedServerTest, VersionsAdvanceInLockstepAcrossShards) {
   }
 
   server.BeginRound();
-  // Dense round: every shard StampAlls the same round.
-  server.UploadDelta(large, DenseUpdate(8, 0.5, large, server));
+  // Full-row round: every shard stamps all of its rows in the same round.
+  server.UploadDelta(large, FullRowUpdate(8, 0.5, large, server));
   server.FinishRound();
   EXPECT_EQ(server.versions().round(), 2u);
   for (size_t row = 0; row < kItems; ++row) {
     EXPECT_EQ(server.versions().Version(0, row), 2u) << "row " << row;
+  }
+}
+
+// A full-row client stamps every row of every slot it changed, on one
+// shard and across shard boundaries alike; a slot it did not change keeps
+// the stamps of earlier rounds.
+TEST(ShardedServerTest, FullRowRoundStampsEveryRowOfChangedSlots) {
+  for (bool shared : {true, false}) {
+    for (size_t shards : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE((shared ? "shared" : "clustered") + std::string("/S=") +
+                   std::to_string(shards));
+      ShardedServer server = MakeSharded(shards, shared);
+      const auto widths = BaseOptions().widths;
+      auto small = TasksUpTo(0, widths);
+      auto medium = TasksUpTo(1, widths);
+      server.BeginRound();
+      server.UploadDelta(small, SparseUpdate(2, {4}, 0.1, small, server));
+      server.FinishRound();  // round 1: row 4 only
+      server.BeginRound();
+      server.UploadDelta(medium, FullRowUpdate(4, 0.25, medium, server));
+      server.FinishRound();  // round 2
+      // Padded aggregation: the medium delta's leading columns reach every
+      // slot. Clustered: it changes the medium slot alone.
+      for (size_t slot = 0; slot < widths.size(); ++slot) {
+        const bool changed = shared || slot == 1;
+        for (size_t row = 0; row < kItems; ++row) {
+          uint64_t want = changed ? 2u : 0u;
+          if (!changed && row == 4 && slot == 0) want = 1u;
+          EXPECT_EQ(server.versions().Version(slot, row), want)
+              << "slot " << slot << " row " << row;
+        }
+      }
+    }
   }
 }
 
@@ -195,21 +224,6 @@ TEST(ShardedServerTest, PerShardUploadScalarsRouteByRow) {
 
   EXPECT_EQ(server.shard_upload_scalars(0), 2u * 8u);
   EXPECT_EQ(server.shard_upload_scalars(1), 1u * 8u);
-}
-
-TEST(ShardedServerTest, StampRowsRoutesToOwningShards) {
-  ShardedServer server = MakeSharded(4);
-  auto large = TasksUpTo(2, BaseOptions().widths);
-  server.BeginRound();
-  server.UploadDelta(large, SparseUpdate(8, {1}, 0.1, large, server));
-  server.FinishRound();  // round 1
-
-  server.StampRows(0, {0, 11, 22});
-  EXPECT_EQ(server.versions().Version(0, 0), 1u);
-  EXPECT_EQ(server.versions().Version(0, 11), 1u);
-  EXPECT_EQ(server.versions().Version(0, 22), 1u);
-  EXPECT_EQ(server.versions().Version(0, 2), 0u);
-  EXPECT_EQ(server.versions().Version(1, 11), 0u);  // other slots untouched
 }
 
 // Snapshot exports the single-table layout regardless of the shard count,

@@ -26,12 +26,10 @@ TEST(VersionedTableTest, StartsAtVersionZeroAndStamps) {
   EXPECT_EQ(v.Version(1, 3), 0u);  // untouched slot
 }
 
-TEST(VersionedTableTest, StampAllFloorsEveryRow) {
+TEST(VersionedTableTest, RestoredFloorRaisesEveryRow) {
   VersionedTable v(1, 5);
-  v.AdvanceRound();
-  v.Stamp(0, 1);
-  v.AdvanceRound();
-  v.StampAll(0);
+  // A run state whose slot floor is round 2 (and row 1 stamped at 1).
+  v.Restore(2, {2}, {{0, 1, 0, 0, 0}});
   for (size_t r = 0; r < 5; ++r) EXPECT_EQ(v.Version(0, r), 2u);
   // A later per-row stamp rises above the floor.
   v.AdvanceRound();
@@ -46,7 +44,8 @@ TEST(VersionedTableTest, VersionsAreMonotone) {
   for (int round = 0; round < 5; ++round) {
     v.AdvanceRound();
     if (round % 2 == 0) v.Stamp(0, 2);
-    if (round == 3) v.StampAll(0);
+    // Raise the floor to the current round, as a restored run state can.
+    if (round == 3) v.Restore(v.round(), {v.round()}, {v.slot_versions(0)});
     EXPECT_GE(v.Version(0, 2), last);
     last = v.Version(0, 2);
   }
@@ -163,7 +162,7 @@ TEST(SyncServiceTest, OnlyAdvancedRowsReship) {
   EXPECT_EQ(plan.shipped_rows, 2u);
 }
 
-TEST(SyncServiceTest, StampAllInvalidatesWholeReplica) {
+TEST(SyncServiceTest, RestoredFloorInvalidatesWholeReplica) {
   Matrix table(10, 2);
   Rng rng(7);
   InitNormal(&table, 0.1, &rng);
@@ -171,8 +170,8 @@ TEST(SyncServiceTest, StampAllInvalidatesWholeReplica) {
   SyncService sync(1);
 
   sync.Sync(0, 0, {0, 1, 2, 3}, table, versions, 0);
-  versions.AdvanceRound();
-  versions.StampAll(0);  // e.g. a dense round
+  // A restored floor of round 1 covers every row, no per-row stamp needed.
+  versions.Restore(1, {1}, {std::vector<uint64_t>(10, 0)});
   SyncPlan plan = sync.Sync(0, 0, {0, 1, 2, 3}, table, versions, 0);
   EXPECT_EQ(plan.shipped_rows, 4u);
 }
