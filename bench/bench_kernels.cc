@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/stream_round.h"
 #include "src/core/decorrelation.h"
 #include "src/core/distillation.h"
 #include "src/core/local_trainer.h"
@@ -18,7 +19,6 @@
 #include "src/eval/topk.h"
 #include "src/data/stream.h"
 #include "src/fed/shard/sharded_server.h"
-#include "src/fed/shard/stream_loop.h"
 #include "src/fed/sync/sync_service.h"
 #include "src/fed/sync/versioned_table.h"
 #include "src/math/activations.h"
@@ -579,11 +579,11 @@ BENCHMARK(BM_FederatedRound)
     ->MinTime(2.0);
 
 // One streaming round against the parameter server (arg 0 = shard count,
-// S ∈ {1, 8}): 256 power-law clients build sparse MF-SGD deltas against
-// the live table and merge through UploadDelta. S=1 is the one-shard
-// baseline; S=8 adds the range-routing and per-shard buffer overhead the
-// scale-out pays per round — bench_sharding measures the same loop
-// end-to-end at 1M clients.
+// S ∈ {1, 8}): 256 power-law clients from user 0 build MF-SGD row deltas
+// against the live table and merge through UploadDelta
+// (bench/stream_round.h). S=1 is the one-shard baseline; S=8 adds the
+// range-routing and per-shard buffer overhead the scale-out pays per
+// round — bench_sharding runs the same rounds end to end at 1M clients.
 void BM_ShardedRound(benchmark::State& state) {
   ShardedServer::Options so;
   so.widths = {32};
@@ -599,22 +599,19 @@ void BM_ShardedRound(benchmark::State& state) {
   scfg.seed = 7;
   const ClientStream stream(scfg);
 
-  StreamLoopOptions opt;
-  opt.clients_per_round = 256;
-  opt.rounds = 1;
-  opt.seed = 9;
-
-  uint64_t scalars = 0;
-  size_t rounds = 0;
+  constexpr size_t kClients = 256;
   for (auto _ : state) {
-    StreamLoopResult r = RunStreamingRounds(&server, stream, opt);
-    scalars += r.upload_scalars;
-    rounds += r.rounds;
-    benchmark::DoNotOptimize(r);
+    size_t cursor = 0;
+    bench::RunStreamRound(&server, stream, kClients, /*lr=*/0.05,
+                          /*seed=*/9, &cursor);
   }
-  state.SetItemsProcessed(state.iterations() * opt.clients_per_round);
+  uint64_t scalars = 0;
+  for (size_t s = 0; s < server.num_shards(); ++s) {
+    scalars += server.shard_upload_scalars(s);
+  }
+  state.SetItemsProcessed(state.iterations() * kClients);
   state.counters["upload_scalars_per_round"] = benchmark::Counter(
-      static_cast<double>(scalars) / static_cast<double>(rounds));
+      static_cast<double>(scalars) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_ShardedRound)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 

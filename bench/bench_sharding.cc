@@ -3,8 +3,9 @@
 // "Sharding").
 //
 // For each S in {1, 2, 4, 8} the bench streams `--users` power-law clients
-// (default 1M — nothing is materialized per user) through the round loop
-// against a `ShardedServer` with S item-range shards, reporting round
+// (default 1M — nothing is materialized per user) through rounds of
+// bench/stream_round.h against a `ShardedServer` with S item-range shards,
+// reporting round
 // throughput, upload bytes/round, the per-shard upload balance under the
 // Zipf-head item skew, and process peak RSS. Every S run replays the same
 // seeds, and the final tables are checked bit-identical to the S=1 run —
@@ -19,11 +20,13 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/stream_round.h"
 #include "src/data/stream.h"
 #include "src/fed/shard/sharded_server.h"
-#include "src/fed/shard/stream_loop.h"
 #include "src/util/cli.h"
+#include "src/util/rss.h"
 #include "src/util/table_printer.h"
+#include "src/util/timer.h"
 
 namespace hetefedrec::bench {
 namespace {
@@ -41,8 +44,6 @@ int Main(int argc, char** argv) {
   cli.AddFlag("pop_exponent", "1.05", "Zipf item-popularity exponent");
   cli.AddFlag("size_exponent", "1.6", "Pareto client-size tail index");
   cli.AddFlag("max_rss_mb", "4096", "peak-RSS acceptance bound (MiB)");
-  cli.AddFlag("metrics_out", "",
-              "telemetry JSONL path for the S=4 run (\"\" = off)");
   cli.AddFlag("out_dir", ".", "CSV output directory");
   Status st = cli.Parse(argc, argv);
   if (!st.ok()) return FailWith(st);
@@ -61,11 +62,14 @@ int Main(int argc, char** argv) {
   sopts.aggregation = AggregationMode::kMean;
   sopts.seed = cli.GetUint64("seed") + 1;
 
-  StreamLoopOptions lopts;
-  lopts.clients_per_round = cli.GetUint64("clients_per_round");
-  lopts.rounds = cli.GetUint64("rounds");
-  lopts.lr = cli.GetDouble("lr");
-  lopts.seed = cli.GetUint64("seed") + 2;
+  const size_t clients_per_round = cli.GetUint64("clients_per_round");
+  HFR_CHECK_GT(clients_per_round, 0u);
+  const size_t rounds =
+      cli.GetUint64("rounds") > 0
+          ? cli.GetUint64("rounds")
+          : (scfg.num_users + clients_per_round - 1) / clients_per_round;
+  const double lr = cli.GetDouble("lr");
+  const uint64_t client_seed = cli.GetUint64("seed") + 2;
 
   TablePrinter table(
       "Sharded server under the streaming power-law workload (width " +
@@ -85,18 +89,26 @@ int Main(int argc, char** argv) {
     ShardedServer::Options run_sopts = sopts;
     run_sopts.num_shards = shards;
     ShardedServer server(run_sopts);
-    StreamLoopOptions run_opts = lopts;
-    if (shards == 4) run_opts.metrics_out = cli.GetString("metrics_out");
     std::fprintf(stderr, "[sharding] S=%zu streaming...\n", shards);
-    const StreamLoopResult r = RunStreamingRounds(&server, stream, run_opts);
+    Timer timer;
+    size_t cursor = 0;
+    for (size_t r = 0; r < rounds; ++r) {
+      RunStreamRound(&server, stream, clients_per_round, lr, client_seed,
+                     &cursor);
+    }
+    const double wall_seconds = timer.Seconds();
+    const size_t peak_rss_kb = PeakRssKb();
 
     // Per-shard balance: max over mean of upload scalars — the Zipf head
     // loads the low-id shard hardest.
+    uint64_t upload_scalars = 0;
     uint64_t max_scalars = 0;
-    for (uint64_t v : r.shard_scalars) max_scalars = std::max(max_scalars, v);
+    for (size_t s = 0; s < shards; ++s) {
+      upload_scalars += server.shard_upload_scalars(s);
+      max_scalars = std::max(max_scalars, server.shard_upload_scalars(s));
+    }
     const double mean_scalars =
-        static_cast<double>(r.upload_scalars) /
-        static_cast<double>(r.shard_scalars.size());
+        static_cast<double>(upload_scalars) / static_cast<double>(shards);
     const double skew =
         mean_scalars > 0.0 ? static_cast<double>(max_scalars) / mean_scalars
                            : 1.0;
@@ -116,22 +128,20 @@ int Main(int argc, char** argv) {
       all_identical = all_identical && same;
     }
 
-    if (r.peak_rss_kb > max_rss_kb) rss_ok = false;
+    if (peak_rss_kb > max_rss_kb) rss_ok = false;
     const double rounds_per_sec =
-        r.wall_seconds > 0.0 ? static_cast<double>(r.rounds) / r.wall_seconds
-                             : 0.0;
+        wall_seconds > 0.0 ? static_cast<double>(rounds) / wall_seconds : 0.0;
     const double mb_per_round =
-        static_cast<double>(r.upload_scalars) * sizeof(double) /
-        (1024.0 * 1024.0) / static_cast<double>(r.rounds);
-    table.AddRow({std::to_string(shards),
-                  TablePrinter::Count(static_cast<long long>(r.rounds)),
-                  TablePrinter::Count(static_cast<long long>(r.clients)),
-                  TablePrinter::Num(rounds_per_sec, 1),
-                  TablePrinter::Num(mb_per_round, 3),
-                  TablePrinter::Num(skew, 3),
-                  TablePrinter::Num(
-                      static_cast<double>(r.peak_rss_kb) / 1024.0, 1),
-                  identical});
+        static_cast<double>(upload_scalars) * sizeof(double) /
+        (1024.0 * 1024.0) / static_cast<double>(rounds);
+    table.AddRow(
+        {std::to_string(shards),
+         TablePrinter::Count(static_cast<long long>(rounds)),
+         TablePrinter::Count(static_cast<long long>(rounds * clients_per_round)),
+         TablePrinter::Num(rounds_per_sec, 1),
+         TablePrinter::Num(mb_per_round, 3), TablePrinter::Num(skew, 3),
+         TablePrinter::Num(static_cast<double>(peak_rss_kb) / 1024.0, 1),
+         identical});
   }
 
   table.Print();
