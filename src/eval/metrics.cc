@@ -38,47 +38,6 @@ double NdcgAtK(const std::vector<ItemId>& topk,
   return idcg > 0.0 ? dcg / idcg : 0.0;
 }
 
-double HitRateAtK(const std::vector<ItemId>& topk,
-                  const std::unordered_set<ItemId>& relevant) {
-  for (ItemId i : topk) {
-    if (relevant.count(i)) return 1.0;
-  }
-  return 0.0;
-}
-
-double PrecisionAtK(const std::vector<ItemId>& topk,
-                    const std::unordered_set<ItemId>& relevant) {
-  if (topk.empty()) return 0.0;
-  size_t hits = 0;
-  for (ItemId i : topk) hits += relevant.count(i);
-  return static_cast<double>(hits) / static_cast<double>(topk.size());
-}
-
-double MrrAtK(const std::vector<ItemId>& topk,
-              const std::unordered_set<ItemId>& relevant) {
-  for (size_t p = 0; p < topk.size(); ++p) {
-    if (relevant.count(topk[p])) {
-      return 1.0 / static_cast<double>(p + 1);
-    }
-  }
-  return 0.0;
-}
-
-double AveragePrecisionAtK(const std::vector<ItemId>& topk,
-                           const std::unordered_set<ItemId>& relevant) {
-  if (relevant.empty() || topk.empty()) return 0.0;
-  size_t hits = 0;
-  double sum = 0.0;
-  for (size_t p = 0; p < topk.size(); ++p) {
-    if (relevant.count(topk[p])) {
-      ++hits;
-      sum += static_cast<double>(hits) / static_cast<double>(p + 1);
-    }
-  }
-  size_t denom = std::min(topk.size(), relevant.size());
-  return denom > 0 ? sum / static_cast<double>(denom) : 0.0;
-}
-
 std::vector<ItemId> TopKItems(const std::vector<double>& scores,
                               const std::vector<bool>& masked, size_t k) {
   // Per-thread scratch: repeated calls rebuild neither the candidate

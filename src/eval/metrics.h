@@ -46,29 +46,6 @@ std::vector<ItemId> TopKFromCandidates(const std::vector<ItemId>& ids,
                                        const std::vector<double>& scores,
                                        size_t k);
 
-// --- Supplementary ranking metrics ----------------------------------------
-// The paper reports Recall@20 and NDCG@20; these are provided for users of
-// the library who want the other standard top-K diagnostics.
-
-/// HitRate@K: 1 if any relevant item appears in the list, else 0.
-double HitRateAtK(const std::vector<ItemId>& topk,
-                  const std::unordered_set<ItemId>& relevant);
-
-/// Precision@K: fraction of the list that is relevant (divides by the
-/// list's actual length).
-double PrecisionAtK(const std::vector<ItemId>& topk,
-                    const std::unordered_set<ItemId>& relevant);
-
-/// MRR@K: reciprocal rank of the first relevant item (1-indexed), 0 if the
-/// list contains none.
-double MrrAtK(const std::vector<ItemId>& topk,
-              const std::unordered_set<ItemId>& relevant);
-
-/// Average Precision@K (binary relevance), normalized by
-/// min(K, |relevant|); the mean over users is MAP@K.
-double AveragePrecisionAtK(const std::vector<ItemId>& topk,
-                           const std::unordered_set<ItemId>& relevant);
-
 }  // namespace hetefedrec
 
 #endif  // HETEFEDREC_EVAL_METRICS_H_

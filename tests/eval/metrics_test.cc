@@ -75,39 +75,6 @@ TEST(MetricsTest, NdcgStarvedCandidatePoolSingleRelevant) {
   EXPECT_DOUBLE_EQ(NdcgAtK({4, 5, 9}, rel, 20), 0.5);
 }
 
-TEST(ExtendedMetricsTest, HitRate) {
-  std::unordered_set<ItemId> rel = {5};
-  EXPECT_DOUBLE_EQ(HitRateAtK({1, 2, 5}, rel), 1.0);
-  EXPECT_DOUBLE_EQ(HitRateAtK({1, 2, 3}, rel), 0.0);
-  EXPECT_DOUBLE_EQ(HitRateAtK({}, rel), 0.0);
-}
-
-TEST(ExtendedMetricsTest, Precision) {
-  std::unordered_set<ItemId> rel = {1, 2};
-  EXPECT_DOUBLE_EQ(PrecisionAtK({1, 2, 3, 4}, rel), 0.5);
-  EXPECT_DOUBLE_EQ(PrecisionAtK({3, 4}, rel), 0.0);
-  EXPECT_DOUBLE_EQ(PrecisionAtK({}, rel), 0.0);
-}
-
-TEST(ExtendedMetricsTest, MrrFirstHitPosition) {
-  std::unordered_set<ItemId> rel = {9};
-  EXPECT_DOUBLE_EQ(MrrAtK({9, 1, 2}, rel), 1.0);
-  EXPECT_DOUBLE_EQ(MrrAtK({1, 9, 2}, rel), 0.5);
-  EXPECT_DOUBLE_EQ(MrrAtK({1, 2, 9}, rel), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(MrrAtK({1, 2, 3}, rel), 0.0);
-}
-
-TEST(ExtendedMetricsTest, AveragePrecisionHandComputed) {
-  std::unordered_set<ItemId> rel = {1, 3};
-  // Hits at ranks 1 and 3: AP = (1/1 + 2/3) / 2.
-  EXPECT_NEAR(AveragePrecisionAtK({1, 5, 3}, rel), (1.0 + 2.0 / 3.0) / 2.0,
-              1e-12);
-  // Perfect ranking: AP = 1.
-  EXPECT_DOUBLE_EQ(AveragePrecisionAtK({1, 3}, rel), 1.0);
-  EXPECT_DOUBLE_EQ(AveragePrecisionAtK({5, 6}, rel), 0.0);
-  EXPECT_DOUBLE_EQ(AveragePrecisionAtK({1}, {}), 0.0);
-}
-
 TEST(TopKTest, OrdersByScoreDescending) {
   std::vector<double> scores = {0.1, 0.9, 0.5, 0.7};
   std::vector<bool> mask(4, false);
