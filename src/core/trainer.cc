@@ -791,15 +791,13 @@ class FederatedRun {
     return true;
   }
 
-  /// Sends one trained client's upload through its drawn fault: counts its
-  /// skipped optimizer steps, then loses it or applies the in-flight
-  /// faults. A duplicate is delivered twice and deduped by the server by
+  /// Sends one trained client's upload through its drawn fault: loses it
+  /// or applies the in-flight faults. A duplicate is delivered twice and deduped by the server by
   /// (client, round id), so the redundant copy shows up only in the fault
   /// counters; a corrupted update reaches admission damaged. Returns true
   /// when the update reaches the server.
   bool Deliver(const Dispatched& d, double now, LocalUpdateResult* update) {
     FaultStats* f = result_.comm.mutable_faults();
-    f->nonfinite_grad_steps += update->nonfinite_grad_steps;
     if (LoseUpload(d.user, d.fault, now)) return false;
     if (d.fault == FaultKind::kDuplicate) {
       f->duplicates++;
@@ -868,15 +866,21 @@ class FederatedRun {
 
   /// Trains batch_[first, end) against the current tables into their
   /// update slots, in parallel on the pool (inline when it has no
-  /// workers). Each client mutates only its own ClientState, its thread's
-  /// LocalTrainer scratch and its own slot while the server and dataset
-  /// stay read-only, so updates are bit-identical for every thread count.
+  /// workers), then counts each trained client's skipped optimizer steps,
+  /// whatever later becomes of its upload. Each client mutates only its
+  /// own ClientState, its thread's LocalTrainer scratch and its own slot
+  /// while the server and dataset stay read-only, so updates are
+  /// bit-identical for every thread count.
   void TrainBatch(size_t first, size_t end) {
     updates_.resize(batch_.size());
     pool_->ParallelFor(end - first, [&](size_t i, size_t slot_idx) {
       const Dispatched& d = batch_[first + i];
       TrainOne(d.user, slot_idx, d.fault, &updates_[first + i]);
     });
+    FaultStats* f = result_.comm.mutable_faults();
+    for (size_t k = first; k < end; ++k) {
+      f->nonfinite_grad_steps += updates_[k].nonfinite_grad_steps;
+    }
   }
 
   /// The synchronous round protocol (the paper's), unchanged semantics on
@@ -954,10 +958,6 @@ class FederatedRun {
               AccountDownload(batch_[k].user, updates_[k]);
           finish[k] = ClientFinishSeconds(batch_[k], down_scalars, updates_[k]);
           if (LoseUpload(batch_[k].user, batch_[k].fault, sim_clock_)) {
-            // Lost and merged clients count their skipped optimizer steps;
-            // an over-selected straggler's are never counted.
-            result_.comm.mutable_faults()->nonfinite_grad_steps +=
-                updates_[k].nonfinite_grad_steps;
             eligible[k] = 0;
           }
         }

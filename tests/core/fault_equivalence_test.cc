@@ -191,6 +191,31 @@ TEST(FaultEquivalence, ModerateFaultsDegradeGracefully) {
 
 // Standalone training has no network, no server, no rounds: every
 // robustness knob must be a no-op there.
+// Every client a round trains counts its skipped optimizer steps once,
+// whether its upload merges or not. Over-selecting 12 clients to merge 8
+// trains the same 12 clients on the same tables as a plain round of 12,
+// so the one-round counts must agree (an over-selected straggler's steps
+// used to go uncounted).
+TEST(FaultEquivalence, StragglersCountSkippedOptimizerSteps) {
+  ExperimentConfig plain = SmallConfig();
+  plain.lr = 1e300;  // the first Adam step makes later gradients non-finite
+  plain.debug_stop_after_rounds = 1;
+  plain.clients_per_round = 12;
+  ExperimentConfig over = plain;
+  over.clients_per_round = 8;
+  over.straggler_slack = 4;
+  over.net_bandwidth_sigma = 1.0;
+
+  const size_t plain_steps = RunWith(plain, Method::kHeteFedRec)
+                                 .comm.faults()
+                                 .nonfinite_grad_steps;
+  const size_t over_steps = RunWith(over, Method::kHeteFedRec)
+                                .comm.faults()
+                                .nonfinite_grad_steps;
+  EXPECT_GT(plain_steps, 0u);
+  EXPECT_EQ(over_steps, plain_steps);
+}
+
 TEST(FaultEquivalence, StandaloneIgnoresRobustnessKnobs) {
   ExperimentConfig plain = SmallConfig();
   ExperimentConfig knobs = FaultyConfig();
