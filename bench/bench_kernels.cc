@@ -604,6 +604,7 @@ void BM_ShardedRound(benchmark::State& state) {
     size_t cursor = 0;
     bench::RunStreamRound(&server, stream, kClients, /*lr=*/0.05,
                           /*seed=*/9, &cursor);
+    benchmark::DoNotOptimize(server.table(0).Row(0));
   }
   uint64_t scalars = 0;
   for (size_t s = 0; s < server.num_shards(); ++s) {

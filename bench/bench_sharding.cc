@@ -134,14 +134,16 @@ int Main(int argc, char** argv) {
     const double mb_per_round =
         static_cast<double>(upload_scalars) * sizeof(double) /
         (1024.0 * 1024.0) / static_cast<double>(rounds);
-    table.AddRow(
-        {std::to_string(shards),
-         TablePrinter::Count(static_cast<long long>(rounds)),
-         TablePrinter::Count(static_cast<long long>(rounds * clients_per_round)),
-         TablePrinter::Num(rounds_per_sec, 1),
-         TablePrinter::Num(mb_per_round, 3), TablePrinter::Num(skew, 3),
-         TablePrinter::Num(static_cast<double>(peak_rss_kb) / 1024.0, 1),
-         identical});
+    const size_t clients = rounds * clients_per_round;
+    table.AddRow({std::to_string(shards),
+                  TablePrinter::Count(static_cast<long long>(rounds)),
+                  TablePrinter::Count(static_cast<long long>(clients)),
+                  TablePrinter::Num(rounds_per_sec, 1),
+                  TablePrinter::Num(mb_per_round, 3),
+                  TablePrinter::Num(skew, 3),
+                  TablePrinter::Num(
+                      static_cast<double>(peak_rss_kb) / 1024.0, 1),
+                  identical});
   }
 
   table.Print();

@@ -792,10 +792,10 @@ class FederatedRun {
   }
 
   /// Sends one trained client's upload through its drawn fault: loses it
-  /// or applies the in-flight faults. A duplicate is delivered twice and deduped by the server by
-  /// (client, round id), so the redundant copy shows up only in the fault
-  /// counters; a corrupted update reaches admission damaged. Returns true
-  /// when the update reaches the server.
+  /// or applies the in-flight faults. A duplicate is delivered twice and
+  /// deduped by the server by (client, round id), so the redundant copy
+  /// shows up only in the fault counters; a corrupted update reaches
+  /// admission damaged. Returns true when the update reaches the server.
   bool Deliver(const Dispatched& d, double now, LocalUpdateResult* update) {
     FaultStats* f = result_.comm.mutable_faults();
     if (LoseUpload(d.user, d.fault, now)) return false;

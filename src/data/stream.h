@@ -8,8 +8,9 @@
 // demand in O(items-per-user · log num_items) time and O(1) extra memory.
 // The only precomputed state is the item-popularity CDF — O(num_items)
 // doubles, independent of the user count — so streaming 1M+ clients
-// through the round loop holds peak RSS at catalogue scale, never log
-// scale (asserted by tests/data/stream_test.cc).
+// through server rounds (bench/stream_round.h, driven by bench_sharding)
+// holds peak RSS at catalogue scale, never log scale (asserted by
+// tests/data/stream_test.cc).
 //
 // Generative model (the two knobs the scale-out bench cares about):
 //   - Item popularity is Zipf: P(item rank r) ∝ 1/(r+1)^popularity_exponent.

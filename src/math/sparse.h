@@ -197,7 +197,6 @@ struct SparseRowUpdate {
   std::vector<uint32_t> rows;  // strictly ascending
   std::vector<double> data;    // rows.size() * width, packed
 
-  bool empty() const { return rows.empty(); }
   size_t num_rows() const { return rows.size(); }
 
   const double* RowData(size_t k) const { return data.data() + k * width; }

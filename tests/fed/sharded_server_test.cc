@@ -111,8 +111,8 @@ TEST(ShardedServerTest, InitialStateIsShardCountInvariant) {
 }
 
 // The core arithmetic contract, isolated from the trainer: a mixed round
-// of touched-row and full-row uploads of every width lands bit-identically on one
-// shard and on several higher shard counts — shared (padded) and
+// of touched-row and full-row uploads of every width lands bit-identically
+// on one shard and on several higher shard counts — shared (padded) and
 // clustered layouts, mean and sum modes.
 TEST(ShardedServerTest, MixedRoundMatchesOneShardAnyShardCount) {
   for (bool shared : {true, false}) {
