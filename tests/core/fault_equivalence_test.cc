@@ -194,8 +194,7 @@ TEST(FaultEquivalence, ModerateFaultsDegradeGracefully) {
 // Every client a round trains counts its skipped optimizer steps once,
 // whether its upload merges or not. Over-selecting 12 clients to merge 8
 // trains the same 12 clients on the same tables as a plain round of 12,
-// so the one-round counts must agree (an over-selected straggler's steps
-// used to go uncounted).
+// so the one-round counts must agree.
 TEST(FaultEquivalence, StragglersCountSkippedOptimizerSteps) {
   ExperimentConfig plain = SmallConfig();
   plain.lr = 1e300;  // the first Adam step makes later gradients non-finite
