@@ -23,8 +23,8 @@ inline bool UseSimd() {
 
 // --- fp64 kernels -----------------------------------------------------------
 //
-// The backward kernels, the wide forward and the column Gram are one
-// shape — register tiles of
+// Every fp64 kernel — the forward, both gradients and the column Gram —
+// is one shape, register tiles of
 //
 //   out(r, j) = init(r, j) + Σ_k a(r, k) · b(k, j)        (k ascending)
 //
@@ -35,7 +35,14 @@ inline bool UseSimd() {
 // are bit-identical at any width. An R x 8 tile holds 8 vector
 // accumulators at both widths (R = lanes: 2 x 8 in SSE2 xmm registers,
 // 4 x 8 in AVX2 ymm registers), leaving room for the b(k, ·) vectors and
-// the broadcast a(r, k) within 16 registers.
+// the broadcast a(r, k) within 16 registers. Columns narrower than a
+// vector (the FFN's out_dim-1 layer and its gradient column) put the R
+// rows in the lanes of one accumulator instead.
+//
+// The skip is a per-lane select, not a branch: the FFN's hidden layers
+// read ReLU outputs whose exact zeros change from row to row, which a
+// branch mispredicts. A scan for an exact zero picks select-free tiles
+// for a zero-free left operand.
 //
 // The tile bodies are templates over the vector type, compiled 2-wide for
 // the baseline ISA and — when the build has the AVX2 translation unit —
@@ -74,19 +81,33 @@ struct MulAddArgs {
   size_t ldo;
 };
 
+// acc += a · b (a or b a scalar that broadcasts), except that lanes where
+// a is exactly zero keep acc: the scalar loop's skip as a per-lane select,
+// so no branch depends on the data. (A scalar `cond ? acc : t` compiles
+// back into a branch.)
+template <bool kSkipZero, typename V, typename A, typename B>
+HFR_TILE_INLINE void MulAddLanes(V& acc, const A& a, const B& b) {
+  const V t = acc + a * b;
+  if constexpr (kSkipZero) {
+    acc = a == V{} ? acc : t;
+  } else {
+    acc = t;
+  }
+}
+
 // One R x (JV·lanes) tile at (r0, j0), accumulators in registers across
-// the whole k range.
+// the whole k range. init is read lane by lane: a memcpy into acc compiled
+// to half-width stores that the full-width loads after them cannot forward.
 template <typename V, size_t R, size_t JV, bool kSkipZero>
 HFR_TILE_INLINE void MulAddTile(const MulAddArgs& m, size_t r0, size_t j0) {
   constexpr size_t L = kLanes<V>;
   V acc[R][JV];
   for (size_t r = 0; r < R; ++r) {
     for (size_t v = 0; v < JV; ++v) {
+      acc[r][v] = V{};
       if (m.init != nullptr) {
-        std::memcpy(&acc[r][v], m.init + (r0 + r) * m.init_rs + j0 + v * L,
-                    sizeof(V));
-      } else {
-        acc[r][v] = V{};
+        const double* p = m.init + (r0 + r) * m.init_rs + j0 + v * L;
+        for (size_t l = 0; l < L; ++l) acc[r][v][l] = p[l];
       }
     }
   }
@@ -99,8 +120,9 @@ HFR_TILE_INLINE void MulAddTile(const MulAddArgs& m, size_t r0, size_t j0) {
     }
     for (size_t r = 0; r < R; ++r) {
       const double ark = a[r * m.a_rs + k * m.a_ks];
-      if (kSkipZero && ark == 0.0) continue;
-      for (size_t v = 0; v < JV; ++v) acc[r][v] += ark * bk[v];
+      for (size_t v = 0; v < JV; ++v) {
+        MulAddLanes<kSkipZero>(acc[r][v], ark, bk[v]);
+      }
     }
   }
   for (size_t r = 0; r < R; ++r) {
@@ -112,7 +134,8 @@ HFR_TILE_INLINE void MulAddTile(const MulAddArgs& m, size_t r0, size_t j0) {
 }
 
 // Rows [r0, r0 + R), columns [j0, cols): 8-wide tiles, then one-vector
-// tiles, then scalar columns.
+// tiles, then the columns narrower than a vector, each with the R rows in
+// the lanes of one accumulator.
 template <typename V, size_t R, bool kSkipZero>
 HFR_TILE_INLINE void MulAddRows(const MulAddArgs& m, size_t r0, size_t j0,
                                 size_t cols) {
@@ -120,21 +143,16 @@ HFR_TILE_INLINE void MulAddRows(const MulAddArgs& m, size_t r0, size_t j0,
   size_t j = j0;
   for (; j + 8 <= cols; j += 8) MulAddTile<V, R, 8 / L, kSkipZero>(m, r0, j);
   for (; j + L <= cols; j += L) MulAddTile<V, R, 1, kSkipZero>(m, r0, j);
+  const double* a = m.a + r0 * m.a_rs;
   for (; j < cols; ++j) {
-    // Scalar column: the R rows' chains interleave so their add latencies
-    // overlap.
-    double acc[R];
+    V acc{};
     for (size_t r = 0; r < R; ++r) {
-      acc[r] = m.init != nullptr ? m.init[(r0 + r) * m.init_rs + j] : 0.0;
+      if (m.init != nullptr) acc[r] = m.init[(r0 + r) * m.init_rs + j];
     }
-    const double* a = m.a + r0 * m.a_rs;
     for (size_t k = 0; k < m.kdim; ++k) {
-      const double bkj = m.b[k * m.ldb + j];
-      for (size_t r = 0; r < R; ++r) {
-        const double ark = a[r * m.a_rs + k * m.a_ks];
-        if (kSkipZero && ark == 0.0) continue;
-        acc[r] += ark * bkj;
-      }
+      V ak{};  // lanes past R stay +0.0 and are never stored
+      for (size_t r = 0; r < R; ++r) ak[r] = a[r * m.a_rs + k * m.a_ks];
+      MulAddLanes<kSkipZero>(acc, ak, m.b[k * m.ldb + j]);
     }
     for (size_t r = 0; r < R; ++r) m.out[(r0 + r) * m.ldo + j] = acc[r];
   }
@@ -150,74 +168,38 @@ HFR_TILE_INLINE void MulAdd(const MulAddArgs& m, size_t rows, size_t cols) {
 
 // True when the block (`outer` runs of `inner` contiguous values, runs
 // `stride` apart) holds an exact zero. The zero skip can only change a
-// result when it fires, so a zero-free left operand runs the branch-free
-// tiles — the same operations on the same targets. Only DDR's two products
-// take this fork; in the FFN weight gradients it showed no end-to-end gain
-// (measurements in docs/PERFORMANCE.md).
+// result when it fires, so a zero-free left operand (layer 0's embeddings)
+// runs the select-free tiles — the same operations on the same targets.
+template <typename V>
 HFR_TILE_INLINE bool AnyExactZero(const double* p, size_t outer,
                                   size_t stride, size_t inner) {
+  constexpr size_t L = kLanes<V>;
+  decltype(V{} == V{}) zero{};
   for (size_t o = 0; o < outer; ++o) {
     const double* run = p + o * stride;
-    unsigned zero = 0;
-    for (size_t t = 0; t < inner; ++t) zero |= run[t] == 0.0 ? 1u : 0u;
-    if (zero != 0) return true;
+    size_t t = 0;
+    for (; t + L <= inner; t += L) {
+      V v{};
+      std::memcpy(&v, run + t, sizeof(V));
+      zero |= v == 0.0;
+    }
+    for (; t < inner; ++t) zero[0] |= run[t] == 0.0 ? -1 : 0;
+  }
+  for (size_t l = 0; l < L; ++l) {
+    if (zero[l] != 0) return true;
   }
   return false;
 }
 
-// Fixed-width forward GEMV for the FFN layer widths (hidden 8, out 1):
-// compile-time OutDim keeps the accumulator row in registers.
-template <size_t OutDim>
-HFR_TILE_INLINE void GemvBatchResumeFixed(const double* x, size_t batch,
-                                          size_t x_stride, size_t in_dim,
-                                          const double* w, const double* init,
-                                          double* out) {
-  for (size_t b = 0; b < batch; ++b) {
-    const double* xrow = x + b * x_stride;
-    double acc[OutDim];
-    for (size_t j = 0; j < OutDim; ++j) acc[j] = init[j];
-    for (size_t i = 0; i < in_dim; ++i) {
-      const double xi = xrow[i];
-      if (xi == 0.0) continue;
-      const double* wrow = w + i * OutDim;
-      for (size_t j = 0; j < OutDim; ++j) acc[j] += xi * wrow[j];
-    }
-    double* orow = out + b * OutDim;
-    for (size_t j = 0; j < OutDim; ++j) orow[j] = acc[j];
-  }
-}
-
-// Forward: per (b, j) from init over ascending i, zero x skipped. The FFN
-// layer widths keep their fixed-width rows (measured: a rows x 8 tile is
-// no faster there, and slower at the evaluator's in_dim-8 blocks); wider
-// outputs (DDR's X·C) run rows x 8 tiles.
+// Forward: per (b, j) from init over ascending i, zero x skipped.
 template <typename V>
 HFR_TILE_INLINE void GemvBatchResumeTiles(const double* x, size_t batch,
                                           size_t x_stride, size_t in_dim,
                                           const double* w, const double* init,
                                           size_t out_dim, double* out) {
-  switch (out_dim) {
-    case 1:
-      return GemvBatchResumeFixed<1>(x, batch, x_stride, in_dim, w, init,
-                                     out);
-    case 2:
-      return GemvBatchResumeFixed<2>(x, batch, x_stride, in_dim, w, init,
-                                     out);
-    case 4:
-      return GemvBatchResumeFixed<4>(x, batch, x_stride, in_dim, w, init,
-                                     out);
-    case 8:
-      return GemvBatchResumeFixed<8>(x, batch, x_stride, in_dim, w, init,
-                                     out);
-    case 16:
-      return GemvBatchResumeFixed<16>(x, batch, x_stride, in_dim, w, init,
-                                      out);
-    default:
-      break;
-  }
   const MulAddArgs args{x, x_stride, 1, in_dim, w, out_dim, init, 0, out,
                         out_dim};
-  if (AnyExactZero(x, batch, x_stride, in_dim)) {
+  if (AnyExactZero<V>(x, batch, x_stride, in_dim)) {
     MulAdd<V, true>(args, batch, out_dim);
   } else {
     MulAdd<V, false>(args, batch, out_dim);
@@ -233,9 +215,13 @@ HFR_TILE_INLINE void AccumulateOuterBatchTiles(const double* in,
                                                size_t batch, size_t in_dim,
                                                size_t out_dim, double* grads_w,
                                                double* grads_b) {
-  MulAdd<V, true>({in, 1, in_dim, batch, delta, out_dim, grads_w, out_dim,
-                   grads_w, out_dim},
-                  in_dim, out_dim);
+  const MulAddArgs args{in,      1,       in_dim,  batch,   delta,
+                        out_dim, grads_w, out_dim, grads_w, out_dim};
+  if (AnyExactZero<V>(in, batch, in_dim, in_dim)) {
+    MulAdd<V, true>(args, in_dim, out_dim);
+  } else {
+    MulAdd<V, false>(args, in_dim, out_dim);
+  }
   constexpr size_t L = kLanes<V>;
   size_t j = 0;
   for (; j + L <= out_dim; j += L) {
@@ -284,7 +270,7 @@ HFR_TILE_INLINE void ColumnGramTriangle(const double* x, size_t m, size_t n,
 template <typename V>
 HFR_TILE_INLINE void ColumnGramTiles(const double* x, size_t m, size_t n,
                                      double* c) {
-  if (AnyExactZero(x, m, n, n)) {
+  if (AnyExactZero<V>(x, m, n, n)) {
     ColumnGramTriangle<V, true>(x, m, n, c);
   } else {
     ColumnGramTriangle<V, false>(x, m, n, c);
