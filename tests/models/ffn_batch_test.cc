@@ -1,9 +1,11 @@
 // ForwardBatch/BackwardBatch must be bit-identical to per-sample
-// Forward/Backward across widths and batch sizes (ISSUE 3 acceptance:
-// widths {8,16,32}, batch sizes {1,7,64}). EXPECT_EQ on doubles is the
-// point: the batched kernels preserve accumulation order exactly.
+// Forward/Backward across widths, batch sizes and head shapes. Bit
+// patterns are compared: EXPECT_EQ on doubles would accept -0.0 for +0.0,
+// which a broken exact-zero skip produces.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/math/activations.h"
@@ -13,67 +15,120 @@
 namespace hetefedrec {
 namespace {
 
-void ExpectSameNet(const FeedForwardNet& a, const FeedForwardNet& b) {
-  ASSERT_EQ(a.num_layers(), b.num_layers());
-  for (size_t l = 0; l < a.num_layers(); ++l) {
-    for (size_t t = 0; t < a.weight(l).data().size(); ++t) {
-      ASSERT_EQ(a.weight(l).data()[t], b.weight(l).data()[t])
-          << "layer " << l << " weight " << t;
-    }
-    for (size_t t = 0; t < a.bias(l).data().size(); ++t) {
-      ASSERT_EQ(a.bias(l).data()[t], b.bias(l).data()[t])
-          << "layer " << l << " bias " << t;
-    }
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+void ExpectSameBits(const Matrix& a, const Matrix& b, const char* what,
+                    size_t layer) {
+  ASSERT_EQ(a.data().size(), b.data().size());
+  for (size_t t = 0; t < a.data().size(); ++t) {
+    ASSERT_EQ(Bits(a.data()[t]), Bits(b.data()[t]))
+        << "layer " << layer << " " << what << " " << t << ": "
+        << a.data()[t] << " vs " << b.data()[t];
   }
 }
 
+void ExpectSameNet(const FeedForwardNet& a, const FeedForwardNet& b) {
+  ASSERT_EQ(a.num_layers(), b.num_layers());
+  for (size_t l = 0; l < a.num_layers(); ++l) {
+    ExpectSameBits(a.weight(l), b.weight(l), "weight", l);
+    ExpectSameBits(a.bias(l), b.bias(l), "bias", l);
+  }
+}
+
+// Gradient accumulators that start at −0.0: a term the exact-zero skip
+// must drop would turn such an entry into +0.0.
+FeedForwardNet NegativeZerosLike(const FeedForwardNet& net) {
+  FeedForwardNet grads = FeedForwardNet::ZerosLike(net);
+  for (size_t l = 0; l < grads.num_layers(); ++l) {
+    for (double& v : grads.weight(l).data()) v = -0.0;
+    for (double& v : grads.bias(l).data()) v = -0.0;
+  }
+  return grads;
+}
+
+// A hidden-layer shape. With `dead`, layer 0's biases are pushed down so
+// that most of its ReLUs output exactly +0.0, the input layer 1 reads, and
+// the later layers' biases are −0.0, which an all-zero input row keeps
+// only through the skip.
+struct Head {
+  std::vector<size_t> hidden;
+  bool dead;
+};
+
+void PrintTo(const Head& h, std::ostream* os) {
+  *os << "hidden";
+  for (size_t w : h.hidden) *os << "_" << w;
+  if (h.dead) *os << "_dead";
+}
+
 class FfnBatchEquivalence
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t, Head>> {};
 
 TEST_P(FfnBatchEquivalence, ForwardAndBackwardBitIdentical) {
   const size_t width = std::get<0>(GetParam());
   const size_t batch = std::get<1>(GetParam());
+  const Head& head = std::get<2>(GetParam());
   const size_t input_dim = 2 * width;
 
-  FeedForwardNet net(input_dim, {8, 8});
+  FeedForwardNet net(input_dim, head.hidden);
   Rng rng(91);
   net.InitXavier(&rng);
+  if (head.dead) {
+    for (double& b : net.bias(0).data()) b = -0.6;
+    for (size_t l = 1; l < net.num_layers(); ++l) {
+      for (double& b : net.bias(l).data()) b = -0.0;
+    }
+  }
 
   std::vector<double> x(batch * input_dim);
   std::vector<double> dlogits(batch);
   for (double& v : x) v = rng.Normal(0.0, 0.4);
   for (double& v : dlogits) v = rng.Normal(0.0, 1.0);
-  // Exact zeros exercise the skip path shared with the scalar loops.
+  // Exact zeros of both signs exercise the skip path shared with the
+  // scalar loops.
   for (size_t t = 0; t < x.size(); t += 7) x[t] = 0.0;
+  for (size_t t = 3; t < x.size(); t += 11) x[t] = -0.0;
 
   // Batched pass.
   FeedForwardNet::BatchCache bcache;
   std::vector<double> logits_batch(batch);
   net.ForwardBatch(x.data(), batch, &bcache, logits_batch.data());
-  FeedForwardNet grads_batch = FeedForwardNet::ZerosLike(net);
+  FeedForwardNet grads_batch = NegativeZerosLike(net);
   std::vector<double> dx_batch(batch * input_dim);
   net.BackwardBatch(bcache, dlogits.data(), &grads_batch, dx_batch.data());
 
   // Per-sample reference, in ascending sample order.
-  FeedForwardNet grads_ref = FeedForwardNet::ZerosLike(net);
+  FeedForwardNet grads_ref = NegativeZerosLike(net);
   std::vector<double> dx_ref(input_dim);
   FeedForwardNet::Cache cache;
+  size_t relu_zeros = 0, relu_outputs = 0;
   for (size_t b = 0; b < batch; ++b) {
     double logit = net.Forward(x.data() + b * input_dim, &cache);
-    ASSERT_EQ(logits_batch[b], logit) << "sample " << b;
+    ASSERT_EQ(Bits(logits_batch[b]), Bits(logit)) << "sample " << b;
+    for (double v : cache.post[0]) relu_zeros += v == 0.0 ? 1 : 0;
+    relu_outputs += cache.post[0].size();
     net.Backward(cache, dlogits[b], &grads_ref, dx_ref.data());
     for (size_t i = 0; i < input_dim; ++i) {
-      ASSERT_EQ(dx_batch[b * input_dim + i], dx_ref[i])
+      ASSERT_EQ(Bits(dx_batch[b * input_dim + i]), Bits(dx_ref[i]))
           << "sample " << b << " dim " << i;
     }
   }
+  if (head.dead) EXPECT_GT(2 * relu_zeros, relu_outputs);
   ExpectSameNet(grads_batch, grads_ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    WidthsAndBatches, FfnBatchEquivalence,
+    WidthsBatchesAndHeads, FfnBatchEquivalence,
     ::testing::Combine(::testing::Values(size_t{8}, size_t{16}, size_t{32}),
-                       ::testing::Values(size_t{1}, size_t{7}, size_t{64})));
+                       ::testing::Values(size_t{1}, size_t{7}, size_t{64}),
+                       ::testing::Values(Head{{8, 8}, false},
+                                         Head{{3, 5}, false},
+                                         Head{{16, 1}, false},
+                                         Head{{8, 8}, true})));
 
 TEST(FfnBatchTest, EmptyBatchIsANoOp) {
   FeedForwardNet net(8, {8, 8});
