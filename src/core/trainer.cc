@@ -1277,9 +1277,10 @@ class FederatedRun {
     }
   }
 
-  /// Restores the state written by WriteRunCheckpoint. Fatal on a missing
-  /// file or an experiment mismatch — resuming a different run would
-  /// silently produce garbage.
+  /// Restores the state written by WriteRunCheckpoint. A file that does
+  /// not load is reported by ExperimentRunner::Create; an experiment
+  /// mismatch is fatal here — resuming a different run would silently
+  /// produce garbage.
   void LoadRun() {
     const std::string path = cfg_.checkpoint_path + ".run";
     StatusOr<RunState> loaded = LoadRunState(path);
@@ -1624,6 +1625,10 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config, Dataset dataset,
 StatusOr<std::unique_ptr<ExperimentRunner>> ExperimentRunner::Create(
     const ExperimentConfig& config) {
   HFR_RETURN_NOT_OK(config.Validate());
+  if (config.resume_run) {
+    const auto state = LoadRunState(config.checkpoint_path + ".run");
+    if (!state.ok()) return state.status();
+  }
   auto data_cfg = DatasetConfigByName(config.dataset, config.data_scale);
   if (!data_cfg.ok()) return data_cfg.status();
   std::vector<Interaction> interactions = GenerateInteractions(*data_cfg);

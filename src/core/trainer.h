@@ -55,7 +55,8 @@ struct ExperimentResult {
 class ExperimentRunner {
  public:
   /// Generates the synthetic dataset and divides clients into groups.
-  /// Fails on invalid config.
+  /// Fails on invalid config, or when `resume_run` is set and the run
+  /// checkpoint does not load.
   static StatusOr<std::unique_ptr<ExperimentRunner>> Create(
       const ExperimentConfig& config);
 

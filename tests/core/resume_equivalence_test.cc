@@ -214,14 +214,19 @@ TEST(ResumeEquivalenceDeathTest, FingerprintMismatchAborts) {
   EXPECT_DEATH(RunWith(other, Method::kHeteFedRec), "");
 }
 
-// Resuming with a missing run checkpoint is a hard error, not a silent
-// fresh start.
-TEST(ResumeEquivalenceDeathTest, MissingRunCheckpointAborts) {
+// Resuming with a missing run checkpoint is an error from Create — not a
+// silent fresh start, and not an abort.
+TEST(ResumeEquivalenceTest, MissingRunCheckpointFailsCreate) {
   ExperimentConfig cfg = SmallConfig();
   cfg.checkpoint_path = testing::TempDir() + "/resume_missing_ckpt";
   RemoveRunFiles(cfg.checkpoint_path);
   cfg.resume_run = true;
-  EXPECT_DEATH(RunWith(cfg, Method::kHeteFedRec), "");
+  auto runner = ExperimentRunner::Create(cfg);
+  ASSERT_FALSE(runner.ok());
+  EXPECT_EQ(runner.status().code(), StatusCode::kIOError);
+  EXPECT_NE(runner.status().message().find("resume_missing_ckpt.run"),
+            std::string::npos)
+      << runner.status().ToString();
 }
 
 }  // namespace
