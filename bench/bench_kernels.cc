@@ -72,36 +72,52 @@ void BM_FfnForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_FfnForwardBackward)->Arg(8)->Arg(32)->Arg(128);
 
+// Distinct input blocks for the fp64 FFN arms, cycled one per iteration:
+// about 1 MiB in all, so the pool stays in L2. The hidden layers read ReLU
+// outputs whose exact zeros change from row to row; one reused block would
+// let the branch predictor learn them and hide a data-dependent branch on
+// the zero skip.
+size_t FfnBlockPool(size_t block_values) {
+  const size_t bytes = block_values * sizeof(double);
+  return std::max<size_t>(2, (size_t{1} << 20) / bytes);
+}
+
 void BM_BatchedForward(benchmark::State& state) {
-  // Per-sample Forward vs one ForwardBatch over the same 256-row block —
-  // the shape of one training task's per-epoch sample set. Arg 2 selects
-  // the compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2); the
+  // Per-sample Forward vs one ForwardBatch over a 256-row block — the
+  // shape of one training task's per-epoch sample set. Arg 2 selects the
+  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2); the
   // fp32-vs-fp64 ratio at equal algorithm is the backend speedup recorded
-  // in docs/PERFORMANCE.md "Numeric backends".
+  // in docs/PERFORMANCE.md "Numeric backends". The fp64 arms cycle through
+  // FfnBlockPool blocks, the fp32 arms reuse the first.
   const size_t width = static_cast<size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
   const int backend = static_cast<int>(state.range(2));
   constexpr size_t kBatch = 256;
+  const size_t block = kBatch * 2 * width;
+  const size_t pool = FfnBlockPool(block);
   FeedForwardNet net(2 * width, {8, 8});
   Rng rng(5);
   net.InitXavier(&rng);
-  std::vector<double> x(kBatch * 2 * width);
+  std::vector<double> x(pool * block);
   for (double& v : x) v = rng.Normal(0.0, 0.3);
   std::vector<double> logits(kBatch);
   FeedForwardNetF netf;
   netf.AssignCastFrom(net);
-  AlignedVector<float> xf(x.begin(), x.end());
+  AlignedVector<float> xf(x.begin(), x.begin() + block);
   std::vector<float> logitsf(kBatch);
   SetFp32SimdEnabled(backend == 2 && CpuSupportsFp32Simd());
+  size_t next = 0;
   for (auto _ : state) {
+    const double* xb = x.data() + next * block;
+    next = (next + 1) % pool;
     if (backend != 0) {
       netf.ForwardBatch(xf.data(), kBatch, nullptr, logitsf.data());
       benchmark::DoNotOptimize(logitsf);
     } else if (batched) {
-      net.ForwardBatch(x.data(), kBatch, nullptr, logits.data());
+      net.ForwardBatch(xb, kBatch, nullptr, logits.data());
     } else {
       for (size_t b = 0; b < kBatch; ++b) {
-        logits[b] = net.Forward(x.data() + b * 2 * width, nullptr);
+        logits[b] = net.Forward(xb + b * 2 * width, nullptr);
       }
     }
     benchmark::DoNotOptimize(logits);
@@ -127,14 +143,17 @@ void BM_BatchedBackward(benchmark::State& state) {
   // One training task's per-epoch step over a 256-row block: ForwardBatch
   // (filling the cache) + BackwardBatch into the gradient net — the
   // isolated cost of the in-run forward/backward phases. Arg 1 selects the
-  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2).
+  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2). The fp64 arm
+  // cycles through FfnBlockPool blocks, the fp32 arms reuse the first.
   const size_t width = static_cast<size_t>(state.range(0));
   const int backend = static_cast<int>(state.range(1));
   constexpr size_t kBatch = 256;
+  const size_t block = kBatch * 2 * width;
+  const size_t pool = FfnBlockPool(block);
   FeedForwardNet net(2 * width, {8, 8});
   Rng rng(5);
   net.InitXavier(&rng);
-  std::vector<double> x(kBatch * 2 * width);
+  std::vector<double> x(pool * block);
   for (double& v : x) v = rng.Normal(0.0, 0.3);
   std::vector<double> logits(kBatch), dlogits(kBatch);
   std::vector<double> dx(kBatch * 2 * width);
@@ -142,13 +161,16 @@ void BM_BatchedBackward(benchmark::State& state) {
   FeedForwardNet::BatchCache cache;
   FeedForwardNetF netf;
   netf.AssignCastFrom(net);
-  AlignedVector<float> xf(x.begin(), x.end());
+  AlignedVector<float> xf(x.begin(), x.begin() + block);
   std::vector<float> logitsf(kBatch), dlogitsf(kBatch);
   std::vector<float> dxf(kBatch * 2 * width);
   FeedForwardNetF gradsf = FeedForwardNetF::ZerosLike(netf);
   FeedForwardNetF::BatchCache cachef;
   SetFp32SimdEnabled(backend == 2 && CpuSupportsFp32Simd());
+  size_t next = 0;
   for (auto _ : state) {
+    const double* xb = x.data() + next * block;
+    next = (next + 1) % pool;
     if (backend != 0) {
       netf.ForwardBatch(xf.data(), kBatch, &cachef, logitsf.data());
       for (size_t b = 0; b < kBatch; ++b) {
@@ -158,7 +180,7 @@ void BM_BatchedBackward(benchmark::State& state) {
       benchmark::DoNotOptimize(dxf.data());
       benchmark::DoNotOptimize(&gradsf);
     } else {
-      net.ForwardBatch(x.data(), kBatch, &cache, logits.data());
+      net.ForwardBatch(xb, kBatch, &cache, logits.data());
       for (size_t b = 0; b < kBatch; ++b) {
         dlogits[b] = BceWithLogitsGrad(logits[b], 1.0);
       }
