@@ -17,8 +17,9 @@ verdicts; the correct/failed counts; and the host's reference_setup block.
 Verdicts, per workload and end-to-end metric:
   bound: "worse" when the change's median is worse than the parent's by
     more than the metric's bound (relative), else "unresolved" when either
-    side's interquartile range exceeds the bound times its median, else
-    "ok".
+    side's interquartile range exceeds the bound times its median and not
+    every run of the change reads better than every run of the parent,
+    else "ok".
   gain: true when the change won at least 9 in 10 of the pairs and its
     median is better than the parent's by more than the parent's
     interquartile range.
@@ -29,6 +30,7 @@ operations than the parent, or the --claim metric shows no gain.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -84,8 +86,10 @@ def summarize(spec_metrics, runs, with_bounds):
             worse = (cmed - pmed) if better == "lower" else (pmed - cmed)
             if pmed and worse / abs(pmed) > bound:
                 entry["bound_verdict"] = "worse"
-            elif (pq3 - pq1 > bound * abs(pmed) or
-                  cq3 - cq1 > bound * abs(cmed)):
+            elif ((pq3 - pq1 > bound * abs(pmed) or
+                   cq3 - cq1 > bound * abs(cmed)) and
+                  not all(better_than(c, p, better) for c in cv
+                          for p in pv)):
                 entry["bound_verdict"] = "unresolved"
             else:
                 entry["bound_verdict"] = "ok"
@@ -188,9 +192,12 @@ def main(argv):
 
     out = args.out or os.path.join(sides["change"],
                                    "BENCH_{}.json".format(args.pr))
+    text = json.dumps(bench, indent=1, sort_keys=True)
+    # One line per list of samples.
+    text = re.sub(r"\[\s+([^][{}]*?)\s+\]",
+                  lambda m: "[" + " ".join(m.group(1).split()) + "]", text)
     with open(out, "w", encoding="utf-8") as f:
-        json.dump(bench, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
     print("bench_pairs: wrote {} ({})".format(out, bench["verdict"]))
     for line in bad:
         print("  " + line)
