@@ -215,8 +215,8 @@ HFR_TILE_INLINE void AccumulateOuterBatchTiles(const double* in,
                                                size_t batch, size_t in_dim,
                                                size_t out_dim, double* grads_w,
                                                double* grads_b) {
-  const MulAddArgs args{in,      1,       in_dim,  batch,   delta,
-                        out_dim, grads_w, out_dim, grads_w, out_dim};
+  const MulAddArgs args{in, 1, in_dim, batch, delta, out_dim, grads_w,
+                        out_dim, grads_w, out_dim};
   if (AnyExactZero<V>(in, batch, in_dim, in_dim)) {
     MulAdd<V, true>(args, in_dim, out_dim);
   } else {
