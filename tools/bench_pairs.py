@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired end-to-end benchmark of a change against its parent.
 
-  python3 tools/bench_pairs.py --parent ../parent --change . --pr 20 \\
+  python3 tools/bench_pairs.py --parent ../parent --change . --pr N \\
       --pairs 10 --seconds 25 --seed 11 --claim hfr-ml-ncf:run_s
 
 Both arguments are checkouts holding bench/e2e/run.py and BENCHMARK.json
