@@ -2,17 +2,19 @@
 """Paired end-to-end benchmark of a change against its parent.
 
   python3 tools/bench_pairs.py --parent ../parent --change . --pr N \\
-      --pairs 10 --seconds 25 --seed 11 --claim hfr-ml-ncf:run_s
+      --pairs 10 --seed 11 --claim hfr-ml-ncf:run_s
 
 Both arguments are checkouts holding bench/e2e/run.py and BENCHMARK.json
 (each builds its own .bench_build on first use). For every pair and every
 workload in the change's BENCHMARK.json, the tool runs run.py once in each
-checkout, the order alternating from pair to pair so that a drift of the
-host does not favour one side. --trace-pairs further pairs run the traced
-mode for the per-layer metrics. It writes BENCH_<pr>.json (default: at the
-change checkout's root) with, per workload and metric, each side's samples,
-median and quartiles, and the pairs the change won; the gain-rule and bound
-verdicts; the correct/failed counts; and the host's reference_setup block.
+checkout for the benchmark's run_seconds, the order alternating from pair
+to pair so that a drift of the host does not favour one side; at least 10
+pairs, the fewest the gain rule can judge. TRACE_PAIRS further pairs run the
+traced mode for the per-layer metrics. It writes BENCH_<pr>.json (default: at
+the change checkout's root) with, per workload and metric, each side's
+samples, median and quartiles, and the pairs the change won; the gain-rule
+and bound verdicts; the correct/failed counts; and the host's
+reference_setup block.
 
 Verdicts, per workload and end-to-end metric:
   bound: "worse" when the change's median is worse than the parent's by
@@ -35,11 +37,14 @@ import statistics
 import subprocess
 import sys
 
+# Traced pairs after the untraced ones: enough to see which phases moved,
+# not to certify a phase.
+TRACE_PAIRS = 3
+MIN_PAIRS = 10
+
 
 def quartiles(values):
     """Median and the two quartiles (inclusive method, as numpy's default)."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return med, q1, q3
 
@@ -110,19 +115,14 @@ def parse_args(argv):
     ap.add_argument("--parent", required=True, help="parent checkout")
     ap.add_argument("--change", required=True, help="change checkout")
     ap.add_argument("--pr", required=True, help="names BENCH_<pr>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--trace-pairs", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="default: BENCHMARK.json run_seconds")
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated subset (default: all)")
     ap.add_argument("--claim", default=None,
                     help="WORKLOAD:METRIC whose gain the change claims")
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.trace_pairs < 0:
-        ap.error("--pairs must be >= 1 and --trace-pairs >= 0")
+    if args.pairs < MIN_PAIRS:
+        ap.error("--pairs must be >= {}".format(MIN_PAIRS))
     return args
 
 
@@ -131,16 +131,14 @@ def main(argv):
     with open(os.path.join(args.change, "BENCHMARK.json"),
               encoding="utf-8") as f:
         spec = json.load(f)
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        workloads = [w for w in workloads if w in args.workloads.split(",")]
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
 
     runs = {w: {0: [], 1: []} for w in workloads}
     setup = None
-    for trace, n in ((0, args.pairs), (1, args.trace_pairs)):
+    for trace, n in ((0, args.pairs), (1, TRACE_PAIRS)):
         for i in range(n):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                             "parent")
@@ -160,7 +158,7 @@ def main(argv):
                     file=sys.stderr)
 
     bench = {"pr": args.pr, "seed": args.seed, "seconds": seconds,
-             "pairs": args.pairs, "trace_pairs": args.trace_pairs,
+             "pairs": args.pairs, "trace_pairs": TRACE_PAIRS,
              "reference_setup": setup, "workloads": {}}
     bad = []
     for w in workloads:
@@ -168,11 +166,10 @@ def main(argv):
         traced = [(r["parent"], r["change"]) for r in runs[w][1]]
         entry = {
             "end_to_end": summarize(spec["end_to_end"], pairs, True),
+            "per_layer": summarize(spec["per_layer"], traced, False),
             "counts": {"parent": counts(runs[w][0], "parent"),
                        "change": counts(runs[w][0], "change")},
         }
-        if traced:
-            entry["per_layer"] = summarize(spec["per_layer"], traced, False)
         bench["workloads"][w] = entry
         for name, m in entry["end_to_end"].items():
             if m["bound_verdict"] == "worse":
