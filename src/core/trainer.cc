@@ -566,8 +566,9 @@ class FederatedRun {
     SetupTelemetry();
   }
 
-  ExperimentResult Run() {
-    if (cfg_.resume_run) LoadRun();
+  /// Runs to completion, first restoring `resume` when it is not null.
+  ExperimentResult Run(const RunState* resume) {
+    if (resume != nullptr) LoadRun(*resume);
     for (int epoch = start_epoch_; epoch <= cfg_.global_epochs; ++epoch) {
       if (!resume_mid_epoch_) {
         loss_sum_ = 0.0;
@@ -1277,16 +1278,10 @@ class FederatedRun {
     }
   }
 
-  /// Restores the state written by WriteRunCheckpoint. A file that does
-  /// not load is reported by ExperimentRunner::Create; an experiment
-  /// mismatch is fatal here — resuming a different run would silently
-  /// produce garbage.
-  void LoadRun() {
-    const std::string path = cfg_.checkpoint_path + ".run";
-    StatusOr<RunState> loaded = LoadRunState(path);
-    HFR_CHECK(loaded.ok()) << "resume from " << path
-                           << " failed: " << loaded.status().ToString();
-    RunState st = std::move(loaded).value();
+  /// Restores `st`, the state WriteRunCheckpoint wrote; Create loads it and
+  /// reports a file that does not load. An experiment mismatch is fatal —
+  /// resuming a different run would silently produce garbage.
+  void LoadRun(RunState st) {
     HFR_CHECK_EQ(st.fingerprint, ConfigFingerprint(cfg_, MethodName(method_)))
         << " — the checkpoint was written under a different experiment "
            "configuration";
@@ -1617,17 +1612,21 @@ class FederatedRun {
 }  // namespace
 
 ExperimentRunner::ExperimentRunner(ExperimentConfig config, Dataset dataset,
-                                   GroupAssignment groups)
+                                   GroupAssignment groups,
+                                   std::shared_ptr<const RunState> resume)
     : config_(std::move(config)),
       dataset_(std::move(dataset)),
-      groups_(std::move(groups)) {}
+      groups_(std::move(groups)),
+      resume_(std::move(resume)) {}
 
 StatusOr<std::unique_ptr<ExperimentRunner>> ExperimentRunner::Create(
     const ExperimentConfig& config) {
   HFR_RETURN_NOT_OK(config.Validate());
+  std::shared_ptr<const RunState> resume;
   if (config.resume_run) {
-    const auto state = LoadRunState(config.checkpoint_path + ".run");
+    auto state = LoadRunState(config.checkpoint_path + ".run");
     if (!state.ok()) return state.status();
+    resume = std::make_shared<const RunState>(std::move(state).value());
   }
   auto data_cfg = DatasetConfigByName(config.dataset, config.data_scale);
   if (!data_cfg.ok()) return data_cfg.status();
@@ -1639,8 +1638,9 @@ StatusOr<std::unique_ptr<ExperimentRunner>> ExperimentRunner::Create(
   if (!ds.ok()) return ds.status();
   auto groups = AssignGroups(*ds, config.group_fractions);
   if (!groups.ok()) return groups.status();
-  return std::unique_ptr<ExperimentRunner>(new ExperimentRunner(
-      config, std::move(ds).value(), std::move(groups).value()));
+  return std::unique_ptr<ExperimentRunner>(
+      new ExperimentRunner(config, std::move(ds).value(),
+                           std::move(groups).value(), std::move(resume)));
 }
 
 ExperimentResult ExperimentRunner::Run(Method method) const {
@@ -1650,7 +1650,7 @@ ExperimentResult ExperimentRunner::Run(Method method) const {
 
 ExperimentResult ExperimentRunner::RunFederated(Method method) const {
   FederatedRun run(config_, dataset_, groups_, method);
-  return run.Run();
+  return run.Run(resume_.get());
 }
 
 ExperimentResult ExperimentRunner::RunStandalone() const {

@@ -14,6 +14,8 @@
 
 namespace hetefedrec {
 
+struct RunState;
+
 /// \brief One point of a convergence curve (Fig. 7).
 struct EpochPoint {
   int epoch = 0;            // 1-based global epoch
@@ -69,7 +71,8 @@ class ExperimentRunner {
 
  private:
   ExperimentRunner(ExperimentConfig config, Dataset dataset,
-                   GroupAssignment groups);
+                   GroupAssignment groups,
+                   std::shared_ptr<const RunState> resume);
 
   /// Federated schemes (everything except Standalone).
   ExperimentResult RunFederated(Method method) const;
@@ -80,6 +83,8 @@ class ExperimentRunner {
   ExperimentConfig config_;
   Dataset dataset_;
   GroupAssignment groups_;
+  /// The run state Create loaded when `resume_run` is set, else null.
+  std::shared_ptr<const RunState> resume_;
 };
 
 }  // namespace hetefedrec
