@@ -41,8 +41,9 @@ inline bool UseSimd() {
 //
 // The skip is a per-lane select, not a branch: the FFN's hidden layers
 // read ReLU outputs whose exact zeros change from row to row, which a
-// branch mispredicts. A scan for an exact zero picks select-free tiles
-// for a zero-free left operand.
+// branch mispredicts. The forward and the column Gram scan their left
+// operand and run select-free tiles when it holds no exact zero; the
+// weight gradients always select, as the scan gained nothing there.
 //
 // The tile bodies are templates over the vector type, compiled 2-wide for
 // the baseline ISA and — when the build has the AVX2 translation unit —
@@ -217,11 +218,7 @@ HFR_TILE_INLINE void AccumulateOuterBatchTiles(const double* in,
                                                double* grads_b) {
   const MulAddArgs args{in, 1, in_dim, batch, delta, out_dim, grads_w,
                         out_dim, grads_w, out_dim};
-  if (AnyExactZero<V>(in, batch, in_dim, in_dim)) {
-    MulAdd<V, true>(args, in_dim, out_dim);
-  } else {
-    MulAdd<V, false>(args, in_dim, out_dim);
-  }
+  MulAdd<V, true>(args, in_dim, out_dim);
   constexpr size_t L = kLanes<V>;
   size_t j = 0;
   for (; j + L <= out_dim; j += L) {
