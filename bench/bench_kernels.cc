@@ -85,10 +85,11 @@ size_t FfnBlockPool(size_t block_values) {
 void BM_BatchedForward(benchmark::State& state) {
   // Per-sample Forward vs one ForwardBatch over a 256-row block — the
   // shape of one training task's per-epoch sample set. Arg 2 selects the
-  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2); the
-  // fp32-vs-fp64 ratio at equal algorithm is the backend speedup recorded
-  // in docs/PERFORMANCE.md "Numeric backends". The fp64 arms cycle through
-  // FfnBlockPool blocks, the fp32 arms reuse the first.
+  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2). The fp64 arms
+  // cycle through FfnBlockPool blocks, the fp32 arms reuse the first, so
+  // the fp32-vs-fp64 ratio is not the backend speedup at equal inputs of
+  // docs/PERFORMANCE.md "Numeric backends": it also holds the pool's L2
+  // traffic and the zero pattern the fp64 arms cannot learn.
   const size_t width = static_cast<size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
   const int backend = static_cast<int>(state.range(2));
