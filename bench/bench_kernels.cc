@@ -604,9 +604,10 @@ BENCHMARK(BM_FederatedRound)
 // One streaming round against the parameter server (arg 0 = shard count,
 // S ∈ {1, 8}): 256 power-law clients from user 0 build MF-SGD row deltas
 // against the live table and merge through UploadDelta
-// (bench/stream_round.h). S=1 is the one-shard baseline; S=8 adds the
-// range-routing and per-shard buffer overhead the scale-out pays per
-// round — bench_sharding runs the same rounds end to end at 1M clients.
+// (bench/stream_round.h). S=1 is the one-shard baseline; S=8 adds only the
+// per-row shard lookup of the upload accounting, since the round state is
+// one whole-catalogue buffer at any S — bench_sharding runs the same
+// rounds end to end at 1M clients.
 void BM_ShardedRound(benchmark::State& state) {
   ShardedServer::Options so;
   so.widths = {32};

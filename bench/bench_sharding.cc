@@ -9,8 +9,8 @@
 // throughput, upload bytes/round, the per-shard upload balance under the
 // Zipf-head item skew, and process peak RSS. Every S run replays the same
 // seeds, and the final tables are checked bit-identical to the S=1 run —
-// the shard count changes memory layout and accounting, never arithmetic
-// (the merge-order contract pinned by tests/core/sharding_equivalence_test).
+// the shard count changes per-shard accounting, never arithmetic (pinned by
+// tests/core/sharding_equivalence_test).
 //
 // Acceptance (ISSUE 9): the 1M-client run completes for every S with peak
 // RSS under --max_rss_mb, and all S > 1 tables match S=1 bit-for-bit.

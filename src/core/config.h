@@ -158,12 +158,12 @@ struct ExperimentConfig {
   ComputeBackend compute_backend = ComputeBackend::kFp64;
 
   /// Item-range parameter-server shards (docs/SYNC.md "Sharding"). 0
-  /// (default) and 1 both mean one shard. Because padded aggregation is
-  /// row-independent every S reproduces the same tables bit-for-bit (the
-  /// shard count changes memory layout and per-shard accounting, not
-  /// arithmetic — pinned by tests/core/sharding_equivalence_test.cc).
-  /// Participates in the resume fingerprint as given, so 0 and 1 do not
-  /// resume into each other.
+  /// (default) and 1 both mean one shard. A shard is only the row range
+  /// that per-shard upload accounting counts against; the server keeps one
+  /// round state, so every S reproduces the same tables bit-for-bit
+  /// (pinned by tests/core/sharding_equivalence_test.cc). Participates in
+  /// the resume fingerprint as given, so 0 and 1 do not resume into each
+  /// other.
   size_t server_shards = 0;
 
   // --- delta sync & simulated network (docs/SYNC.md) --------------------

@@ -123,7 +123,8 @@ Status SaveRunState(const std::string& path, const RunState& state) {
     HFR_RETURN_NOT_OK(WriteMeta(&out, "method", state.method));
     HFR_RETURN_NOT_OK(WriteMeta(&out, "base_model", state.base_model));
 
-    const uint64_t num_slots = state.tables.size();
+    const ServerSnapshot& server = state.server;
+    const uint64_t num_slots = server.tables.size();
     const uint64_t num_clients = state.client_rngs.size();
     std::vector<uint64_t> scalars = {
         state.fingerprint,    state.next_epoch,
@@ -132,7 +133,7 @@ Status SaveRunState(const std::string& path, const RunState& state) {
         Bits(state.loss_sum), state.loss_count,
         Bits(state.sim_clock), Bits(state.async_clock),
         state.async_next_seq, state.async_merged,
-        state.async_dropped,  state.version_round,
+        state.async_dropped,  server.version_round,
         num_slots,            num_clients,
         state.has_replicas};
     HFR_RETURN_NOT_OK(WriteU64Vector(&out, scalars));
@@ -152,12 +153,12 @@ Status SaveRunState(const std::string& path, const RunState& state) {
     HFR_RETURN_NOT_OK(WriteU64Vector(&out, embeds));
 
     for (size_t s = 0; s < num_slots; ++s) {
-      HFR_RETURN_NOT_OK(WriteMatrix(&out, state.tables[s]));
-      HFR_RETURN_NOT_OK(WriteFfn(&out, state.thetas[s]));
+      HFR_RETURN_NOT_OK(WriteMatrix(&out, server.tables[s]));
+      HFR_RETURN_NOT_OK(WriteFfn(&out, server.thetas[s]));
     }
-    HFR_RETURN_NOT_OK(WriteU64Vector(&out, state.version_floors));
+    HFR_RETURN_NOT_OK(WriteU64Vector(&out, server.version_floors));
     for (size_t s = 0; s < num_slots; ++s) {
-      HFR_RETURN_NOT_OK(WriteU64Vector(&out, state.versions[s]));
+      HFR_RETURN_NOT_OK(WriteU64Vector(&out, server.versions[s]));
     }
     HFR_RETURN_NOT_OK(WriteU64Vector(&out, state.queue_pending));
     HFR_RETURN_NOT_OK(WriteU64Vector(&out, state.comm_counters));
@@ -248,7 +249,7 @@ StatusOr<RunState> LoadRunState(const std::string& path) {
   state.async_next_seq = sc[10];
   state.async_merged = sc[11];
   state.async_dropped = sc[12];
-  state.version_round = sc[13];
+  state.server.version_round = sc[13];
   const uint64_t num_slots = sc[14];
   const uint64_t num_clients = sc[15];
   state.has_replicas = sc[16];
@@ -298,8 +299,8 @@ StatusOr<RunState> LoadRunState(const std::string& path) {
     if (!table.ok()) return table.status();
     auto theta = ReadFfn(&in);
     if (!theta.ok()) return theta.status();
-    state.tables.push_back(std::move(table).value());
-    state.thetas.push_back(std::move(theta).value());
+    state.server.tables.push_back(std::move(table).value());
+    state.server.thetas.push_back(std::move(theta).value());
   }
 
   auto floors = ReadU64Vector(&in);
@@ -307,11 +308,11 @@ StatusOr<RunState> LoadRunState(const std::string& path) {
   if (floors->size() != num_slots) {
     return Status::InvalidArgument("run state: bad version floors");
   }
-  state.version_floors = std::move(floors).value();
+  state.server.version_floors = std::move(floors).value();
   for (uint64_t s = 0; s < num_slots; ++s) {
     auto versions = ReadU64Vector(&in);
     if (!versions.ok()) return versions.status();
-    state.versions.push_back(std::move(versions).value());
+    state.server.versions.push_back(std::move(versions).value());
   }
 
   auto queue = ReadU64Vector(&in);

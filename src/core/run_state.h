@@ -19,8 +19,8 @@
 
 #include "src/core/config.h"
 #include "src/core/trainer.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/math/matrix.h"
-#include "src/models/ffn.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -62,11 +62,7 @@ struct RunState {
   std::vector<Matrix> client_embeddings;  ///< 1 x width each
 
   // --- server public state ---------------------------------------------
-  std::vector<Matrix> tables;
-  std::vector<FeedForwardNet> thetas;
-  uint64_t version_round = 0;
-  std::vector<uint64_t> version_floors;            ///< per slot
-  std::vector<std::vector<uint64_t>> versions;     ///< per slot, per row
+  ServerSnapshot server;  ///< tables, Θ heads and version stamps
 
   // --- scheduler / aggregator ------------------------------------------
   std::vector<uint64_t> queue_pending;  ///< head..tail of the epoch queue

@@ -1235,15 +1235,7 @@ class FederatedRun {
       st.client_rngs.push_back(c.rng.SaveState());
       st.client_embeddings.push_back(c.user_embedding);
     }
-    // The server's mutable state crosses through ShardedServer::Snapshot,
-    // whose layout is shard-count independent — runs checkpoint and resume
-    // through the same RunState fields at any shard count.
-    ServerSnapshot server_snap = server_->Snapshot();
-    st.tables = std::move(server_snap.tables);
-    st.thetas = std::move(server_snap.thetas);
-    st.version_floors = std::move(server_snap.version_floors);
-    st.versions = std::move(server_snap.versions);
-    st.version_round = server_snap.version_round;
+    st.server = server_->Snapshot();
     for (UserId u : queue_->PendingSnapshot()) {
       st.queue_pending.push_back(static_cast<uint64_t>(u));
     }
@@ -1287,7 +1279,7 @@ class FederatedRun {
            "configuration";
     HFR_CHECK(st.method == MethodName(method_));
     HFR_CHECK(st.base_model == BaseModelName(cfg_.base_model));
-    HFR_CHECK_EQ(st.tables.size(), server_->num_slots());
+    HFR_CHECK_EQ(st.server.tables.size(), server_->num_slots());
     HFR_CHECK_EQ(st.client_rngs.size(), clients_.size());
     HFR_CHECK_EQ(st.client_embeddings.size(), clients_.size());
 
@@ -1307,13 +1299,7 @@ class FederatedRun {
                    clients_[u].user_embedding.cols());
       clients_[u].user_embedding = std::move(st.client_embeddings[u]);
     }
-    ServerSnapshot server_snap;
-    server_snap.tables = std::move(st.tables);
-    server_snap.thetas = std::move(st.thetas);
-    server_snap.version_round = st.version_round;
-    server_snap.version_floors = std::move(st.version_floors);
-    server_snap.versions = std::move(st.versions);
-    server_->RestoreSnapshot(std::move(server_snap));
+    server_->RestoreSnapshot(std::move(st.server));
     std::vector<UserId> pending;
     pending.reserve(st.queue_pending.size());
     for (uint64_t u : st.queue_pending) {

@@ -9,8 +9,7 @@ namespace hetefedrec {
 
 ShardedServer::ShardedServer(const Options& options)
     : aggregation_(options.aggregation),
-      shared_aggregation_(options.shared_aggregation),
-      view_(this) {
+      shared_aggregation_(options.shared_aggregation) {
   HFR_CHECK(!options.widths.empty());
   HFR_CHECK_GT(options.num_items, 0u);
   HFR_CHECK_GT(options.num_shards, 0u);
@@ -33,23 +32,19 @@ ShardedServer::ShardedServer(const Options& options)
     thetas_.push_back(std::move(theta));
   }
 
-  const size_t S = options.num_shards;
-  shards_.resize(S);
-  shard_starts_.reserve(S);
-  for (size_t i = 0; i < S; ++i) {
-    Shard& sh = shards_[i];
-    sh.lo = options.num_items * i / S;
-    const size_t hi = options.num_items * (i + 1) / S;
-    sh.rows = hi - sh.lo;
-    sh.versions = VersionedTable(tables_.size(), sh.rows);
-    sh.v_agg = Matrix(sh.rows, max_width);
-    if (!shared_aggregation_) {
-      for (size_t w : options.widths) {
-        sh.v_agg_per_slot.emplace_back(sh.rows, w);
-      }
-    }
-    shard_starts_.push_back(sh.lo);
+  versions_ = VersionedTable(tables_.size(), num_items_);
+  if (shared_aggregation_) {
+    v_agg_.emplace_back(num_items_, max_width);
+  } else {
+    for (size_t w : options.widths) v_agg_.emplace_back(num_items_, w);
   }
+  touched_mask_.assign(num_items_, 0);
+
+  const size_t S = options.num_shards;
+  for (size_t i = 0; i < S; ++i) {
+    shard_starts_.push_back(num_items_ * i / S);
+  }
+  shard_upload_scalars_.assign(S, 0);
 
   segment_weight_.assign(tables_.size(), 0.0);
   slot_weight_.assign(tables_.size(), 0.0);
@@ -58,7 +53,6 @@ ShardedServer::ShardedServer(const Options& options)
     theta_agg_.push_back(FeedForwardNet::ZerosLike(t));
   }
   theta_weight_.assign(thetas_.size(), 0.0);
-  touched_mask_.assign(options.num_items, 0);
 }
 
 size_t ShardedServer::shard_of_row(size_t row) const {
@@ -73,31 +67,18 @@ size_t ShardedServer::SlotParamCount(size_t slot) const {
   return tables_[slot].size() + thetas_[slot].ParamCount();
 }
 
-void ShardedServer::MarkTouched(uint32_t row, Shard* shard) {
-  HFR_CHECK_LT(row, touched_mask_.size());
-  if (!touched_mask_[row]) {
-    touched_mask_[row] = 1;
-    shard->touched.push_back(row);
-  }
-}
-
 void ShardedServer::BeginRound() {
   // Zero only what the previous round dirtied (the constructor
   // zero-initialized the buffers for the first round).
-  for (Shard& sh : shards_) {
-    for (uint32_t r : sh.touched) {
-      double* row = sh.v_agg.Row(r - sh.lo);
-      std::fill(row, row + sh.v_agg.cols(), 0.0);
-      for (auto& m : sh.v_agg_per_slot) {
-        double* srow = m.Row(r - sh.lo);
-        std::fill(srow, srow + m.cols(), 0.0);
-      }
-      touched_mask_[r] = 0;
+  for (uint32_t r : touched_) {
+    for (Matrix& m : v_agg_) {
+      double* row = m.Row(r);
+      std::fill(row, row + m.cols(), 0.0);
     }
-    sh.touched.clear();
-    // Lockstep: every shard's version table advances each round.
-    sh.versions.AdvanceRound();
+    touched_mask_[r] = 0;
   }
+  touched_.clear();
+  versions_.AdvanceRound();
 
   std::fill(segment_weight_.begin(), segment_weight_.end(), 0.0);
   std::fill(slot_weight_.begin(), slot_weight_.end(), 0.0);
@@ -116,22 +97,22 @@ void ShardedServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
   const size_t client_width = up.width;
   HFR_CHECK_EQ(tasks.back().width, client_width);
 
-  // Eq. 7-8: route each delta row to its shard's buffer — zero-padded to
-  // the widest slot in shared mode, the client's own slot when clustered.
+  // Eq. 7-8: accumulate each delta row — zero-padded to the widest slot
+  // in shared mode, into the client's own slot when clustered.
   const size_t slot = tasks.back().slot;
   if (!shared_aggregation_) {
     HFR_CHECK_LT(slot, tables_.size());
     HFR_CHECK_EQ(tables_[slot].cols(), client_width);
   }
+  Matrix& agg = v_agg_[shared_aggregation_ ? 0 : slot];
   for (size_t k = 0; k < up.num_rows(); ++k) {
     const uint32_t r = up.rows[k];
-    Shard& sh = shards_[shard_of_row(r)];
-    MarkTouched(r, &sh);
-    double* dst = shared_aggregation_
-                      ? sh.v_agg.Row(r - sh.lo)
-                      : sh.v_agg_per_slot[slot].Row(r - sh.lo);
-    Axpy(weight, up.RowData(k), dst, client_width);
-    sh.upload_scalars += client_width;
+    shard_upload_scalars_[shard_of_row(r)] += client_width;
+    if (!touched_mask_[r]) {
+      touched_mask_[r] = 1;
+      touched_.push_back(r);
+    }
+    Axpy(weight, up.RowData(k), agg.Row(r), client_width);
   }
 
   if (shared_aggregation_) {
@@ -162,10 +143,7 @@ void ShardedServer::FinishRound() {
     // normalized by the total weight of clients wide enough to have
     // updated it — the natural extension of FedAvg to padded aggregation.
     // Segment `seg` spans the columns [width(seg-1), width(seg)), whose
-    // accumulated weight is segment_weight_[seg]. Deterministic cross-shard
-    // merge order: for every (slot, segment) pair, shards apply in
-    // ascending shard id, each replaying its touched rows in upload order,
-    // so the result is bit-identical for any S.
+    // accumulated weight is segment_weight_[seg].
     for (size_t s = 0; s < tables_.size(); ++s) {
       size_t col0 = 0;
       for (size_t seg = 0; seg <= s; ++seg) {
@@ -178,12 +156,10 @@ void ShardedServer::FinishRound() {
           }
           seg_scale = 1.0 / segment_weight_[seg];
         }
-        for (const Shard& sh : shards_) {
-          for (uint32_t r : sh.touched) {
-            const double* src = sh.v_agg.Row(r - sh.lo);
-            double* dst = tables_[s].Row(r);
-            for (size_t c = col0; c < col1; ++c) dst[c] += seg_scale * src[c];
-          }
+        for (uint32_t r : touched_) {
+          const double* src = v_agg_[0].Row(r);
+          double* dst = tables_[s].Row(r);
+          for (size_t c = col0; c < col1; ++c) dst[c] += seg_scale * src[c];
         }
         col0 = col1;
       }
@@ -194,11 +170,8 @@ void ShardedServer::FinishRound() {
       const double scale = aggregation_ == AggregationMode::kSum
                                ? 1.0
                                : 1.0 / slot_weight_[s];
-      for (const Shard& sh : shards_) {
-        for (uint32_t r : sh.touched) {
-          Axpy(scale, sh.v_agg_per_slot[s].Row(r - sh.lo), tables_[s].Row(r),
-               tables_[s].cols());
-        }
+      for (uint32_t r : touched_) {
+        Axpy(scale, v_agg_[s].Row(r), tables_[s].Row(r), tables_[s].cols());
       }
     }
   }
@@ -215,8 +188,8 @@ void ShardedServer::FinishRound() {
   // Version stamps for delta sync: a slot's table changed iff some width
   // segment it reads received weight. The row set is the one the apply
   // loops visited; stamping a touched row for every eligible slot is a
-  // (safe) over-approximation in clustered mode, where the touched lists
-  // are not split per slot.
+  // (safe) over-approximation in clustered mode, where the touched list
+  // is not split per slot.
   for (size_t s = 0; s < tables_.size(); ++s) {
     bool changed = false;
     if (shared_aggregation_) {
@@ -227,11 +200,7 @@ void ShardedServer::FinishRound() {
       changed = slot_weight_[s] > 0.0;
     }
     if (!changed) continue;
-    for (Shard& sh : shards_) {
-      for (uint32_t r : sh.touched) {
-        sh.versions.Stamp(s, static_cast<uint32_t>(r - sh.lo));
-      }
-    }
+    for (uint32_t r : touched_) versions_.Stamp(s, r);
   }
 }
 
@@ -262,10 +231,7 @@ double ShardedServer::Distill(const DistillationOptions& options, Rng* rng) {
   // client's touched set — so their versions must advance or replicas would
   // serve stale bytes.
   for (size_t s = 0; s < tables_.size(); ++s) {
-    for (ItemId i : sampled) {
-      Shard& sh = shards_[shard_of_row(static_cast<size_t>(i))];
-      sh.versions.Stamp(s, static_cast<uint32_t>(i - sh.lo));
-    }
+    for (ItemId i : sampled) versions_.Stamp(s, static_cast<uint32_t>(i));
   }
   return loss;
 }
@@ -281,20 +247,10 @@ ServerSnapshot ShardedServer::Snapshot() const {
   ServerSnapshot snap;
   snap.tables = tables_;
   snap.thetas = thetas_;
-  snap.version_round = shards_[0].versions.round();
-  snap.version_floors.reserve(tables_.size());
-  snap.versions.reserve(tables_.size());
+  snap.version_round = versions_.round();
   for (size_t s = 0; s < tables_.size(); ++s) {
-    // Floors are identical across shards (only Restore sets them, to the
-    // same value on every shard), so shard 0's floor is the global floor.
-    snap.version_floors.push_back(shards_[0].versions.floor_of(s));
-    std::vector<uint64_t> merged;
-    merged.reserve(num_items_);
-    for (const Shard& sh : shards_) {
-      const std::vector<uint64_t>& local = sh.versions.slot_versions(s);
-      merged.insert(merged.end(), local.begin(), local.end());
-    }
-    snap.versions.push_back(std::move(merged));
+    snap.version_floors.push_back(versions_.floor_of(s));
+    snap.versions.push_back(versions_.slot_versions(s));
   }
   return snap;
 }
@@ -307,20 +263,12 @@ void ShardedServer::RestoreSnapshot(ServerSnapshot snapshot) {
     HFR_CHECK_EQ(snapshot.tables[s].rows(), tables_[s].rows());
     HFR_CHECK_EQ(snapshot.tables[s].cols(), tables_[s].cols());
     HFR_CHECK_EQ(snapshot.thetas[s].ParamCount(), thetas_[s].ParamCount());
-    HFR_CHECK_EQ(snapshot.versions[s].size(), num_items_);
   }
   tables_ = std::move(snapshot.tables);
   thetas_ = std::move(snapshot.thetas);
-  for (Shard& sh : shards_) {
-    std::vector<std::vector<uint64_t>> local(tables_.size());
-    for (size_t s = 0; s < tables_.size(); ++s) {
-      const std::vector<uint64_t>& global = snapshot.versions[s];
-      local[s].assign(global.begin() + sh.lo,
-                      global.begin() + sh.lo + sh.rows);
-    }
-    sh.versions.Restore(snapshot.version_round, snapshot.version_floors,
-                        local);
-  }
+  versions_.Restore(snapshot.version_round,
+                    std::move(snapshot.version_floors),
+                    std::move(snapshot.versions));
 }
 
 }  // namespace hetefedrec

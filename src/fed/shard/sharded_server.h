@@ -14,33 +14,22 @@
 // aggregator, admission control, checkpointing, telemetry, benches — talks
 // to this one class.
 //
-// Item-range sharding. The catalogue's row space [0, num_items) is split
-// into S >= 1 contiguous, near-equal ranges; shard s owns rows
-// [lo_s, lo_{s+1}) with lo_s = floor(num_items * s / S). Each shard owns its
-// slice of the round state — aggregate buffers, touched-row list, and a
-// `VersionedTable` (local row indexing) — while the canonical per-slot
-// tables and Θ FFNs stay whole-catalogue (Θ aggregation and RESKD are
-// cross-row operations; see docs/SYNC.md "Sharding").
-//
-// Merge-order contract: `FinishRound` visits shards in ascending shard id
-// inside every (slot, width-segment) apply loop, and each shard replays its
-// touched rows in upload order. Because the padded aggregation of Eq. 7-9
-// is row-independent — accumulate is a per-row Axpy, apply is a per-row
-// scaled add, and the segment/slot/Θ weights are global scalars — the
-// result is *bit-identical* for every shard count (pinned by
-// tests/core/sharding_equivalence_test and tests/fed/sharded_server_test).
+// Item-range shards. The catalogue's row space [0, num_items) is split
+// into S >= 1 contiguous, near-equal ranges; shard s covers rows
+// [lo_s, lo_{s+1}) with lo_s = floor(num_items * s / S). A shard is only an
+// accounting partition: uploads count the item-delta scalars that land in
+// each range (bench_sharding's skew column), while the tables, Θ FFNs,
+// aggregate buffers, touched-row list and version stamps are one
+// whole-catalogue round state indexed by global row (docs/SYNC.md
+// "Sharding"). The shard count therefore changes no arithmetic.
 //
 // Every client update arrives as a SparseRowUpdate over the rows it
 // changed (all rows from the dense reference trainer), so each round costs
 // O(rows touched) in accumulate, apply, stamp and the next round's clear.
-//
-// Round lockstep: BeginRound advances every shard's version table, so all
-// shards always agree on the current round, and RestoreSnapshot gives every
-// shard the same per-slot version floors. That invariant is what lets
-// Snapshot() export one global `version_round` and per-slot floors while
-// concatenating the raw per-row stamps by row range — a
-// shard-count-independent layout, making checkpoints portable across shard
-// counts.
+// `FinishRound` applies the touched rows in upload order; the padded
+// aggregation of Eq. 7-9 is row-independent (accumulate is a per-row Axpy,
+// apply a per-row scaled add, the segment/slot/Θ weights global scalars),
+// so the visiting order changes no bit.
 #ifndef HETEFEDREC_FED_SHARD_SHARDED_SERVER_H_
 #define HETEFEDREC_FED_SHARD_SHARDED_SERVER_H_
 
@@ -59,14 +48,11 @@
 
 namespace hetefedrec {
 
-/// \brief Full mutable server state in a shard-count-independent layout.
-///
-/// Field-for-field the server portion of `RunState` (src/core/run_state.h):
-/// whole-catalogue per-slot tables and thetas, plus the raw version-stamp
-/// state (per-slot floors and per-row stamps, *not* floored).
-/// The server concatenates its per-shard state into this layout on
-/// Snapshot and splits it back on RestoreSnapshot, which is what makes
-/// checkpoints portable across shard counts.
+/// \brief Full mutable server state: the server portion of `RunState`
+/// (src/core/run_state.h). Whole-catalogue per-slot tables and thetas, plus
+/// the raw version-stamp state (per-slot floors and per-row stamps, *not*
+/// floored). Nothing in it depends on the shard count, so checkpoints are
+/// portable across shard counts.
 struct ServerSnapshot {
   std::vector<Matrix> tables;               // [slot], num_items x width(slot)
   std::vector<FeedForwardNet> thetas;       // [slot]
@@ -75,7 +61,8 @@ struct ServerSnapshot {
   std::vector<std::vector<uint64_t>> versions;  // [slot][row], raw stamps
 };
 
-/// \brief Heterogeneous federated parameter server over S item-range shards.
+/// \brief Heterogeneous federated parameter server; S item-range shards
+/// partition its upload accounting.
 class ShardedServer {
  public:
   struct Options {
@@ -94,15 +81,11 @@ class ShardedServer {
     bool shared_aggregation = true;
     uint64_t seed = 1;
     /// Item-range shards, 1 <= num_shards <= num_items. Any value gives
-    /// bit-identical tables; it changes memory layout and per-shard
-    /// accounting only.
+    /// bit-identical tables; it changes per-shard accounting only.
     size_t num_shards = 1;
   };
 
   explicit ShardedServer(const Options& options);
-  // The version view points back at its server.
-  ShardedServer(const ShardedServer&) = delete;
-  ShardedServer& operator=(const ShardedServer&) = delete;
 
   // ---- Geometry -------------------------------------------------------
   size_t num_slots() const { return tables_.size(); }
@@ -112,33 +95,35 @@ class ShardedServer {
   size_t SlotParamCount(size_t slot) const;
 
   // ---- Sharding topology ----------------------------------------------
-  size_t num_shards() const { return shards_.size(); }
-  /// Shard owning item row `row`.
+  size_t num_shards() const { return shard_starts_.size(); }
+  /// Shard whose range holds item row `row`.
   size_t shard_of_row(size_t row) const;
   /// Cumulative item-embedding delta scalars uploaded into `shard`'s row
   /// range over the server's lifetime (Θ deltas are global, not counted).
   /// Feeds the bytes/round-per-shard accounting in bench_sharding.
   uint64_t shard_upload_scalars(size_t shard) const {
-    HFR_CHECK_LT(shard, shards_.size());
-    return shards_[shard].upload_scalars;
+    HFR_CHECK_LT(shard, shard_upload_scalars_.size());
+    return shard_upload_scalars_[shard];
   }
   /// First row of `shard`'s range (range end = start of shard + 1, or
   /// num_items for the last shard).
   size_t shard_row_begin(size_t shard) const {
-    HFR_CHECK_LT(shard, shards_.size());
-    return shards_[shard].lo;
+    HFR_CHECK_LT(shard, shard_starts_.size());
+    return shard_starts_[shard];
   }
   size_t shard_row_count(size_t shard) const {
-    HFR_CHECK_LT(shard, shards_.size());
-    return shards_[shard].rows;
+    const size_t end = shard + 1 < shard_starts_.size()
+                           ? shard_starts_[shard + 1]
+                           : num_items_;
+    return end - shard_row_begin(shard);
   }
 
   // ---- Download surface (read-only views) -----------------------------
   const Matrix& table(size_t slot) const { return tables_[slot]; }
   const FeedForwardNet& theta(size_t slot) const { return thetas_[slot]; }
-  /// Row-version view for the delta-sync protocol (docs/SYNC.md): a row's
+  /// Row versions for the delta-sync protocol (docs/SYNC.md): a row's
   /// version is the round of the last FinishRound/Distill that changed it.
-  const VersionView& versions() const { return view_; }
+  const VersionedTable& versions() const { return versions_; }
 
   // ---- Round protocol -------------------------------------------------
   /// Clears the round accumulators and advances the version round. Cost is
@@ -192,62 +177,30 @@ class ShardedServer {
                           LocalUpdateResult* update);
 
   // ---- Persistence ----------------------------------------------------
-  /// Captures the full mutable state (tables, thetas, raw version stamps)
-  /// in the shard-count-independent `ServerSnapshot` layout.
+  /// Captures the full mutable state (tables, thetas, raw version stamps).
   ServerSnapshot Snapshot() const;
   /// Restores a snapshot captured at any shard count with the same
   /// geometry (slots, widths, num_items). Checks shapes.
   void RestoreSnapshot(ServerSnapshot snapshot);
 
  private:
-  /// Round/aggregation state owned by one item-range shard.
-  struct Shard {
-    size_t lo = 0;    // first global row of the range
-    size_t rows = 0;  // range length
-    /// Version stamps over the shard's rows, locally indexed.
-    VersionedTable versions;
-    /// Padded aggregate buffer (rows x widest), shared-aggregation mode.
-    Matrix v_agg;
-    /// Per-slot aggregate buffers (rows x width(slot)), clustered mode.
-    std::vector<Matrix> v_agg_per_slot;
-    /// Global row ids touched by this round's uploads, in upload order
-    /// (deduplicated through the server-wide touched mask).
-    std::vector<uint32_t> touched;
-    /// Lifetime item-delta scalars routed into this shard's rows.
-    uint64_t upload_scalars = 0;
-  };
-
-  /// VersionView facade routing each row to its shard's table.
-  class ShardedVersionView : public VersionView {
-   public:
-    explicit ShardedVersionView(const ShardedServer* server)
-        : server_(server) {}
-    uint64_t round() const override {
-      return server_->shards_[0].versions.round();
-    }
-    uint64_t Version(size_t slot, size_t row) const override {
-      const Shard& sh = server_->shards_[server_->shard_of_row(row)];
-      return sh.versions.Version(slot, row - sh.lo);
-    }
-
-   private:
-    const ShardedServer* server_;
-  };
-
   size_t num_items_ = 0;
   AggregationMode aggregation_;
   bool shared_aggregation_;
 
-  // Whole-catalogue canonical state (Θ and RESKD are cross-row).
   std::vector<Matrix> tables_;
   std::vector<FeedForwardNet> thetas_;
+  VersionedTable versions_;
 
-  std::vector<Shard> shards_;
-  std::vector<size_t> shard_starts_;  // shards_[i].lo, for row routing
-  ShardedVersionView view_;
-
-  // Global round scalars. Contributor totals are *weights*: 1 per client
-  // under kSum/kMean, the client's data size under kDataWeighted.
+  // Round state, indexed by global row. Contributor totals are *weights*:
+  // 1 per client under kSum/kMean, the client's data size under
+  // kDataWeighted.
+  /// Aggregate buffers: one padded to the widest slot (shared mode), or
+  /// one per slot at its own width (clustered mode).
+  std::vector<Matrix> v_agg_;
+  /// Rows touched by this round's uploads, in upload order, and their mask.
+  std::vector<uint32_t> touched_;
+  std::vector<uint8_t> touched_mask_;
   /// Weight per width segment: segment s covers columns
   /// [widths[s-1], widths[s]); a client of width w contributes to all
   /// segments below w (shared mode).
@@ -256,11 +209,12 @@ class ShardedServer {
   std::vector<FeedForwardNet> theta_agg_;
   std::vector<double> theta_weight_;
   bool round_open_ = false;
-  std::vector<uint8_t> touched_mask_;  // global row ids
+
+  // Accounting partition: shard s covers rows [shard_starts_[s], next).
+  std::vector<size_t> shard_starts_;
+  std::vector<uint64_t> shard_upload_scalars_;
 
   AdmissionController* admission_ = nullptr;  // not owned
-
-  void MarkTouched(uint32_t row, Shard* shard);
 };
 
 }  // namespace hetefedrec

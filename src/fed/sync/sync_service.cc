@@ -18,7 +18,7 @@ SyncService::SyncService(size_t num_users, const Options& options)
 
 SyncPlan SyncService::Sync(UserId u, size_t slot,
                            const std::vector<uint32_t>& subscription,
-                           const Matrix& table, const VersionView& versions,
+                           const Matrix& table, const VersionedTable& versions,
                            size_t theta_params) {
   HFR_CHECK_LT(static_cast<size_t>(u), replicas_.size());
   ClientReplica& rep = replicas_[static_cast<size_t>(u)];

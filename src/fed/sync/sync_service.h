@@ -66,7 +66,7 @@ class SyncService {
   /// external serialization — call in deterministic merge order.
   SyncPlan Sync(UserId u, size_t slot,
                 const std::vector<uint32_t>& subscription,
-                const Matrix& table, const VersionView& versions,
+                const Matrix& table, const VersionedTable& versions,
                 size_t theta_params);
 
   /// Drops one client's replica (it re-downloads everything next round).

@@ -18,36 +18,16 @@
 #define HETEFEDREC_FED_SYNC_VERSIONED_TABLE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/util/logging.h"
 
 namespace hetefedrec {
 
-/// \brief Read-only row-version contract of a server
-/// (ShardedServer::versions).
-///
-/// The delta-sync protocol needs exactly two facts from a server, however
-/// its version state is stored (one table, or one table per shard):
-///   - `round()`: the stamp the *next* mutation will carry — the download
-///     version async staleness is measured against.
-///   - `Version(slot, row)`: the last round in which (slot, row) could have
-///     changed, monotone per row.
-/// `VersionedTable` holds the stamps of one row range (one per shard);
-/// the server exposes a view that routes each row to its shard's table.
-class VersionView {
- public:
-  virtual ~VersionView() = default;
-
-  /// Round the next stamps will carry.
-  virtual uint64_t round() const = 0;
-
-  /// Last round in which (slot, row) could have changed.
-  virtual uint64_t Version(size_t slot, size_t row) const = 0;
-};
-
-/// \brief Round-stamped row versions for every model slot of one server.
-class VersionedTable : public VersionView {
+/// \brief Round-stamped row versions for every model slot of one server,
+/// indexed by global item row (ShardedServer::versions).
+class VersionedTable {
  public:
   VersionedTable() = default;
 
@@ -58,8 +38,9 @@ class VersionedTable : public VersionView {
   size_t num_slots() const { return versions_.size(); }
   size_t num_rows() const { return num_rows_; }
 
-  /// Round the next stamps will carry. Starts at 0 (the initial tables);
-  /// the server advances it once per aggregation round.
+  /// Round the next stamps will carry — the download version async
+  /// staleness is measured against. Starts at 0 (the initial tables); the
+  /// server advances it once per aggregation round.
   uint64_t round() const { return round_; }
   void AdvanceRound() { ++round_; }
 
@@ -90,16 +71,16 @@ class VersionedTable : public VersionView {
 
   /// Restores a snapshot captured via round()/floor_of()/slot_versions().
   /// Shapes must match the constructed table.
-  void Restore(uint64_t round, const std::vector<uint64_t>& floors,
-               const std::vector<std::vector<uint64_t>>& versions) {
+  void Restore(uint64_t round, std::vector<uint64_t> floors,
+               std::vector<std::vector<uint64_t>> versions) {
     HFR_CHECK_EQ(floors.size(), floor_.size());
     HFR_CHECK_EQ(versions.size(), versions_.size());
     for (size_t s = 0; s < versions.size(); ++s) {
-      HFR_CHECK_EQ(versions[s].size(), versions_[s].size());
+      HFR_CHECK_EQ(versions[s].size(), num_rows_);
     }
     round_ = round;
-    floor_ = floors;
-    versions_ = versions;
+    floor_ = std::move(floors);
+    versions_ = std::move(versions);
   }
 
  private:

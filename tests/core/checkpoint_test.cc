@@ -134,16 +134,19 @@ TEST(CheckpointTest, TruncatedServerCheckpointFails) {
   ShardedServer server(opt);
   std::string path = TempPath("trunc_ckpt.bin");
   ASSERT_TRUE(SaveServerCheckpoint(path, server, "ncf").ok());
-  // Truncate the file to half its size.
   std::ifstream in(path, std::ios::binary);
   std::stringstream buf;
   buf << in.rdbuf();
-  std::string bytes = buf.str();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  const std::string bytes = buf.str();
+  // Every proper prefix, at a record boundary or inside a record, fails.
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(n));
+    }
+    EXPECT_FALSE(LoadServerCheckpoint(path).ok())
+        << "prefix of " << n << " bytes";
   }
-  EXPECT_FALSE(LoadServerCheckpoint(path).ok());
   std::remove(path.c_str());
 }
 

@@ -51,16 +51,16 @@ RunState MakeState() {
   st.kd_rng = AdvancedRng(8, 5);
   st.client_rngs = {AdvancedRng(9, 1), AdvancedRng(10, 2)};
   st.client_embeddings = {RandomMatrix(1, 8, 1), RandomMatrix(1, 16, 2)};
-  st.tables = {RandomMatrix(5, 8, 3), RandomMatrix(5, 16, 4)};
+  st.server.tables = {RandomMatrix(5, 8, 3), RandomMatrix(5, 16, 4)};
   Rng trng(5);
   for (size_t w : {8u, 16u}) {  // one Θ per slot, like the trainer
     FeedForwardNet theta(2 * w, {4, 4});
     theta.InitXavier(&trng);
-    st.thetas.push_back(std::move(theta));
+    st.server.thetas.push_back(std::move(theta));
   }
-  st.version_round = 6;
-  st.version_floors = {2, 3};
-  st.versions = {{1, 2, 3, 4, 5}, {0, 0, 6, 6, 6}};
+  st.server.version_round = 6;
+  st.server.version_floors = {2, 3};
+  st.server.versions = {{1, 2, 3, 4, 5}, {0, 0, 6, 6, 6}};
   st.queue_pending = {4, 1, 3};
   st.async_clock = 77.25;
   st.async_next_seq = 12;
@@ -120,22 +120,24 @@ TEST(RunStateTest, RoundTripsEveryField) {
                 st.client_embeddings[i].data()[k]);
     }
   }
-  ASSERT_EQ(b.tables.size(), st.tables.size());
-  for (size_t i = 0; i < st.tables.size(); ++i) {
-    for (size_t k = 0; k < st.tables[i].size(); ++k) {
-      EXPECT_EQ(b.tables[i].data()[k], st.tables[i].data()[k]);
+  const ServerSnapshot& bs = b.server;
+  const ServerSnapshot& ss = st.server;
+  ASSERT_EQ(bs.tables.size(), ss.tables.size());
+  for (size_t i = 0; i < ss.tables.size(); ++i) {
+    for (size_t k = 0; k < ss.tables[i].size(); ++k) {
+      EXPECT_EQ(bs.tables[i].data()[k], ss.tables[i].data()[k]);
     }
   }
-  ASSERT_EQ(b.thetas.size(), st.thetas.size());
-  for (size_t l = 0; l < st.thetas[0].num_layers(); ++l) {
-    for (size_t k = 0; k < st.thetas[0].weight(l).size(); ++k) {
-      EXPECT_EQ(b.thetas[0].weight(l).data()[k],
-                st.thetas[0].weight(l).data()[k]);
+  ASSERT_EQ(bs.thetas.size(), ss.thetas.size());
+  for (size_t l = 0; l < ss.thetas[0].num_layers(); ++l) {
+    for (size_t k = 0; k < ss.thetas[0].weight(l).size(); ++k) {
+      EXPECT_EQ(bs.thetas[0].weight(l).data()[k],
+                ss.thetas[0].weight(l).data()[k]);
     }
   }
-  EXPECT_EQ(b.version_round, st.version_round);
-  EXPECT_EQ(b.version_floors, st.version_floors);
-  EXPECT_EQ(b.versions, st.versions);
+  EXPECT_EQ(bs.version_round, ss.version_round);
+  EXPECT_EQ(bs.version_floors, ss.version_floors);
+  EXPECT_EQ(bs.versions, ss.versions);
   EXPECT_EQ(b.queue_pending, st.queue_pending);
   EXPECT_EQ(b.async_clock, st.async_clock);
   EXPECT_EQ(b.async_next_seq, st.async_next_seq);
@@ -178,18 +180,22 @@ TEST(RunStateTest, MissingFileIsAnError) {
   EXPECT_FALSE(LoadRunState(TempPath("does_not_exist.run")).ok());
 }
 
+// Every proper prefix of a saved run state — a cut inside a record or at a
+// record boundary alike — loads as an error, never as a shorter state.
 TEST(RunStateTest, TruncatedFileIsAnError) {
   const std::string path = TempPath("run_state_trunc.run");
   ASSERT_TRUE(SaveRunState(path, MakeState()).ok());
   std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
   in.close();
   ASSERT_GT(bytes.size(), 64u);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  out.close();
-  EXPECT_FALSE(LoadRunState(path).ok());
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(n));
+    out.close();
+    EXPECT_FALSE(LoadRunState(path).ok()) << "prefix of " << n << " bytes";
+  }
 }
 
 TEST(RunStateTest, GarbageHeaderIsAnError) {

@@ -1,10 +1,10 @@
 // Sharded parameter server, end to end: higher shard counts are
 // bit-identical to one shard for every method and base model under both
-// schedules, and seed- and thread-deterministic (padded aggregation is
-// row-independent, so the shard count changes memory layout and per-shard
-// accounting, never arithmetic — docs/SYNC.md "Sharding"); and a sharded
+// schedules, and seed- and thread-deterministic (the server keeps one round
+// state and shards only partition its upload accounting, so the shard
+// count never changes arithmetic — docs/SYNC.md "Sharding"); and a sharded
 // run resumes from a kill bit-identical to an uninterrupted one (Snapshot
-// exports the same single-table layout for every S).
+// has the same layout for every S).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -99,8 +99,8 @@ TEST(ShardingEquivalence, OtherShardCountsMatchOneShard) {
 }
 
 // Seed determinism at S in {2, 4}: two identical sharded runs agree
-// bit-for-bit (the routing, per-shard buffers and merge order are pure
-// functions of the config).
+// bit-for-bit (the shard ranges and the apply order are pure functions of
+// the config).
 TEST(ShardingEquivalence, ShardedRunsReproduceBitForBit) {
   for (size_t shards : {size_t{2}, size_t{4}}) {
     ExperimentConfig cfg = SmallConfig();

@@ -1,9 +1,9 @@
-// ShardedServer shard contract: range geometry and row routing,
-// bit-identity of higher shard counts against one shard for touched-row and
-// full-row uploads (both aggregation layouts), lockstep version stamping
-// through the routing view, per-shard upload accounting, and the
-// Snapshot/RestoreSnapshot round-trip including shard-count portability of
-// a snapshot.
+// ShardedServer shard contract: shards are an accounting partition of one
+// whole-catalogue round state. Range geometry and row routing, bit-identity
+// of higher shard counts against one shard for touched-row and full-row
+// uploads (both aggregation layouts), version stamps across shard
+// boundaries, per-shard upload accounting, and the Snapshot/RestoreSnapshot
+// round-trip including shard-count portability of a snapshot.
 #include "src/fed/shard/sharded_server.h"
 
 #include <gtest/gtest.h>
@@ -147,7 +147,7 @@ TEST(ShardedServerTest, MixedRoundMatchesOneShardAnyShardCount) {
   }
 }
 
-TEST(ShardedServerTest, VersionsAdvanceInLockstepAcrossShards) {
+TEST(ShardedServerTest, VersionsStampRowsAcrossShardBoundaries) {
   ShardedServer server = MakeSharded(4);
   EXPECT_EQ(server.versions().round(), 0u);
   auto large = TasksUpTo(2, BaseOptions().widths);
@@ -166,7 +166,7 @@ TEST(ShardedServerTest, VersionsAdvanceInLockstepAcrossShards) {
   }
 
   server.BeginRound();
-  // Full-row round: every shard stamps all of its rows in the same round.
+  // Full-row round: every row of every shard carries the round's stamp.
   server.UploadDelta(large, FullRowUpdate(8, 0.5, large, server));
   server.FinishRound();
   EXPECT_EQ(server.versions().round(), 2u);
