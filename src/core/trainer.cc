@@ -839,18 +839,18 @@ class FederatedRun {
   /// backing off or offline re-enter the queue for a later attempt. The
   /// key salting the participation's draws is the round id under the
   /// synchronous schedule and a fresh dispatch sequence number under the
-  /// asynchronous one.
-  void Screen(UserId u, double now) {
-    if (setup_.excluded[GroupOf(u)]) return;
+  /// asynchronous one. Returns true when the backoff gate held the client.
+  bool Screen(UserId u, double now) {
+    if (setup_.excluded[GroupOf(u)]) return false;
     if (gate_ && !gate_->Ready(u, now)) {
       queue_->Requeue(u);
-      return;
+      return true;
     }
     const uint64_t key =
         cfg_.async_mode ? dispatch_seq_++ : server_->versions().round();
     if (!net_->Online(u, key)) {
       queue_->Requeue(u);
-      return;
+      return false;
     }
     const FaultKind fk =
         injector_ ? injector_->Draw(u, key) : FaultKind::kNone;
@@ -860,9 +860,10 @@ class FederatedRun {
       result_.comm.mutable_faults()->download_lost++;
       TraceFault("download_loss", "fault", u, now);
       FailAndRequeue(u, now);
-      return;
+      return false;
     }
     batch_.push_back({u, key, fk});
+    return false;
   }
 
   /// Trains batch_[first, end) against the current tables into their
@@ -905,7 +906,13 @@ class FederatedRun {
       const std::vector<UserId> selected = queue_->NextRound();
       server_->BeginRound();
       batch_.clear();
-      for (UserId u : selected) Screen(u, sim_clock_);
+      // Earliest instant a client the backoff gate held may retry.
+      double retry_at = std::numeric_limits<double>::infinity();
+      for (UserId u : selected) {
+        if (Screen(u, sim_clock_)) {
+          retry_at = std::min(retry_at, gate_->ReadyAt(u));
+        }
+      }
 
       // The round's barrier in simulated time: the server applies the
       // aggregate only once its slowest *merged* client has finished.
@@ -998,6 +1005,12 @@ class FederatedRun {
           // the server waited the deadline out before closing the round.
           round_seconds = cfg_.round_deadline;
         }
+      }
+      if (merged_count == 0 && std::isfinite(retry_at)) {
+        // Nothing merged while the gate held selected clients: the round
+        // lasts until the earliest of them may retry, or the virtual
+        // clock would stand still and their backoff never expire.
+        round_seconds = std::max(round_seconds, retry_at - round_start);
       }
       updates_.clear();
       server_->FinishRound();

@@ -38,6 +38,9 @@ class ClientGate {
   /// True when client `u` may be selected at virtual time `now`.
   bool Ready(UserId u, double now) const;
 
+  /// Earliest virtual time at which client `u` is Ready.
+  double ReadyAt(UserId u) const { return ready_[static_cast<size_t>(u)]; }
+
   /// Records a failed transfer at time `now` and schedules the retry:
   /// delay = min(cap, base * multiplier^(fails-1)) * (1 + jitter * U).
   /// Returns false once `retry_max` consecutive failures accumulate — the

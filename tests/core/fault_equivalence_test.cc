@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/core/trainer.h"
 #include "tests/core/equivalence_test_util.h"
@@ -187,6 +188,44 @@ TEST(FaultEquivalence, ModerateFaultsDegradeGracefully) {
   EXPECT_GT(clean_res.final_eval.overall.ndcg, 0.0);
   EXPECT_GT(faulty_res.final_eval.overall.ndcg,
             0.5 * clean_res.final_eval.overall.ndcg);
+}
+
+// A sync round that merges nothing while the backoff gate holds selected
+// clients lasts until the earliest of them may retry. Without that wait the
+// virtual clock stands still, the backoff never expires, and every later
+// round of the epoch runs empty until the round budget (10 x the nominal
+// rounds + 10) drops the waiting clients. The CI fault cocktail with
+// admission control, with and without over-selection, must drain every
+// epoch's queue inside its budget.
+TEST(FaultEquivalence, GatedClientsDoNotExhaustTheRoundBudget) {
+  for (size_t slack : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("straggler_slack=" + std::to_string(slack));
+    ExperimentConfig cfg = SmallConfig();
+    cfg.fault_upload_loss = 0.05;
+    cfg.fault_download_loss = 0.03;
+    cfg.fault_crash = 0.02;
+    cfg.fault_duplicate = 0.02;
+    cfg.fault_corrupt = 0.05;
+    cfg.admission_control = true;
+    cfg.admit_max_row_norm = 1.0;
+    cfg.admit_outlier_z = 6.0;
+    cfg.straggler_slack = slack;
+    if (slack > 0) cfg.net_bandwidth_sigma = 1.0;
+    cfg.track_round_comm = true;
+    auto runner = ExperimentRunner::Create(cfg);
+    ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+    const size_t users = (*runner)->dataset().num_users();
+    const size_t nominal_rounds =
+        (users + cfg.clients_per_round - 1) / cfg.clients_per_round;
+    const size_t budget = cfg.global_epochs * (10 * nominal_rounds + 10);
+
+    testing::internal::CaptureStderr();
+    const ExperimentResult r = (*runner)->Run(Method::kHeteFedRec);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_LT(r.round_comm.size(), budget);
+    EXPECT_EQ(log.find("round budget exhausted"), std::string::npos) << log;
+    EXPECT_GT(r.comm.faults().quarantines, 0u);
+  }
 }
 
 // Standalone training has no network, no server, no rounds: every
