@@ -3,11 +3,19 @@
 // trace file must be a pure function of the config (seed- and thread-count
 // deterministic, byte for byte), and the virtual-clock trace must be
 // monotone in simulated time with the async drop/merge events present.
+//
+// Two shapes also pin the stream bytes against recorded FNV-1a-64 digests
+// in tests/golden/telemetry.txt, which is only ever rewritten on request:
+//
+//   HFR_UPDATE_GOLDEN=1 ./build/core_telemetry_equivalence_test
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/trainer.h"
@@ -263,6 +271,75 @@ TEST(TelemetryEquivalence, SyncTraceMonotoneAndRoundCommReconciles) {
   }
   EXPECT_EQ(uploads, total_uploads);
   std::remove(cfg.trace_out.c_str());
+}
+
+// 64-bit FNV-1a over the bytes of `text`, as 16 hex digits.
+std::string Fnv1aHex(const std::string& text) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+/// The recorded shapes. Sync: the CI fault cocktail with admission over
+/// delta downloads, evaluated every epoch, so the fault, admission, sync.*
+/// and eval fields all move. Async: the straggler shape over delta
+/// downloads, so drops, the staleness histogram and the replica hit rate
+/// move. Neither runs the async schedule behind a backoff gate.
+std::vector<std::pair<std::string, ExperimentConfig>> RecordedShapes() {
+  ExperimentConfig sync = SmallConfig();
+  sync.fault_upload_loss = 0.05;
+  sync.fault_download_loss = 0.03;
+  sync.fault_crash = 0.02;
+  sync.fault_duplicate = 0.02;
+  sync.fault_corrupt = 0.05;
+  sync.admission_control = true;
+  sync.admit_max_row_norm = 1.0;
+  sync.admit_outlier_z = 6.0;
+  sync.full_downloads = false;
+  sync.eval_every = 1;
+  ExperimentConfig async = StragglerAsyncConfig();
+  async.full_downloads = false;
+  return {{"sync_faults_admission_delta", sync},
+          {"async_straggler_delta", async}};
+}
+
+std::string TelemetryGoldenPath() {
+  std::string here = __FILE__;
+  here = here.substr(0, here.find_last_of('/'));
+  return here + "/../golden/telemetry.txt";
+}
+
+TEST(TelemetryEquivalence, StreamsMatchRecordedDigests) {
+  std::vector<std::string> lines;
+  for (auto& [name, cfg] : RecordedShapes()) {
+    cfg.metrics_out = TempPath("tel_golden.jsonl");
+    cfg.trace_out = TempPath("tel_golden.json");
+    RunWith(cfg, Method::kHeteFedRec);
+    lines.push_back("[" + name + "] metrics=" +
+                    Fnv1aHex(ReadFile(cfg.metrics_out)) +
+                    " trace=" + Fnv1aHex(ReadFile(cfg.trace_out)));
+    std::remove(cfg.metrics_out.c_str());
+    std::remove(cfg.trace_out.c_str());
+  }
+  const char* update = std::getenv("HFR_UPDATE_GOLDEN");
+  if (update != nullptr && std::string(update) == "1") {
+    std::ofstream out(TelemetryGoldenPath());
+    ASSERT_TRUE(out.good()) << "cannot write " << TelemetryGoldenPath();
+    for (const std::string& line : lines) out << line << "\n";
+    ASSERT_TRUE(out.good());
+    GTEST_SKIP() << "rewrote " << TelemetryGoldenPath();
+  }
+  const std::vector<std::string> golden =
+      Lines(ReadFile(TelemetryGoldenPath()));
+  EXPECT_EQ(lines, golden)
+      << "stream bytes moved; regenerate with HFR_UPDATE_GOLDEN=1 only if "
+         "the change is meant to alter the metrics or trace stream";
 }
 
 }  // namespace
