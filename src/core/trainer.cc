@@ -6,6 +6,8 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -28,6 +30,7 @@
 #include "src/math/init.h"
 #include "src/math/stats.h"
 #include "src/util/telemetry/json.h"
+#include "src/util/telemetry/metrics.h"
 #include "src/util/telemetry/profiler.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/thread_pool.h"
@@ -49,104 +52,72 @@ struct MethodSetup {
   bool reskd = false;
 };
 
-/// Stable handles into the run's MetricsRegistry (docs/OBSERVABILITY.md has
-/// the catalogue). Registration order here is the serialization order of
-/// every metrics dump, so it must stay fixed.
+/// The counters, gauges and histograms only the run keeps, rendered with
+/// the comm and fault totals of CommStats into the `metrics` object of the
+/// stream's round and summary rows (docs/OBSERVABILITY.md has the
+/// catalogue). Written only on the round thread.
 struct RunMetrics {
-  // Cumulative traffic, mirrored from CommStats each round.
-  Counter* downloads = nullptr;
-  Counter* uploads = nullptr;
-  Counter* dropped = nullptr;
-  Counter* down_scalars = nullptr;
-  Counter* up_scalars = nullptr;
-  // Delta-sync row flow (incremented live in AccountDownload).
-  Counter* rows_subscribed = nullptr;
-  Counter* rows_shipped = nullptr;
+  // Delta-sync row flow (added in AccountDownload).
+  uint64_t rows_subscribed = 0;
+  uint64_t rows_shipped = 0;
   // Server progress.
-  Counter* rounds = nullptr;
-  Counter* merges = nullptr;
-  Counter* distills = nullptr;
-  Counter* checkpoints = nullptr;
-  // Robustness counters, mirrored from FaultStats (same order as
-  // CommStats::ExportCounters' fault segment).
-  std::array<Counter*, 12> faults{};
-  // Per-round gauges (main thread only).
-  Gauge* clock = nullptr;
-  Gauge* queue_depth = nullptr;
-  Gauge* round_merged = nullptr;
-  Gauge* round_down_scalars = nullptr;
-  Gauge* round_up_scalars = nullptr;
-  Gauge* loss_mean = nullptr;
-  Gauge* replica_hit_rate = nullptr;
-  Gauge* eval_recall = nullptr;
-  Gauge* eval_ndcg = nullptr;
-  // Distributions (main thread only).
-  Histogram* round_seconds = nullptr;
-  Histogram* staleness = nullptr;  // async only
+  uint64_t rounds = 0;
+  uint64_t merges = 0;
+  uint64_t distills = 0;
+  uint64_t checkpoints = 0;
+  // The last round row's gauges, and the last evaluation's.
+  size_t queue_depth = 0;
+  size_t round_merged = 0;
+  size_t round_down_scalars = 0;
+  size_t round_up_scalars = 0;
+  double loss_mean = 0.0;
+  double replica_hit_rate = 0.0;
+  double eval_recall = 0.0;
+  double eval_ndcg = 0.0;
+  // Built only with telemetry on, so a run without it allocates nothing
+  // here; staleness only in async mode.
+  std::optional<Histogram> round_seconds;
+  std::optional<Histogram> staleness;
 
-  void Register(MetricsRegistry* reg, bool async_mode) {
-    downloads = reg->GetCounter("comm.downloads");
-    uploads = reg->GetCounter("comm.uploads");
-    dropped = reg->GetCounter("comm.dropped");
-    down_scalars = reg->GetCounter("comm.down_scalars");
-    up_scalars = reg->GetCounter("comm.up_scalars");
-    rows_subscribed = reg->GetCounter("sync.rows_subscribed");
-    rows_shipped = reg->GetCounter("sync.rows_shipped");
-    rounds = reg->GetCounter("server.rounds");
-    merges = reg->GetCounter("server.merges");
-    distills = reg->GetCounter("server.distills");
-    checkpoints = reg->GetCounter("server.checkpoints");
-    static constexpr const char* kFaultNames[12] = {
-        "fault.download_lost",         "fault.upload_lost",
-        "fault.crashed",               "fault.duplicates",
-        "fault.corrupted",             "admission.rejected_nonfinite",
-        "admission.rejected_outlier",  "admission.rows_clipped",
-        "gate.quarantines",            "gate.retries",
-        "gate.gave_up",                "train.nonfinite_grad_steps"};
-    for (int i = 0; i < 12; ++i) faults[i] = reg->GetCounter(kFaultNames[i]);
-    clock = reg->GetGauge("clock.sim_seconds");
-    queue_depth = reg->GetGauge("queue.depth");
-    round_merged = reg->GetGauge("round.merged");
-    round_down_scalars = reg->GetGauge("round.down_scalars");
-    round_up_scalars = reg->GetGauge("round.up_scalars");
-    loss_mean = reg->GetGauge("train.loss_mean");
-    replica_hit_rate = reg->GetGauge("sync.replica_hit_rate");
-    eval_recall = reg->GetGauge("eval.recall");
-    eval_ndcg = reg->GetGauge("eval.ndcg");
-    round_seconds =
-        reg->GetHistogram("round.seconds", {1, 2, 5, 10, 30, 60, 120, 300});
-    if (async_mode) {
-      staleness =
-          reg->GetHistogram("async.staleness", {0, 1, 2, 4, 8, 16, 32, 64});
-    }
-  }
-
-  /// Counters mirror cumulative sources, so "set to total" is a delta Add.
-  /// Main-thread only (Value() must not race a concurrent Add).
-  static void SetTo(Counter* c, uint64_t total) { c->Add(total - c->Value()); }
-
-  void MirrorComm(const CommStats& comm) {
-    uint64_t down = 0, up = 0, drop = 0, down_p = 0, up_p = 0;
+  /// The catalogue in stream order; `clock` is the virtual clock.
+  std::string ToJson(const CommStats& comm, double clock) const {
+    uint64_t downloads = 0, uploads = 0, dropped = 0;
+    uint64_t down_scalars = 0, up_scalars = 0;
     for (int g = 0; g < kNumGroups; ++g) {
       const Group grp = static_cast<Group>(g);
-      down += comm.Downloads(grp);
-      up += comm.Participations(grp);
-      drop += comm.Dropped(grp);
-      down_p += comm.DownParams(grp);
-      up_p += comm.UpParams(grp);
+      downloads += comm.Downloads(grp);
+      uploads += comm.Participations(grp);
+      dropped += comm.Dropped(grp);
+      down_scalars += comm.DownParams(grp);
+      up_scalars += comm.UpParams(grp);
     }
-    SetTo(downloads, down);
-    SetTo(uploads, up);
-    SetTo(dropped, drop);
-    SetTo(down_scalars, down_p);
-    SetTo(up_scalars, up_p);
-    const FaultStats& f = comm.faults();
-    const uint64_t totals[12] = {
-        f.download_lost,      f.upload_lost,      f.crashed,
-        f.duplicates,         f.corrupted,        f.rejected_nonfinite,
-        f.rejected_outlier,   f.rows_clipped,     f.quarantines,
-        f.retries,            f.gave_up,          f.nonfinite_grad_steps};
-    for (int i = 0; i < 12; ++i) SetTo(faults[i], totals[i]);
+    JsonObj o;
+    o.U64("comm.downloads", downloads)
+        .U64("comm.uploads", uploads)
+        .U64("comm.dropped", dropped)
+        .U64("comm.down_scalars", down_scalars)
+        .U64("comm.up_scalars", up_scalars)
+        .U64("sync.rows_subscribed", rows_subscribed)
+        .U64("sync.rows_shipped", rows_shipped)
+        .U64("server.rounds", rounds)
+        .U64("server.merges", merges)
+        .U64("server.distills", distills)
+        .U64("server.checkpoints", checkpoints);
+    for (const FaultCounter& c : kFaultCounters) {
+      o.U64(c.metric, comm.faults().*c.member);
+    }
+    o.Num("clock.sim_seconds", clock)
+        .Num("queue.depth", static_cast<double>(queue_depth))
+        .Num("round.merged", static_cast<double>(round_merged))
+        .Num("round.down_scalars", static_cast<double>(round_down_scalars))
+        .Num("round.up_scalars", static_cast<double>(round_up_scalars))
+        .Num("train.loss_mean", loss_mean)
+        .Num("sync.replica_hit_rate", replica_hit_rate)
+        .Num("eval.recall", eval_recall)
+        .Num("eval.ndcg", eval_ndcg)
+        .Raw("round.seconds", round_seconds->ToJson());
+    if (staleness) o.Raw("async.staleness", staleness->ToJson());
+    return o.Build();
   }
 };
 
@@ -705,10 +676,8 @@ class FederatedRun {
       SyncPlan plan = sync_->Sync(u, slot, update.read_rows, table,
                                   server_->versions(), theta_params);
       shipped = plan.params;
-      if (tel_) {
-        metrics_.rows_subscribed->Add(plan.subscribed_rows);
-        metrics_.rows_shipped->Add(plan.shipped_rows);
-      }
+      metrics_.rows_subscribed += plan.subscribed_rows;
+      metrics_.rows_shipped += plan.shipped_rows;
     }
     result_.comm.RecordDownload(
         clients_[u].group,
@@ -1016,7 +985,7 @@ class FederatedRun {
       server_->FinishRound();
       if (setup_.reskd) {
         server_->Distill(kd_opts_, &kd_rng_);
-        if (tel_) metrics_.distills->Increment();
+        ++metrics_.distills;
       }
       sim_clock_ += round_seconds;
       ++rounds_done_;
@@ -1159,7 +1128,7 @@ class FederatedRun {
         }
         queue_->Requeue(out.user);
       }
-      if (out.distilled && tel_) metrics_.distills->Increment();
+      if (out.distilled) ++metrics_.distills;
       if (out.distilled && trace_) {
         trace_->Instant("distill", "server", out.finish_seconds, kServerTrack);
       }
@@ -1224,7 +1193,7 @@ class FederatedRun {
   /// rename (docs/ROBUSTNESS.md "Checkpoint format v2").
   void WriteRunCheckpoint(int next_epoch, bool mid_epoch) {
     HFR_PROFILE("checkpoint");
-    if (tel_) metrics_.checkpoints->Increment();
+    ++metrics_.checkpoints;
     if (trace_) {
       trace_->Instant("checkpoint", "server", sim_clock_, kServerTrack);
     }
@@ -1374,7 +1343,12 @@ class FederatedRun {
     HFR_CHECK(tel.ok()) << tel.status().ToString();
     tel_ = std::move(tel).value();
     trace_ = tel_->trace();
-    metrics_.Register(tel_->registry(), cfg_.async_mode);
+    metrics_.round_seconds.emplace(
+        std::vector<double>{1, 2, 5, 10, 30, 60, 120, 300});
+    if (cfg_.async_mode) {
+      metrics_.staleness.emplace(
+          std::vector<double>{0, 1, 2, 4, 8, 16, 32, 64});
+    }
     if (trace_) {
       trace_->SetTrackName(kServerTrack, "server");
       for (int g = 0; g < kNumGroups; ++g) {
@@ -1420,53 +1394,50 @@ class FederatedRun {
   }
 
   /// Round close (sync round / async merge batch): snapshot the per-round
-  /// traffic, refresh the registry mirrors and stream one "round" row. The
+  /// traffic, update the round gauges and stream one "round" row. The
   /// virtual clock (sim_clock_) has already advanced to the close instant.
   void TelemetryRound(int epoch, double duration, size_t merged) {
     if (!tel_ && !cfg_.track_round_comm) return;
     const CommRound rc = result_.comm.SnapshotRound();
     if (cfg_.track_round_comm) result_.round_comm.push_back(rc);
     if (!tel_) return;
-    ++telemetry_rounds_;
-    merges_total_ += merged;
-    RunMetrics::SetTo(metrics_.rounds, telemetry_rounds_);
-    RunMetrics::SetTo(metrics_.merges, merges_total_);
-    metrics_.MirrorComm(result_.comm);
-    metrics_.clock->Set(sim_clock_);
-    metrics_.queue_depth->Set(static_cast<double>(queue_->pending()));
-    metrics_.round_merged->Set(static_cast<double>(merged));
-    metrics_.round_down_scalars->Set(static_cast<double>(rc.DownParams()));
-    metrics_.round_up_scalars->Set(static_cast<double>(rc.UpParams()));
-    metrics_.loss_mean->Set(
-        loss_count_ > 0 ? loss_sum_ / static_cast<double>(loss_count_) : 0.0);
+    RunMetrics& m = metrics_;
+    ++m.rounds;
+    m.merges += merged;
+    m.queue_depth = queue_->pending();
+    m.round_merged = merged;
+    m.round_down_scalars = rc.DownParams();
+    m.round_up_scalars = rc.UpParams();
+    m.loss_mean =
+        loss_count_ > 0 ? loss_sum_ / static_cast<double>(loss_count_) : 0.0;
     // Replica cache hit rate: subscribed rows the round did NOT have to
     // ship (fresh in the client replica) over rows subscribed.
-    const uint64_t sub = metrics_.rows_subscribed->Value() - rows_sub_seen_;
-    const uint64_t ship = metrics_.rows_shipped->Value() - rows_ship_seen_;
-    rows_sub_seen_ += sub;
-    rows_ship_seen_ += ship;
-    metrics_.replica_hit_rate->Set(
+    const uint64_t sub = m.rows_subscribed - rows_sub_seen_;
+    const uint64_t ship = m.rows_shipped - rows_ship_seen_;
+    rows_sub_seen_ = m.rows_subscribed;
+    rows_ship_seen_ = m.rows_shipped;
+    m.replica_hit_rate =
         sub > 0 ? 1.0 - static_cast<double>(ship) / static_cast<double>(sub)
-                : 0.0);
-    metrics_.round_seconds->Observe(duration);
+                : 0.0;
+    m.round_seconds->Observe(duration);
     if (tel_->metrics_on()) {
       JsonObj row;
-      row.U64("round", telemetry_rounds_);
+      row.U64("round", m.rounds);
       row.Str("type", "round")
           .I64("epoch", epoch)
           .Num("clock", sim_clock_)
           .Num("duration", duration)
           .U64("merged", merged)
           .U64("queue", queue_->pending())
-          .Raw("metrics", tel_->registry()->ToJson());
+          .Raw("metrics", m.ToJson(result_.comm, sim_clock_));
       tel_->WriteRow(row.Build());
     }
   }
 
   void TelemetryEval(const EpochPoint& point) {
     if (!tel_) return;
-    metrics_.eval_recall->Set(point.eval.overall.recall);
-    metrics_.eval_ndcg->Set(point.eval.overall.ndcg);
+    metrics_.eval_recall = point.eval.overall.recall;
+    metrics_.eval_ndcg = point.eval.overall.ndcg;
     if (trace_) {
       JsonObj args;
       args.Num("recall", point.eval.overall.recall)
@@ -1522,19 +1493,17 @@ class FederatedRun {
     }
     if (!tel_) return;
     if (tel_->metrics_on()) {
-      metrics_.MirrorComm(result_.comm);
-      metrics_.clock->Set(sim_clock_);
       JsonObj row;
       row.Str("type", "summary")
-          .U64("rounds", telemetry_rounds_)
-          .U64("merges", merges_total_)
+          .U64("rounds", metrics_.rounds)
+          .U64("merges", metrics_.merges)
           .Num("clock", sim_clock_)
           .Num("recall", result_.final_eval.overall.recall)
           .Num("ndcg", result_.final_eval.overall.ndcg)
           .U64("total_scalars", result_.comm.TotalTransmitted())
           .U64("total_bytes", result_.comm.TotalBytes())
           .U64("dropped", result_.comm.TotalDropped())
-          .Raw("metrics", tel_->registry()->ToJson());
+          .Raw("metrics", metrics_.ToJson(result_.comm, sim_clock_));
       tel_->WriteRow(row.Build());
     }
     const Status flushed = tel_->Flush();
@@ -1598,9 +1567,6 @@ class FederatedRun {
   std::unique_ptr<Telemetry> tel_;
   TraceRecorder* trace_ = nullptr;  // borrowed from tel_; null when off
   RunMetrics metrics_;
-  uint64_t telemetry_rounds_ = 0;  // "round" rows emitted (sync rounds or
-                                   // async merge batches)
-  uint64_t merges_total_ = 0;      // cumulative merged client updates
   std::vector<UserId> trace_round_merges_;  // merged users of the open round
   size_t async_merges_in_row_ = 0;  // merges since the last async batch row
   double async_row_clock_ = 0.0;    // clock at the last async batch close

@@ -108,7 +108,7 @@ size_t CommStats::TotalBytes() const {
 
 std::vector<uint64_t> CommStats::ExportCounters() const {
   std::vector<uint64_t> packed;
-  packed.reserve(kNumGroups * 5 + 12);
+  packed.reserve(kNumGroups * 5 + kFaultCounters.size());
   for (const auto& pg : groups_) {
     packed.push_back(pg.uploads);
     packed.push_back(pg.downloads);
@@ -116,23 +116,14 @@ std::vector<uint64_t> CommStats::ExportCounters() const {
     packed.push_back(pg.up_params);
     packed.push_back(pg.down_params);
   }
-  packed.push_back(faults_.download_lost);
-  packed.push_back(faults_.upload_lost);
-  packed.push_back(faults_.crashed);
-  packed.push_back(faults_.duplicates);
-  packed.push_back(faults_.corrupted);
-  packed.push_back(faults_.rejected_nonfinite);
-  packed.push_back(faults_.rejected_outlier);
-  packed.push_back(faults_.rows_clipped);
-  packed.push_back(faults_.quarantines);
-  packed.push_back(faults_.retries);
-  packed.push_back(faults_.gave_up);
-  packed.push_back(faults_.nonfinite_grad_steps);
+  for (const FaultCounter& c : kFaultCounters) {
+    packed.push_back(faults_.*c.member);
+  }
   return packed;
 }
 
 void CommStats::RestoreCounters(const std::vector<uint64_t>& packed) {
-  HFR_CHECK_EQ(packed.size(), kNumGroups * 5 + 12);
+  HFR_CHECK_EQ(packed.size(), kNumGroups * 5 + kFaultCounters.size());
   size_t i = 0;
   for (auto& pg : groups_) {
     pg.uploads = packed[i++];
@@ -141,18 +132,9 @@ void CommStats::RestoreCounters(const std::vector<uint64_t>& packed) {
     pg.up_params = packed[i++];
     pg.down_params = packed[i++];
   }
-  faults_.download_lost = packed[i++];
-  faults_.upload_lost = packed[i++];
-  faults_.crashed = packed[i++];
-  faults_.duplicates = packed[i++];
-  faults_.corrupted = packed[i++];
-  faults_.rejected_nonfinite = packed[i++];
-  faults_.rejected_outlier = packed[i++];
-  faults_.rows_clipped = packed[i++];
-  faults_.quarantines = packed[i++];
-  faults_.retries = packed[i++];
-  faults_.gave_up = packed[i++];
-  faults_.nonfinite_grad_steps = packed[i++];
+  for (const FaultCounter& c : kFaultCounters) {
+    faults_.*c.member = packed[i++];
+  }
   round_base_ = groups_;
 }
 

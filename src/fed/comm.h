@@ -47,6 +47,29 @@ struct FaultStats {
   }
 };
 
+/// One FaultStats counter and its name in the metrics stream.
+struct FaultCounter {
+  const char* metric;
+  size_t FaultStats::*member;
+};
+
+/// Every FaultStats counter, in the order of the run checkpoint's fault
+/// segment (CommStats::ExportCounters) and of the metrics stream.
+inline constexpr std::array<FaultCounter, 12> kFaultCounters = {{
+    {"fault.download_lost", &FaultStats::download_lost},
+    {"fault.upload_lost", &FaultStats::upload_lost},
+    {"fault.crashed", &FaultStats::crashed},
+    {"fault.duplicates", &FaultStats::duplicates},
+    {"fault.corrupted", &FaultStats::corrupted},
+    {"admission.rejected_nonfinite", &FaultStats::rejected_nonfinite},
+    {"admission.rejected_outlier", &FaultStats::rejected_outlier},
+    {"admission.rows_clipped", &FaultStats::rows_clipped},
+    {"gate.quarantines", &FaultStats::quarantines},
+    {"gate.retries", &FaultStats::retries},
+    {"gate.gave_up", &FaultStats::gave_up},
+    {"train.nonfinite_grad_steps", &FaultStats::nonfinite_grad_steps},
+}};
+
 /// \brief One round's worth of traffic: the delta between two consecutive
 /// CommStats::SnapshotRound() calls.
 ///

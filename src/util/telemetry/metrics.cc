@@ -1,16 +1,13 @@
 #include "src/util/telemetry/metrics.h"
 
+#include <cinttypes>
+#include <cstdio>
+#include <utility>
+
 #include "src/util/logging.h"
 #include "src/util/telemetry/json.h"
 
 namespace hetefedrec {
-
-size_t Counter::ShardIndex() {
-  static std::atomic<size_t> next{0};
-  thread_local size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
-  return slot;
-}
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {
@@ -29,87 +26,22 @@ void Histogram::Observe(double v) {
   if (v > max_) max_ = v;
 }
 
-MetricsRegistry::Entry* MetricsRegistry::Find(const std::string& name,
-                                              Kind kind) {
-  auto it = index_.find(name);
-  if (it == index_.end()) return nullptr;
-  Entry* e = &entries_[it->second];
-  HFR_CHECK(e->kind == kind) << "metric '" << name
-                             << "' re-registered with a different kind";
-  return e;
-}
-
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  if (Entry* e = Find(name, Kind::kCounter)) return e->counter;
-  counters_.emplace_back(new Counter());
-  index_[name] = entries_.size();
-  entries_.push_back(
-      Entry{name, Kind::kCounter, counters_.back().get(), nullptr, nullptr});
-  return counters_.back().get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  if (Entry* e = Find(name, Kind::kGauge)) return e->gauge;
-  gauges_.emplace_back(new Gauge());
-  index_[name] = entries_.size();
-  entries_.push_back(
-      Entry{name, Kind::kGauge, nullptr, gauges_.back().get(), nullptr});
-  return gauges_.back().get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
-  if (Entry* e = Find(name, Kind::kHistogram)) return e->histogram;
-  histograms_.emplace_back(new Histogram(std::move(bounds)));
-  index_[name] = entries_.size();
-  entries_.push_back(
-      Entry{name, Kind::kHistogram, nullptr, nullptr, histograms_.back().get()});
-  return histograms_.back().get();
-}
-
-std::string MetricsRegistry::ToJson() const {
-  std::string out = "{";
-  bool first = true;
-  for (const Entry& e : entries_) {
-    if (!first) out += ',';
-    first = false;
-    AppendJsonString(&out, e.name);
-    out += ':';
-    switch (e.kind) {
-      case Kind::kCounter: {
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(e.counter->Value()));
-        out += buf;
-        break;
-      }
-      case Kind::kGauge:
-        AppendJsonNumber(&out, e.gauge->Value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *e.histogram;
-        JsonObj o;
-        o.U64("count", h.count());
-        o.Num("sum", h.sum());
-        o.Num("min", h.min());
-        o.Num("max", h.max());
-        std::string buckets = "[";
-        for (size_t i = 0; i < h.bucket_counts().size(); ++i) {
-          if (i) buckets += ',';
-          char buf[24];
-          std::snprintf(buf, sizeof(buf), "%llu",
-                        static_cast<unsigned long long>(h.bucket_counts()[i]));
-          buckets += buf;
-        }
-        buckets += ']';
-        o.Raw("buckets", buckets);
-        out += o.Build();
-        break;
-      }
-    }
+std::string Histogram::ToJson() const {
+  std::string buckets = "[";
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    if (i) buckets += ',';
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, counts_[i]);
+    buckets += buf;
   }
-  out += '}';
-  return out;
+  buckets += ']';
+  JsonObj o;
+  o.U64("count", count())
+      .Num("sum", sum())
+      .Num("min", min())
+      .Num("max", max())
+      .Raw("buckets", buckets);
+  return o.Build();
 }
 
 }  // namespace hetefedrec

@@ -1,148 +1,44 @@
-// Run-wide metrics registry: counters, gauges and fixed-bucket histograms.
+// Fixed-bucket histogram for the metrics stream.
 //
-// Determinism contract (docs/OBSERVABILITY.md): the registry must never
-// perturb results and its serialized dump must be byte-identical across
-// thread counts.
-//
-//  - Counter is the only cross-thread instrument. It shards a u64 across
-//    cache-line-padded atomic slots (relaxed fetch_add, no locks); u64
-//    addition is commutative and exact, so the summed value is independent
-//    of interleaving.
-//  - Gauge and Histogram hold doubles, whose accumulation order matters.
-//    They must only be written from the deterministic main/merge thread
-//    (the round loop), never from pool workers.
-//
-// Metrics are registered lazily by name and iterated in registration order,
-// so a fixed call sequence yields a fixed serialization order — no name
-// sorting, no hash-map iteration.
+// Determinism contract (docs/OBSERVABILITY.md): a histogram holds doubles,
+// whose accumulation order matters, so it is written only on the round
+// thread, never from pool workers, and its rendering is byte-identical
+// across thread counts.
 #ifndef HETEFEDREC_UTIL_TELEMETRY_METRICS_H_
 #define HETEFEDREC_UTIL_TELEMETRY_METRICS_H_
 
-#include <array>
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace hetefedrec {
 
-class MetricsRegistry;
-
-/// Monotone u64 counter, safe to bump from any thread.
-class Counter {
- public:
-  void Add(uint64_t n) {
-    shards_[ShardIndex()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  void Increment() { Add(1); }
-
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
-
- private:
-  friend class MetricsRegistry;
-  Counter() = default;
-
-  static constexpr size_t kShards = 16;  // power of two (masked below)
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> v{0};
-  };
-
-  /// Stable per-thread shard slot (threads hash to shards round-robin by
-  /// creation order; collisions only cost contention, never correctness).
-  static size_t ShardIndex();
-
-  std::array<Shard, kShards> shards_;
-};
-
-/// Last-write-wins double. Main-thread-only (see file comment).
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  double Value() const { return value_; }
-
- private:
-  friend class MetricsRegistry;
-  Gauge() = default;
-  double value_ = 0.0;
-};
-
-/// Fixed-bucket histogram over doubles. Main-thread-only (see file comment).
-/// Buckets are [..b0], (b0..b1], ..., (b_{n-1}..+inf]; bounds are fixed at
-/// registration.
+/// Fixed-bucket histogram over doubles. Buckets are [..b0], (b0..b1], ...,
+/// (b_{n-1}..+inf]; bounds are fixed at construction and must ascend.
 class Histogram {
  public:
+  explicit Histogram(std::vector<double> bounds);
+
   void Observe(double v);
 
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// bounds().size() + 1 entries; last is the overflow bucket.
+  /// One entry per bound plus the overflow bucket, last.
   const std::vector<uint64_t>& bucket_counts() const { return counts_; }
 
- private:
-  friend class MetricsRegistry;
-  explicit Histogram(std::vector<double> bounds);
+  /// {"count":n,"sum":s,"min":lo,"max":hi,"buckets":[c0,...,cn]}.
+  std::string ToJson() const;
 
+ private:
   std::vector<double> bounds_;
   std::vector<uint64_t> counts_;
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Owns all instruments; hands out stable pointers. Get* registers on first
-/// use and returns the existing instrument (of the same kind) afterwards.
-/// Registration takes a mutex-free path only through the unordered_map, so
-/// register everything up front (the trainer does) and bump lock-free after.
-class MetricsRegistry {
- public:
-  enum class Kind { kCounter, kGauge, kHistogram };
-
-  struct Entry {
-    std::string name;
-    Kind kind;
-    Counter* counter = nullptr;      // set when kind == kCounter
-    Gauge* gauge = nullptr;          // set when kind == kGauge
-    Histogram* histogram = nullptr;  // set when kind == kHistogram
-  };
-
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name,
-                          std::vector<double> bounds);
-
-  /// Registration order — the deterministic serialization order.
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Renders every instrument into one JSON object:
-  ///   counters/gauges -> numbers, histograms -> {count,sum,min,max,buckets}.
-  std::string ToJson() const;
-
- private:
-  Entry* Find(const std::string& name, Kind kind);
-
-  std::vector<Entry> entries_;
-  // hfr-lint: iteration-order-safe(name->slot lookups only - serialization iterates entries_ in registration order, never this map)
-  std::unordered_map<std::string, size_t> index_;
-  // Deques of stable storage (pointers handed out must survive growth).
-  std::vector<std::unique_ptr<Counter>> counters_;
-  std::vector<std::unique_ptr<Gauge>> gauges_;
-  std::vector<std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace hetefedrec

@@ -1,12 +1,12 @@
-// Telemetry bundle: one object tying the metrics registry, the virtual-clock
-// trace recorder and the JSONL metrics stream together for a run.
+// Telemetry bundle: the owner of a run's two output files, the JSONL
+// metrics stream and the virtual-clock trace recorder.
 //
 // The federated executor owns one Telemetry when any of --metrics_out,
 // --trace_out or --profile is set (and none otherwise — the null pointer is
 // the telemetry-off fast path). All writes happen on the deterministic
-// round/merge thread except Counter bumps, which are order-free; see
-// docs/OBSERVABILITY.md for the full determinism contract and the stream
-// schema (meta / round / eval / summary / profile row types).
+// round/merge thread; see docs/OBSERVABILITY.md for the full determinism
+// contract and the stream schema (meta / round / eval / summary / profile
+// row types).
 #ifndef HETEFEDREC_UTIL_TELEMETRY_TELEMETRY_H_
 #define HETEFEDREC_UTIL_TELEMETRY_TELEMETRY_H_
 
@@ -16,7 +16,6 @@
 
 #include "src/util/status.h"
 #include "src/util/telemetry/json.h"
-#include "src/util/telemetry/metrics.h"
 #include "src/util/telemetry/profiler.h"
 #include "src/util/telemetry/trace.h"
 
@@ -40,7 +39,6 @@ class Telemetry {
   bool metrics_on() const { return metrics_file_ != nullptr; }
   bool trace_on() const { return trace_ != nullptr; }
 
-  MetricsRegistry* registry() { return &registry_; }
   /// Null when --trace_out is unset.
   TraceRecorder* trace() { return trace_.get(); }
 
@@ -56,7 +54,6 @@ class Telemetry {
   explicit Telemetry(const TelemetryOptions& options);
 
   TelemetryOptions options_;
-  MetricsRegistry registry_;
   std::FILE* metrics_file_ = nullptr;
   bool trace_written_ = false;
   std::unique_ptr<TraceRecorder> trace_;

@@ -56,66 +56,30 @@ TEST(JsonTest, ObjKeysStayInCallOrder) {
   EXPECT_EQ(json, "{\"b\":\"x\",\"a\":1,\"c\":true,\"d\":[1,2]}");
 }
 
-TEST(CounterTest, MultithreadedAddsSumExactly) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("c");
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([c] {
-      for (int i = 0; i < kPerThread; ++i) c->Increment();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c->Value(), static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {
-  MetricsRegistry reg;
-  Counter* a = reg.GetCounter("x");
-  Counter* b = reg.GetCounter("x");
-  EXPECT_EQ(a, b);
-  a->Add(3);
-  EXPECT_EQ(b->Value(), 3u);
-}
-
-TEST(MetricsRegistryTest, EntriesKeepRegistrationOrder) {
-  MetricsRegistry reg;
-  reg.GetCounter("zeta");
-  reg.GetGauge("alpha");
-  reg.GetHistogram("mid", {1.0, 2.0});
-  reg.GetCounter("zeta");  // re-get must not duplicate
-  ASSERT_EQ(reg.entries().size(), 3u);
-  EXPECT_EQ(reg.entries()[0].name, "zeta");
-  EXPECT_EQ(reg.entries()[1].name, "alpha");
-  EXPECT_EQ(reg.entries()[2].name, "mid");
-}
-
-TEST(MetricsRegistryTest, ToJsonIsDeterministicAndOrdered) {
-  MetricsRegistry reg;
-  reg.GetCounter("b.count")->Add(7);
-  reg.GetGauge("a.gauge")->Set(2.5);
-  const std::string json = reg.ToJson();
-  EXPECT_EQ(json, "{\"b.count\":7,\"a.gauge\":2.5}");
-}
-
 TEST(HistogramTest, BucketsAndStats) {
-  MetricsRegistry reg;
-  Histogram* h = reg.GetHistogram("h", {1.0, 5.0, 10.0});
-  h->Observe(0.5);   // <= 1
-  h->Observe(1.0);   // <= 1 (inclusive upper bound)
-  h->Observe(3.0);   // (1, 5]
-  h->Observe(100.0); // overflow
-  ASSERT_EQ(h->bucket_counts().size(), 4u);
-  EXPECT_EQ(h->bucket_counts()[0], 2u);
-  EXPECT_EQ(h->bucket_counts()[1], 1u);
-  EXPECT_EQ(h->bucket_counts()[2], 0u);
-  EXPECT_EQ(h->bucket_counts()[3], 1u);
-  EXPECT_EQ(h->count(), 4u);
-  EXPECT_DOUBLE_EQ(h->sum(), 104.5);
-  EXPECT_DOUBLE_EQ(h->min(), 0.5);
-  EXPECT_DOUBLE_EQ(h->max(), 100.0);
+  Histogram h({1.0, 5.0, 10.0});
+  h.Observe(0.5);   // <= 1
+  h.Observe(1.0);   // <= 1 (inclusive upper bound)
+  h.Observe(3.0);   // (1, 5]
+  h.Observe(100.0); // overflow
+  ASSERT_EQ(h.bucket_counts().size(), 4u);
+  EXPECT_EQ(h.bucket_counts()[0], 2u);
+  EXPECT_EQ(h.bucket_counts()[1], 1u);
+  EXPECT_EQ(h.bucket_counts()[2], 0u);
+  EXPECT_EQ(h.bucket_counts()[3], 1u);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_DOUBLE_EQ(h.sum(), 104.5);
+  EXPECT_DOUBLE_EQ(h.min(), 0.5);
+  EXPECT_DOUBLE_EQ(h.max(), 100.0);
+  EXPECT_EQ(h.ToJson(),
+            "{\"count\":4,\"sum\":104.5,\"min\":0.5,\"max\":100,"
+            "\"buckets\":[2,1,0,1]}");
+}
+
+TEST(HistogramTest, EmptyRendersZeroStats) {
+  EXPECT_EQ(Histogram({0.0, 1.0}).ToJson(),
+            "{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,"
+            "\"buckets\":[0,0,0]}");
 }
 
 TEST(TraceRecorderTest, EmitsChromeTraceEvents) {
