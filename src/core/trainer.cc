@@ -1033,23 +1033,47 @@ class FederatedRun {
   }
 
   /// Fills free in-flight slots from the queue at the current virtual
-  /// instant. The collected batch trains in parallel against the current
-  /// tables — every client of one dispatch batch downloads the same model
-  /// version, which is what dispatching at one virtual instant means.
-  /// Offline clients requeue (a fresh availability draw at their next
-  /// dispatch attempt); excluded groups never dispatch.
+  /// instant. Offline clients requeue (a fresh availability draw at their
+  /// next dispatch attempt); excluded groups never dispatch. A client the
+  /// backoff gate holds costs no budget, and a pass ends once every queued
+  /// client in a row was held. With nothing in flight, the dispatch
+  /// instant moves to the earliest retry of a held client, and a batch
+  /// that lost every upload dispatches again: no merge is left to trigger
+  /// the next dispatch, so the epoch would end with the queue undrained.
   void AsyncDispatch(size_t* budget) {
-    HFR_CHECK_GE(async_inflight_, agg_->in_flight());
-    const size_t free_slots = async_inflight_ - agg_->in_flight();
-    const double now = agg_->clock_seconds();
-    batch_.clear();
-    while (batch_.size() < free_slots && !queue_->Exhausted() &&
-           *budget > 0) {
-      --*budget;
-      Screen(queue_->PopNext(), now);
-    }
-    if (batch_.empty()) return;
+    do {
+      HFR_CHECK_GE(async_inflight_, agg_->in_flight());
+      const size_t free_slots = async_inflight_ - agg_->in_flight();
+      const double now = agg_->clock_seconds();
+      batch_.clear();
+      double retry_at = std::numeric_limits<double>::infinity();
+      size_t held_in_row = 0;
+      while (batch_.size() < free_slots && !queue_->Exhausted() &&
+             *budget > 0 && held_in_row < queue_->pending()) {
+        const UserId u = queue_->PopNext();
+        if (Screen(u, now)) {
+          retry_at = std::min(retry_at, gate_->ReadyAt(u));
+          ++held_in_row;
+        } else {
+          --*budget;
+          held_in_row = 0;
+        }
+      }
+      if (!batch_.empty()) {
+        SubmitBatch(now);
+      } else if (agg_->empty() && std::isfinite(retry_at)) {
+        agg_->AdvanceClock(retry_at);
+      } else {
+        return;
+      }
+    } while (agg_->empty());
+  }
 
+  /// Trains batch_, dispatched at virtual instant `now`, in parallel
+  /// against the current tables — every client of one dispatch batch
+  /// downloads the same model version, which is what dispatching at one
+  /// virtual instant means — and submits each upload its fault spares.
+  void SubmitBatch(double now) {
     // In-flight updates must coexist (they are "on the wire"), unlike the
     // synchronous serial path's one live update; on the default sparse
     // path each holds only its touched rows.

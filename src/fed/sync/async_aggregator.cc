@@ -96,6 +96,11 @@ AsyncAggregator::Outcome AsyncAggregator::MergeNext(
   return out;
 }
 
+void AsyncAggregator::AdvanceClock(double seconds) {
+  HFR_CHECK(events_.empty());
+  clock_ = std::max(clock_, seconds);
+}
+
 void AsyncAggregator::RestoreState(double clock_seconds, uint64_t next_seq,
                                    size_t merged, size_t dropped) {
   HFR_CHECK(events_.empty());

@@ -98,6 +98,11 @@ class AsyncAggregator {
   size_t dropped_updates() const { return dropped_; }
   uint64_t next_seq() const { return next_seq_; }
 
+  /// Moves the virtual clock forward to `seconds` (never back). Only legal
+  /// while no completions are in flight: the dispatcher waits out a
+  /// backoff with nothing else to merge.
+  void AdvanceClock(double seconds);
+
   /// Restores the scalar event-queue state from a run checkpoint. Only
   /// legal while no completions are in flight — run checkpoints are taken
   /// at epoch boundaries, where the queue has fully drained.

@@ -228,6 +228,36 @@ TEST(FaultEquivalence, GatedClientsDoNotExhaustTheRoundBudget) {
   }
 }
 
+// The async schedule's counterpart: a client the backoff gate holds costs
+// no dispatch budget, and with nothing in flight the dispatch instant moves
+// to the earliest retry. Without that, held clients were popped again at
+// one virtual instant until the epoch's budget (10 x users + 10 x
+// in-flight) ran out, the in-flight merges drained and the epoch ended with
+// them still queued. The fault cocktail with admission control must drain
+// every epoch, with every client online and with 20% offline.
+TEST(FaultEquivalence, GatedClientsDrainTheAsyncEpoch) {
+  for (double availability : {1.0, 0.8}) {
+    SCOPED_TRACE("availability=" + std::to_string(availability));
+    ExperimentConfig cfg = SmallConfig();
+    cfg.fault_upload_loss = 0.05;
+    cfg.fault_download_loss = 0.03;
+    cfg.fault_crash = 0.02;
+    cfg.fault_duplicate = 0.02;
+    cfg.fault_corrupt = 0.05;
+    cfg.admission_control = true;
+    cfg.admit_max_row_norm = 1.0;
+    cfg.admit_outlier_z = 6.0;
+    cfg.async_mode = true;
+    cfg.async_dispatch_batch = 8;
+    cfg.availability = availability;
+    testing::internal::CaptureStderr();
+    const ExperimentResult r = RunWith(cfg, Method::kHeteFedRec);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(log.find("dispatch budget exhausted"), std::string::npos) << log;
+    EXPECT_GT(r.comm.faults().quarantines, 0u);
+  }
+}
+
 // Standalone training has no network, no server, no rounds: every
 // robustness knob must be a no-op there.
 // Every client a round trains counts its skipped optimizer steps once,
