@@ -1,11 +1,14 @@
 #include "src/core/checkpoint.h"
 
 #include <charconv>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <system_error>
 
 #include "src/fed/shard/sharded_server.h"
+#include "src/util/logging.h"
 
 namespace hetefedrec {
 
@@ -58,6 +61,54 @@ Status ExpectTag(std::istream* in, RecordTag expected) {
 
 }  // namespace
 
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char ch : bytes) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+Status WriteCheckedFile(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IOError("cannot open " + tmp);
+    HFR_RETURN_NOT_OK(WriteRaw(&out, bytes.data(), bytes.size()));
+    HFR_RETURN_NOT_OK(WriteU64(&out, Fnv1a64(bytes)));
+    out.close();
+    if (!out) return Status::IOError("cannot write " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IOError("cannot rename " + tmp + " to " + path);
+  }
+  return Status::OK();
+}
+
+StatusOr<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open " + path);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  if (in.bad()) return Status::IOError("cannot read " + path);
+  return bytes.str();
+}
+
+Status VerifyDigest(const std::string& bytes) {
+  uint64_t stored = 0;
+  if (bytes.size() < sizeof(stored)) {
+    return Status::IOError("checkpoint truncated");
+  }
+  const size_t body = bytes.size() - sizeof(stored);
+  std::memcpy(&stored, bytes.data() + body, sizeof(stored));
+  if (stored != Fnv1a64(std::string_view(bytes.data(), body))) {
+    return Status::InvalidArgument(
+        "checkpoint checksum mismatch: the file is damaged");
+  }
+  return Status::OK();
+}
+
 Status WriteCheckpointHeader(std::ostream* out) {
   return WriteRaw(out, kCheckpointMagic, sizeof(kCheckpointMagic));
 }
@@ -106,7 +157,7 @@ Status WriteMeta(std::ostream* out, const std::string& key,
   return WriteRaw(out, value.data(), value.size());
 }
 
-StatusOr<std::pair<std::string, std::string>> ReadMeta(std::istream* in) {
+StatusOr<std::string> ReadMeta(std::istream* in, const std::string& key) {
   HFR_RETURN_NOT_OK(ExpectTag(in, RecordTag::kMeta));
   auto read_string = [in]() -> StatusOr<std::string> {
     auto len = ReadU64(in);
@@ -118,23 +169,27 @@ StatusOr<std::pair<std::string, std::string>> ReadMeta(std::istream* in) {
     HFR_RETURN_NOT_OK(ReadRaw(in, s.data(), s.size()));
     return s;
   };
-  auto key = read_string();
-  if (!key.ok()) return key.status();
-  auto value = read_string();
-  if (!value.ok()) return value.status();
-  return std::make_pair(*key, *value);
+  auto found = read_string();
+  if (!found.ok()) return found.status();
+  if (*found != key) {
+    return Status::InvalidArgument("checkpoint: expected meta key " + key +
+                                   ", got " + *found);
+  }
+  return read_string();
 }
 
 Status WriteEnd(std::ostream* out) {
   return WriteU32(out, static_cast<uint32_t>(RecordTag::kEnd));
 }
 
-StatusOr<RecordTag> PeekTag(std::istream* in) {
-  auto pos = in->tellg();
-  auto tag = ReadU32(in);
-  if (!tag.ok()) return tag.status();
-  in->seekg(pos);
-  return static_cast<RecordTag>(*tag);
+Status ReadEnd(std::istream* in) {
+  HFR_RETURN_NOT_OK(ExpectTag(in, RecordTag::kEnd));
+  uint64_t digest = 0;  // verified before parsing (VerifyDigest)
+  HFR_RETURN_NOT_OK(ReadRaw(in, &digest, sizeof(digest)));
+  if (in->peek() != std::char_traits<char>::eof()) {
+    return Status::InvalidArgument("checkpoint has bytes after its end");
+  }
+  return Status::OK();
 }
 
 Status WriteU64Vector(std::ostream* out, const std::vector<uint64_t>& words) {
@@ -208,63 +263,69 @@ StatusOr<FeedForwardNet> ReadFfn(std::istream* in) {
   return net;
 }
 
-Status SaveServerCheckpoint(const std::string& path,
-                            const ShardedServer& server,
-                            const std::string& base_model_name) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path);
-  HFR_RETURN_NOT_OK(WriteCheckpointHeader(&out));
-  HFR_RETURN_NOT_OK(WriteMeta(&out, "base_model", base_model_name));
+Status WriteSlots(std::ostream* out, const std::vector<Matrix>& tables,
+                  const std::vector<FeedForwardNet>& thetas) {
+  HFR_CHECK_EQ(tables.size(), thetas.size());
   HFR_RETURN_NOT_OK(
-      WriteMeta(&out, "num_slots", std::to_string(server.num_slots())));
-  for (size_t s = 0; s < server.num_slots(); ++s) {
-    HFR_RETURN_NOT_OK(WriteMatrix(&out, server.table(s)));
-    HFR_RETURN_NOT_OK(WriteFfn(&out, server.theta(s)));
+      WriteMeta(out, "num_slots", std::to_string(tables.size())));
+  for (size_t s = 0; s < tables.size(); ++s) {
+    HFR_RETURN_NOT_OK(WriteMatrix(out, tables[s]));
+    HFR_RETURN_NOT_OK(WriteFfn(out, thetas[s]));
   }
-  return WriteEnd(&out);
+  return Status::OK();
 }
 
-StatusOr<ServerCheckpoint> LoadServerCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  HFR_RETURN_NOT_OK(ReadCheckpointHeader(&in));
-  ServerCheckpoint ckpt;
+Status ReadSlots(std::istream* in, std::vector<Matrix>* tables,
+                 std::vector<FeedForwardNet>* thetas) {
+  auto value = ReadMeta(in, "num_slots");
+  if (!value.ok()) return value.status();
+  const std::string& v = *value;
   size_t num_slots = 0;
-  while (true) {
-    auto meta = ReadMeta(&in);
-    if (!meta.ok()) return meta.status();
-    if (meta->first == "base_model") {
-      ckpt.base_model_name = meta->second;
-    } else if (meta->first == "num_slots") {
-      const std::string& v = meta->second;
-      const auto parsed =
-          std::from_chars(v.data(), v.data() + v.size(), num_slots);
-      if (parsed.ec != std::errc() || parsed.ptr != v.data() + v.size()) {
-        return Status::InvalidArgument(
-            "checkpoint num_slots is not a whole number");
-      }
-      break;
-    } else {
-      return Status::InvalidArgument("unknown checkpoint meta key " +
-                                     meta->first);
-    }
+  const char* end = v.data() + v.size();
+  const auto parsed = std::from_chars(v.data(), end, num_slots);
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    return Status::InvalidArgument("checkpoint num_slots is not a whole number");
   }
   if (num_slots == 0 || num_slots > 16) {
     return Status::InvalidArgument("checkpoint slot count implausible");
   }
   for (size_t s = 0; s < num_slots; ++s) {
-    auto table = ReadMatrix(&in);
+    auto table = ReadMatrix(in);
     if (!table.ok()) return table.status();
-    auto theta = ReadFfn(&in);
+    if (!tables->empty() && table->rows() != tables->front().rows()) {
+      return Status::InvalidArgument("checkpoint tables differ in row count");
+    }
+    auto theta = ReadFfn(in);
     if (!theta.ok()) return theta.status();
-    ckpt.tables.push_back(std::move(table).value());
-    ckpt.thetas.push_back(std::move(theta).value());
+    tables->push_back(std::move(table).value());
+    thetas->push_back(std::move(theta).value());
   }
-  auto end = PeekTag(&in);
-  if (!end.ok()) return end.status();
-  if (*end != RecordTag::kEnd) {
-    return Status::InvalidArgument("checkpoint missing end sentinel");
-  }
+  return Status::OK();
+}
+
+Status SaveServerCheckpoint(const std::string& path,
+                            const ShardedServer& server,
+                            const std::string& base_model_name) {
+  std::ostringstream out;
+  HFR_RETURN_NOT_OK(WriteCheckpointHeader(&out));
+  HFR_RETURN_NOT_OK(WriteMeta(&out, "base_model", base_model_name));
+  HFR_RETURN_NOT_OK(WriteSlots(&out, server.tables(), server.thetas()));
+  HFR_RETURN_NOT_OK(WriteEnd(&out));
+  return WriteCheckedFile(path, out.str());
+}
+
+StatusOr<ServerCheckpoint> LoadServerCheckpoint(const std::string& path) {
+  auto bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  HFR_RETURN_NOT_OK(VerifyDigest(*bytes));
+  std::istringstream in(std::move(bytes).value());
+  HFR_RETURN_NOT_OK(ReadCheckpointHeader(&in));
+  ServerCheckpoint ckpt;
+  auto base_model = ReadMeta(&in, "base_model");
+  if (!base_model.ok()) return base_model.status();
+  ckpt.base_model_name = std::move(base_model).value();
+  HFR_RETURN_NOT_OK(ReadSlots(&in, &ckpt.tables, &ckpt.thetas));
+  HFR_RETURN_NOT_OK(ReadEnd(&in));
   return ckpt;
 }
 

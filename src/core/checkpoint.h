@@ -2,9 +2,11 @@
 //
 // A tiny tagged little-endian format ("HFR1") used to persist matrices and
 // whole server states: deploying a trained federated recommender means
-// shipping exactly these public parameters to clients. Readers validate
-// magic, tags and dimensions so a truncated or foreign file fails loudly
-// with a Status instead of corrupting a model.
+// shipping exactly these public parameters to clients. Every file ends in
+// an FNV-1a-64 digest of the bytes before it, checked before the records
+// are parsed, and readers validate magic, tags and dimensions, so a
+// damaged, truncated or foreign file fails with a Status instead of
+// corrupting a model.
 #ifndef HETEFEDREC_CORE_CHECKPOINT_H_
 #define HETEFEDREC_CORE_CHECKPOINT_H_
 
@@ -12,7 +14,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "src/math/matrix.h"
@@ -29,11 +31,25 @@ enum class RecordTag : uint32_t {
   kMatrix = 1,
   kFfn = 2,
   kMeta = 3,
-  /// Length-prefixed vector of raw uint64 words (format v2, run states).
-  /// Doubles ride along as bit patterns; see core/run_state.cc.
+  /// Length-prefixed vector of raw uint64 words (the run-state body).
+  /// Doubles ride along as bit patterns; see core/run_state.h.
   kRaw64 = 4,
   kEnd = 0xFFFFFFFF,
 };
+
+/// FNV-1a 64-bit hash of `bytes`.
+uint64_t Fnv1a64(std::string_view bytes);
+
+/// Writes `bytes` and their 8-byte Fnv1a64 digest to `path` through
+/// `path`.tmp and a rename, so a crash mid-write leaves the previous file
+/// whole.
+Status WriteCheckedFile(const std::string& path, const std::string& bytes);
+
+/// Reads all of `path`.
+StatusOr<std::string> ReadFileBytes(const std::string& path);
+
+/// Checks the digest WriteCheckedFile appended to `bytes`.
+Status VerifyDigest(const std::string& bytes);
 
 /// Writes the checkpoint header.
 Status WriteCheckpointHeader(std::ostream* out);
@@ -51,14 +67,14 @@ StatusOr<Matrix> ReadMatrix(std::istream* in);
 Status WriteMeta(std::ostream* out, const std::string& key,
                  const std::string& value);
 
-/// Reads a meta record; returns (key, value).
-StatusOr<std::pair<std::string, std::string>> ReadMeta(std::istream* in);
+/// Reads a meta record whose key must be `key`; returns its value.
+StatusOr<std::string> ReadMeta(std::istream* in, const std::string& key);
 
 /// Writes the end-of-checkpoint sentinel.
 Status WriteEnd(std::ostream* out);
 
-/// Peeks the next record tag without consuming it.
-StatusOr<RecordTag> PeekTag(std::istream* in);
+/// Reads the end sentinel and the digest after it; nothing may follow.
+Status ReadEnd(std::istream* in);
 
 /// Writes one raw-word record (tag + count + count uint64 words).
 Status WriteU64Vector(std::ostream* out, const std::vector<uint64_t>& words);
@@ -71,6 +87,17 @@ Status WriteFfn(std::ostream* out, const FeedForwardNet& net);
 
 /// Reads a FeedForwardNet record written by WriteFfn.
 StatusOr<FeedForwardNet> ReadFfn(std::istream* in);
+
+/// Writes every slot's public parameters: a num_slots meta record, then
+/// each slot's item table and Θ. Shared by the server checkpoint and the
+/// run state.
+Status WriteSlots(std::ostream* out, const std::vector<Matrix>& tables,
+                  const std::vector<FeedForwardNet>& thetas);
+
+/// Reads what WriteSlots wrote into empty `tables` and `thetas`: 1 to 16
+/// slots whose tables share one row count.
+Status ReadSlots(std::istream* in, std::vector<Matrix>* tables,
+                 std::vector<FeedForwardNet>* thetas);
 
 class ShardedServer;
 

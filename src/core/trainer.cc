@@ -40,6 +40,18 @@ namespace hetefedrec {
 
 namespace {
 
+/// True when any fault rate is set: the run injects faults.
+bool AnyFault(const ExperimentConfig& c) {
+  return c.fault_upload_loss > 0.0 || c.fault_download_loss > 0.0 ||
+         c.fault_crash > 0.0 || c.fault_duplicate > 0.0 ||
+         c.fault_corrupt > 0.0;
+}
+
+/// True when the run keeps a retry/quarantine gate (docs/ROBUSTNESS.md).
+bool HasClientGate(const ExperimentConfig& c) {
+  return AnyFault(c) || c.admission_control;
+}
+
 /// Derived per-method wiring: slots, group->slot map, dual-task lists,
 /// aggregation flavor and component toggles.
 struct MethodSetup {
@@ -472,11 +484,7 @@ class FederatedRun {
     // the default configuration, so the fault-free path is bit-identical to
     // a build without them (Fork is const, so the seeds drawn below never
     // perturb root_'s other streams).
-    const bool any_fault =
-        cfg_.fault_upload_loss > 0.0 || cfg_.fault_download_loss > 0.0 ||
-        cfg_.fault_crash > 0.0 || cfg_.fault_duplicate > 0.0 ||
-        cfg_.fault_corrupt > 0.0;
-    if (any_fault) {
+    if (AnyFault(cfg_)) {
       FaultOptions fault_opts;
       fault_opts.upload_loss = cfg_.fault_upload_loss;
       fault_opts.download_loss = cfg_.fault_download_loss;
@@ -486,7 +494,7 @@ class FederatedRun {
       fault_opts.seed = root_.Fork(6).Next();
       injector_ = std::make_unique<FaultInjector>(fault_opts);
     }
-    if (any_fault || cfg_.admission_control) {
+    if (HasClientGate(cfg_)) {
       BackoffOptions gate_opts;
       gate_opts.retry_base_seconds = cfg_.fault_retry_base;
       gate_opts.retry_cap_seconds = cfg_.fault_retry_cap;
@@ -550,7 +558,7 @@ class FederatedRun {
       } else {
         SyncEpoch(epoch);
       }
-      if (stopped_) {
+      if (result_.stopped) {
         // The debug kill hook simulates a crash: no evaluation, no final
         // model checkpoint — the last *run* checkpoint is the survivor a
         // resumed process picks up. Telemetry still flushes what it saw.
@@ -1015,7 +1023,7 @@ class FederatedRun {
           rounds_done_ >= cfg_.debug_stop_after_rounds) {
         // Simulated crash: the round that just completed is never
         // checkpointed, exactly like a kill between rounds.
-        stopped_ = true;
+        result_.stopped = true;
         return;
       }
       if (cfg_.checkpoint_every > 0 &&
@@ -1135,7 +1143,7 @@ class FederatedRun {
             rounds_done_ >= cfg_.debug_stop_after_rounds) {
           // Simulated crash mid-epoch: in-flight events are simply lost.
           sim_clock_ = agg_->clock_seconds();
-          stopped_ = true;
+          result_.stopped = true;
           return;
         }
       } else if (out.rejected) {
@@ -1214,7 +1222,7 @@ class FederatedRun {
   }
 
   /// Writes the full run state to checkpoint_path + ".run" with an atomic
-  /// rename (docs/ROBUSTNESS.md "Checkpoint format v2").
+  /// rename (docs/ROBUSTNESS.md "Crash-consistent resume").
   void WriteRunCheckpoint(int next_epoch, bool mid_epoch) {
     HFR_PROFILE("checkpoint");
     ++metrics_.checkpoints;
@@ -1225,8 +1233,8 @@ class FederatedRun {
     st.fingerprint = ConfigFingerprint(cfg_, MethodName(method_));
     st.method = MethodName(method_);
     st.base_model = BaseModelName(cfg_.base_model);
-    st.next_epoch = static_cast<uint64_t>(next_epoch);
-    st.mid_epoch = mid_epoch ? 1 : 0;
+    st.next_epoch = next_epoch;
+    st.mid_epoch = mid_epoch;
     st.round_budget = round_budget_;
     st.rounds_done = rounds_done_;
     st.dispatch_seq = dispatch_seq_;
@@ -1256,7 +1264,6 @@ class FederatedRun {
     st.comm_counters = result_.comm.ExportCounters();
     st.history = result_.history;
     if (sync_) {
-      st.has_replicas = 1;
       st.replicas.resize(clients_.size());
       std::vector<uint32_t> rows;
       std::vector<uint64_t> row_versions;
@@ -1276,9 +1283,11 @@ class FederatedRun {
     }
   }
 
-  /// Restores `st`, the state WriteRunCheckpoint wrote; Create loads it and
-  /// reports a file that does not load. An experiment mismatch is fatal —
-  /// resuming a different run would silently produce garbage.
+  /// Restores `st`, the state WriteRunCheckpoint wrote. Create loads it,
+  /// reporting a file that does not load or carries blocks this
+  /// configuration does not restore, and LoadRunState bounds every index
+  /// used here. An experiment mismatch is fatal — resuming a different run
+  /// would silently produce garbage.
   void LoadRun(RunState st) {
     HFR_CHECK_EQ(st.fingerprint, ConfigFingerprint(cfg_, MethodName(method_)))
         << " — the checkpoint was written under a different experiment "
@@ -1287,10 +1296,9 @@ class FederatedRun {
     HFR_CHECK(st.base_model == BaseModelName(cfg_.base_model));
     HFR_CHECK_EQ(st.server.tables.size(), server_->num_slots());
     HFR_CHECK_EQ(st.client_rngs.size(), clients_.size());
-    HFR_CHECK_EQ(st.client_embeddings.size(), clients_.size());
 
-    start_epoch_ = static_cast<int>(st.next_epoch);
-    resume_mid_epoch_ = st.mid_epoch != 0;
+    start_epoch_ = st.next_epoch;
+    resume_mid_epoch_ = st.mid_epoch;
     round_budget_ = st.round_budget;
     rounds_done_ = st.rounds_done;
     dispatch_seq_ = st.dispatch_seq;
@@ -1317,27 +1325,20 @@ class FederatedRun {
                          static_cast<size_t>(st.async_merged),
                          static_cast<size_t>(st.async_dropped));
     }
-    HFR_CHECK_EQ(gate_ != nullptr, !st.gate_state.empty());
     if (gate_) gate_->Restore(st.gate_state);
-    HFR_CHECK_EQ(admission_ != nullptr, !st.admission_history.empty());
     if (admission_) admission_->RestoreHistory(st.admission_history);
     result_.comm.RestoreCounters(st.comm_counters);
     result_.history = std::move(st.history);
-    HFR_CHECK_EQ(st.has_replicas != 0, delta_sync_);
-    if (st.has_replicas != 0) {
-      HFR_CHECK_EQ(st.replicas.size(), clients_.size());
-      for (size_t u = 0; u < clients_.size(); ++u) {
-        const ReplicaSnapshot& snap = st.replicas[u];
-        ClientReplica* rep = sync_->mutable_replica(static_cast<UserId>(u));
-        if (snap.slot_plus_one > 0) {
-          rep->set_slot(static_cast<size_t>(snap.slot_plus_one - 1));
-        }
-        HFR_CHECK_EQ(snap.rows.size(), snap.versions.size());
-        // Coldest first: replaying Hold in export order rebuilds the
-        // identical LRU recency list.
-        for (size_t k = 0; k < snap.rows.size(); ++k) {
-          rep->Hold(static_cast<uint32_t>(snap.rows[k]), snap.versions[k]);
-        }
+    for (size_t u = 0; u < st.replicas.size(); ++u) {
+      const ReplicaSnapshot& snap = st.replicas[u];
+      ClientReplica* rep = sync_->mutable_replica(static_cast<UserId>(u));
+      if (snap.slot_plus_one > 0) {
+        rep->set_slot(static_cast<size_t>(snap.slot_plus_one - 1));
+      }
+      // Coldest first: replaying Hold in export order rebuilds the
+      // identical LRU recency list.
+      for (size_t k = 0; k < snap.rows.size(); ++k) {
+        rep->Hold(static_cast<uint32_t>(snap.rows[k]), snap.versions[k]);
       }
     }
   }
@@ -1568,7 +1569,6 @@ class FederatedRun {
   // Run-checkpoint / kill-hook state (docs/ROBUSTNESS.md).
   int start_epoch_ = 1;           // first epoch to run (resume skips ahead)
   bool resume_mid_epoch_ = false; // continue a checkpointed epoch's queue
-  bool stopped_ = false;          // the debug kill hook fired
   uint64_t rounds_done_ = 0;      // completed rounds (sync) / merges (async)
   uint64_t round_budget_ = 0;     // remaining sync-epoch round budget
 
@@ -1615,6 +1615,15 @@ StatusOr<std::unique_ptr<ExperimentRunner>> ExperimentRunner::Create(
   if (config.resume_run) {
     auto state = LoadRunState(config.checkpoint_path + ".run");
     if (!state.ok()) return state.status();
+    // The configuration decides which robustness and delta-sync blocks a
+    // run restores; a file carrying others is damaged or from another run.
+    if (state->gate_state.empty() == HasClientGate(config) ||
+        state->admission_history.empty() == config.admission_control ||
+        state->replicas.empty() != config.full_downloads) {
+      return Status::InvalidArgument(
+          "run state: its gate, admission or replica block does not match "
+          "the configuration");
+    }
     resume = std::make_shared<const RunState>(std::move(state).value());
   }
   auto data_cfg = DatasetConfigByName(config.dataset, config.data_scale);

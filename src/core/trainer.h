@@ -48,6 +48,9 @@ struct ExperimentResult {
   /// synchronous protocol, the final virtual-clock reading of the event
   /// queue in async mode. 0 for Standalone (no network).
   double simulated_seconds = 0.0;
+  /// The kill hook (`debug_stop_after_rounds`) cut the run: no final
+  /// evaluation, collapse diagnostic or model checkpoint was taken.
+  bool stopped = false;
 };
 
 /// \brief Owns the dataset + group division and runs methods against them.

@@ -108,7 +108,7 @@ size_t CommStats::TotalBytes() const {
 
 std::vector<uint64_t> CommStats::ExportCounters() const {
   std::vector<uint64_t> packed;
-  packed.reserve(kNumGroups * 5 + kFaultCounters.size());
+  packed.reserve(kCommCounterWords);
   for (const auto& pg : groups_) {
     packed.push_back(pg.uploads);
     packed.push_back(pg.downloads);
@@ -123,7 +123,7 @@ std::vector<uint64_t> CommStats::ExportCounters() const {
 }
 
 void CommStats::RestoreCounters(const std::vector<uint64_t>& packed) {
-  HFR_CHECK_EQ(packed.size(), kNumGroups * 5 + kFaultCounters.size());
+  HFR_CHECK_EQ(packed.size(), kCommCounterWords);
   size_t i = 0;
   for (auto& pg : groups_) {
     pg.uploads = packed[i++];

@@ -70,6 +70,10 @@ inline constexpr std::array<FaultCounter, 12> kFaultCounters = {{
     {"train.nonfinite_grad_steps", &FaultStats::nonfinite_grad_steps},
 }};
 
+/// Words in CommStats::ExportCounters: five per group, then the faults.
+inline constexpr size_t kCommCounterWords =
+    kNumGroups * 5 + kFaultCounters.size();
+
 /// \brief One round's worth of traffic: the delta between two consecutive
 /// CommStats::SnapshotRound() calls.
 ///

@@ -7,28 +7,6 @@
 
 namespace hetefedrec {
 
-RoundScheduler::RoundScheduler(size_t num_users, size_t clients_per_round)
-    : num_users_(num_users), clients_per_round_(clients_per_round) {
-  HFR_CHECK_GT(num_users, 0u);
-  HFR_CHECK_GT(clients_per_round, 0u);
-}
-
-std::vector<std::vector<UserId>> RoundScheduler::EpochBatches(Rng* rng) const {
-  std::vector<UserId> queue(num_users_);
-  std::iota(queue.begin(), queue.end(), 0);
-  rng->Shuffle(&queue);
-  std::vector<std::vector<UserId>> batches;
-  for (size_t start = 0; start < num_users_; start += clients_per_round_) {
-    size_t end = std::min(num_users_, start + clients_per_round_);
-    batches.emplace_back(queue.begin() + start, queue.begin() + end);
-  }
-  return batches;
-}
-
-size_t RoundScheduler::rounds_per_epoch() const {
-  return (num_users_ + clients_per_round_ - 1) / clients_per_round_;
-}
-
 ClientQueue::ClientQueue(size_t num_users, size_t clients_per_round,
                          size_t over_selection)
     : num_users_(num_users),

@@ -14,24 +14,6 @@
 
 namespace hetefedrec {
 
-/// \brief Produces per-epoch round batches covering every client once.
-class RoundScheduler {
- public:
-  /// \param num_users total client population.
-  /// \param clients_per_round batch size (paper: 256).
-  RoundScheduler(size_t num_users, size_t clients_per_round);
-
-  /// Shuffles the queue and splits it into consecutive round batches. Every
-  /// user appears in exactly one batch; the last batch may be smaller.
-  std::vector<std::vector<UserId>> EpochBatches(Rng* rng) const;
-
-  size_t rounds_per_epoch() const;
-
- private:
-  size_t num_users_;
-  size_t clients_per_round_;
-};
-
 /// \brief Stateful client queue for availability / over-selection rounds.
 ///
 /// Generalizes the shuffled-queue protocol: `BeginEpoch` refills and
@@ -39,7 +21,7 @@ class RoundScheduler {
 /// clients, and `Requeue` re-enters a client at the tail — used when a
 /// selected client was offline or straggled past the round cut. With
 /// availability 1.0 and no over-selection, the popped rounds are exactly
-/// `RoundScheduler::EpochBatches` of the same Rng draw (asserted in
+/// one shuffle of every user cut into consecutive rounds (asserted in
 /// tests/fed/scheduler_test.cc), which keeps the default path bit-identical
 /// to the paper's protocol.
 class ClientQueue {

@@ -249,7 +249,6 @@ ServerSnapshot ShardedServer::Snapshot() const {
   snap.thetas = thetas_;
   snap.version_round = versions_.round();
   for (size_t s = 0; s < tables_.size(); ++s) {
-    snap.version_floors.push_back(versions_.floor_of(s));
     snap.versions.push_back(versions_.slot_versions(s));
   }
   return snap;
@@ -262,13 +261,11 @@ void ShardedServer::RestoreSnapshot(ServerSnapshot snapshot) {
   for (size_t s = 0; s < tables_.size(); ++s) {
     HFR_CHECK_EQ(snapshot.tables[s].rows(), tables_[s].rows());
     HFR_CHECK_EQ(snapshot.tables[s].cols(), tables_[s].cols());
-    HFR_CHECK_EQ(snapshot.thetas[s].ParamCount(), thetas_[s].ParamCount());
+    HFR_CHECK(snapshot.thetas[s].SameShape(thetas_[s]));
   }
   tables_ = std::move(snapshot.tables);
   thetas_ = std::move(snapshot.thetas);
-  versions_.Restore(snapshot.version_round,
-                    std::move(snapshot.version_floors),
-                    std::move(snapshot.versions));
+  versions_.Restore(snapshot.version_round, std::move(snapshot.versions));
 }
 
 }  // namespace hetefedrec

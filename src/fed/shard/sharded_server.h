@@ -50,15 +50,13 @@ namespace hetefedrec {
 
 /// \brief Full mutable server state: the server portion of `RunState`
 /// (src/core/run_state.h). Whole-catalogue per-slot tables and thetas, plus
-/// the raw version-stamp state (per-slot floors and per-row stamps, *not*
-/// floored). Nothing in it depends on the shard count, so checkpoints are
-/// portable across shard counts.
+/// the version round and every row's stamp. Nothing in it depends on the
+/// shard count, so checkpoints are portable across shard counts.
 struct ServerSnapshot {
   std::vector<Matrix> tables;               // [slot], num_items x width(slot)
   std::vector<FeedForwardNet> thetas;       // [slot]
   uint64_t version_round = 0;
-  std::vector<uint64_t> version_floors;     // [slot]
-  std::vector<std::vector<uint64_t>> versions;  // [slot][row], raw stamps
+  std::vector<std::vector<uint64_t>> versions;  // [slot][row]
 };
 
 /// \brief Heterogeneous federated parameter server; S item-range shards
@@ -121,6 +119,8 @@ class ShardedServer {
   // ---- Download surface (read-only views) -----------------------------
   const Matrix& table(size_t slot) const { return tables_[slot]; }
   const FeedForwardNet& theta(size_t slot) const { return thetas_[slot]; }
+  const std::vector<Matrix>& tables() const { return tables_; }
+  const std::vector<FeedForwardNet>& thetas() const { return thetas_; }
   /// Row versions for the delta-sync protocol (docs/SYNC.md): a row's
   /// version is the round of the last FinishRound/Distill that changed it.
   const VersionedTable& versions() const { return versions_; }
@@ -177,7 +177,7 @@ class ShardedServer {
                           LocalUpdateResult* update);
 
   // ---- Persistence ----------------------------------------------------
-  /// Captures the full mutable state (tables, thetas, raw version stamps).
+  /// Captures the full mutable state (tables, thetas, version stamps).
   ServerSnapshot Snapshot() const;
   /// Restores a snapshot captured at any shard count with the same
   /// geometry (slots, widths, num_items). Checks shapes.

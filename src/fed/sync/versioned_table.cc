@@ -7,7 +7,6 @@ VersionedTable::VersionedTable(size_t num_slots, size_t num_rows)
   HFR_CHECK_GT(num_slots, 0u);
   HFR_CHECK_GT(num_rows, 0u);
   versions_.assign(num_slots, std::vector<uint64_t>(num_rows, 0));
-  floor_.assign(num_slots, 0);
 }
 
 }  // namespace hetefedrec

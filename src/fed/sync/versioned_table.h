@@ -55,31 +55,23 @@ class VersionedTable {
   uint64_t Version(size_t slot, size_t row) const {
     HFR_CHECK_LT(slot, versions_.size());
     HFR_CHECK_LT(row, num_rows_);
-    const uint64_t v = versions_[slot][row];
-    return v > floor_[slot] ? v : floor_[slot];
+    return versions_[slot][row];
   }
 
-  /// Raw state views for run checkpoints (the raw stamps, not floored).
-  uint64_t floor_of(size_t slot) const {
-    HFR_CHECK_LT(slot, floor_.size());
-    return floor_[slot];
-  }
+  /// One slot's stamps, for run checkpoints.
   const std::vector<uint64_t>& slot_versions(size_t slot) const {
     HFR_CHECK_LT(slot, versions_.size());
     return versions_[slot];
   }
 
-  /// Restores a snapshot captured via round()/floor_of()/slot_versions().
-  /// Shapes must match the constructed table.
-  void Restore(uint64_t round, std::vector<uint64_t> floors,
-               std::vector<std::vector<uint64_t>> versions) {
-    HFR_CHECK_EQ(floors.size(), floor_.size());
+  /// Restores a snapshot captured via round()/slot_versions(). Shapes must
+  /// match the constructed table.
+  void Restore(uint64_t round, std::vector<std::vector<uint64_t>> versions) {
     HFR_CHECK_EQ(versions.size(), versions_.size());
     for (size_t s = 0; s < versions.size(); ++s) {
       HFR_CHECK_EQ(versions[s].size(), num_rows_);
     }
     round_ = round;
-    floor_ = std::move(floors);
     versions_ = std::move(versions);
   }
 
@@ -87,10 +79,6 @@ class VersionedTable {
   size_t num_rows_ = 0;
   uint64_t round_ = 0;
   std::vector<std::vector<uint64_t>> versions_;  // [slot][row]
-  /// Per-slot lower bound on every row's version. Only Restore sets it:
-  /// run states written before dense updates were stamped per row carry
-  /// one (the run-state format keeps the field until its next version).
-  std::vector<uint64_t> floor_;
 };
 
 }  // namespace hetefedrec

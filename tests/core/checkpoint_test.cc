@@ -38,10 +38,13 @@ TEST(CheckpointTest, MatrixRoundTripBitExact) {
 TEST(CheckpointTest, MetaRoundTrip) {
   std::stringstream ss;
   ASSERT_TRUE(WriteMeta(&ss, "base_model", "ncf").ok());
-  auto r = ReadMeta(&ss);
+  const std::string bytes = ss.str();
+  auto r = ReadMeta(&ss, "base_model");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->first, "base_model");
-  EXPECT_EQ(r->second, "ncf");
+  EXPECT_EQ(*r, "ncf");
+  std::stringstream other(bytes);
+  EXPECT_EQ(ReadMeta(&other, "num_slots").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CheckpointTest, HeaderValidation) {
@@ -221,16 +224,17 @@ TEST(CheckpointTest, NonNumericSlotCountFails) {
         std::string("0x3"), std::string("99999999999999999999999"),
         std::string("3\0", 2)}) {
     SCOPED_TRACE("num_slots='" + value + "'");
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(WriteCheckpointHeader(&out).ok());
-      ASSERT_TRUE(WriteMeta(&out, "base_model", "ncf").ok());
-      ASSERT_TRUE(WriteMeta(&out, "num_slots", value).ok());
-      ASSERT_TRUE(WriteEnd(&out).ok());
-    }
+    std::ostringstream out;
+    ASSERT_TRUE(WriteCheckpointHeader(&out).ok());
+    ASSERT_TRUE(WriteMeta(&out, "base_model", "ncf").ok());
+    ASSERT_TRUE(WriteMeta(&out, "num_slots", value).ok());
+    ASSERT_TRUE(WriteEnd(&out).ok());
+    ASSERT_TRUE(WriteCheckedFile(path, out.str()).ok());
     auto r = LoadServerCheckpoint(path);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("num_slots"), std::string::npos)
+        << r.status().ToString();
   }
   std::remove(path.c_str());
 }

@@ -71,6 +71,8 @@ void ExpectKillResumeEquivalent(ExperimentConfig cfg, Method method,
   ExperimentResult killed = RunWith(kill_cfg, method);
   // The kill fired: no final eval ran, no final model checkpoint exists,
   // but the last run checkpoint survived.
+  EXPECT_TRUE(killed.stopped);
+  EXPECT_FALSE(full.stopped);
   EXPECT_EQ(killed.final_eval.overall.users, 0u);
   EXPECT_FALSE(std::ifstream(kill_ckpt).good());
   ASSERT_TRUE(std::ifstream(kill_ckpt + ".run").good())

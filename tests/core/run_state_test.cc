@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
+#include <vector>
 
+#include "src/core/checkpoint.h"
 #include "src/math/init.h"
 
 namespace hetefedrec {
@@ -59,16 +62,17 @@ RunState MakeState() {
     st.server.thetas.push_back(std::move(theta));
   }
   st.server.version_round = 6;
-  st.server.version_floors = {2, 3};
   st.server.versions = {{1, 2, 3, 4, 5}, {0, 0, 6, 6, 6}};
-  st.queue_pending = {4, 1, 3};
+  st.queue_pending = {1, 0};  // client ids, below the 2 clients
   st.async_clock = 77.25;
   st.async_next_seq = 12;
   st.async_merged = 10;
   st.async_dropped = 2;
   st.gate_state = {0, 3, 0x3ff0000000000000ULL, 1, 0, 0};
   st.admission_history = {{0.5, 0.75}, {}};
-  st.comm_counters = {1, 2, 3, 4, 5};
+  for (uint64_t c = 0; c < kCommCounterWords; ++c) {
+    st.comm_counters.push_back(c + 1);
+  }
   EpochPoint p;
   p.epoch = 2;
   p.eval.overall.ndcg = 0.125;
@@ -78,7 +82,6 @@ RunState MakeState() {
   p.mean_train_loss = 0.5;
   p.simulated_seconds = 300.0;
   st.history.push_back(p);
-  st.has_replicas = 1;
   ReplicaSnapshot r0;
   r0.slot_plus_one = 2;
   r0.rows = {3, 0, 4};
@@ -136,7 +139,6 @@ TEST(RunStateTest, RoundTripsEveryField) {
     }
   }
   EXPECT_EQ(bs.version_round, ss.version_round);
-  EXPECT_EQ(bs.version_floors, ss.version_floors);
   EXPECT_EQ(bs.versions, ss.versions);
   EXPECT_EQ(b.queue_pending, st.queue_pending);
   EXPECT_EQ(b.async_clock, st.async_clock);
@@ -158,7 +160,6 @@ TEST(RunStateTest, RoundTripsEveryField) {
   EXPECT_EQ(b.history[0].mean_train_loss, st.history[0].mean_train_loss);
   EXPECT_EQ(b.history[0].simulated_seconds,
             st.history[0].simulated_seconds);
-  EXPECT_EQ(b.has_replicas, st.has_replicas);
   ASSERT_EQ(b.replicas.size(), 2u);
   EXPECT_EQ(b.replicas[0].slot_plus_one, 2u);
   EXPECT_EQ(b.replicas[0].rows, st.replicas[0].rows);
@@ -196,6 +197,59 @@ TEST(RunStateTest, TruncatedFileIsAnError) {
     out.close();
     EXPECT_FALSE(LoadRunState(path).ok()) << "prefix of " << n << " bytes";
   }
+}
+
+// The layout's checks hold on the writing side too: a state whose indices
+// or block lengths LoadRun could not use is refused and nothing is written.
+TEST(RunStateTest, SaveRefusesStatesThatBreakTheLayout) {
+  const std::string path = TempPath("run_state_refused.run");
+  std::remove(path.c_str());
+  const std::vector<std::pair<std::string, void (*)(RunState*)>> edits = {
+      {"queue client id",
+       [](RunState* s) { s->queue_pending = {4, 1, 3}; }},
+      {"next_epoch", [](RunState* s) { s->next_epoch = 0; }},
+      {"embedding count",
+       [](RunState* s) { s->client_embeddings.pop_back(); }},
+      {"version stamp count",
+       [](RunState* s) { s->server.versions[1].pop_back(); }},
+      {"comm counters", [](RunState* s) { s->comm_counters.pop_back(); }},
+      {"gate block", [](RunState* s) { s->gate_state.pop_back(); }},
+      {"admission block",
+       [](RunState* s) { s->admission_history.pop_back(); }},
+      {"replica count", [](RunState* s) { s->replicas.pop_back(); }},
+      {"replica slot", [](RunState* s) { s->replicas[0].slot_plus_one = 3; }},
+      {"replica row", [](RunState* s) { s->replicas[0].rows[1] = 5; }},
+      {"replica versions",
+       [](RunState* s) { s->replicas[0].versions.pop_back(); }},
+  };
+  for (const auto& [what, edit] : edits) {
+    SCOPED_TRACE(what);
+    RunState st = MakeState();
+    edit(&st);
+    const Status saved = SaveRunState(path, st);
+    ASSERT_FALSE(saved.ok());
+    EXPECT_NE(saved.message().find(what), std::string::npos)
+        << saved.ToString();
+    EXPECT_FALSE(std::ifstream(path).good());
+  }
+}
+
+// A file of an older format is refused by its format number, not as a
+// checksum mismatch (v2 files carry no trailer).
+TEST(RunStateTest, OlderFormatIsRefusedByName) {
+  const std::string path = TempPath("run_state_v2.run");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(WriteCheckpointHeader(&out).ok());
+    ASSERT_TRUE(WriteMeta(&out, "kind", "run_state").ok());
+    ASSERT_TRUE(WriteMeta(&out, "format", "2").ok());
+    ASSERT_TRUE(WriteMeta(&out, "method", "hetefedrec").ok());
+    ASSERT_TRUE(WriteEnd(&out).ok());
+  }
+  auto loaded = LoadRunState(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("format 2"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(RunStateTest, GarbageHeaderIsAnError) {

@@ -2,74 +2,87 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 namespace hetefedrec {
 namespace {
 
-TEST(SchedulerTest, EveryUserExactlyOncePerEpoch) {
-  RoundScheduler sched(1000, 256);
+// One epoch of rounds with everyone online: the paper's protocol.
+std::vector<std::vector<UserId>> EpochRounds(ClientQueue* queue, Rng* rng) {
+  queue->BeginEpoch(rng);
+  std::vector<std::vector<UserId>> rounds;
+  while (!queue->Exhausted()) rounds.push_back(queue->NextRound());
+  return rounds;
+}
+
+TEST(ClientQueueTest, EveryUserExactlyOncePerEpoch) {
+  ClientQueue queue(1000, 256);
   Rng rng(3);
-  auto batches = sched.EpochBatches(&rng);
   std::set<UserId> seen;
-  for (const auto& b : batches) {
-    for (UserId u : b) EXPECT_TRUE(seen.insert(u).second);
+  for (const auto& round : EpochRounds(&queue, &rng)) {
+    for (UserId u : round) EXPECT_TRUE(seen.insert(u).second);
   }
   EXPECT_EQ(seen.size(), 1000u);
   EXPECT_EQ(*seen.begin(), 0);
   EXPECT_EQ(*seen.rbegin(), 999);
 }
 
-TEST(SchedulerTest, BatchSizesMatchPaperProtocol) {
-  RoundScheduler sched(1000, 256);
+TEST(ClientQueueTest, RoundSizesMatchPaperProtocol) {
+  ClientQueue queue(1000, 256);
   Rng rng(5);
-  auto batches = sched.EpochBatches(&rng);
-  ASSERT_EQ(batches.size(), 4u);
-  EXPECT_EQ(batches[0].size(), 256u);
-  EXPECT_EQ(batches[1].size(), 256u);
-  EXPECT_EQ(batches[2].size(), 256u);
-  EXPECT_EQ(batches[3].size(), 232u);  // remainder
-  EXPECT_EQ(sched.rounds_per_epoch(), 4u);
+  auto rounds = EpochRounds(&queue, &rng);
+  ASSERT_EQ(rounds.size(), 4u);
+  EXPECT_EQ(rounds[0].size(), 256u);
+  EXPECT_EQ(rounds[1].size(), 256u);
+  EXPECT_EQ(rounds[2].size(), 256u);
+  EXPECT_EQ(rounds[3].size(), 232u);  // remainder
+  EXPECT_EQ(queue.rounds_per_epoch(), 4u);
 }
 
-TEST(SchedulerTest, FewerUsersThanRoundSize) {
-  RoundScheduler sched(100, 256);
+TEST(ClientQueueTest, FewerUsersThanRoundSize) {
+  ClientQueue queue(100, 256);
   Rng rng(7);
-  auto batches = sched.EpochBatches(&rng);
-  ASSERT_EQ(batches.size(), 1u);
-  EXPECT_EQ(batches[0].size(), 100u);
+  auto rounds = EpochRounds(&queue, &rng);
+  ASSERT_EQ(rounds.size(), 1u);
+  EXPECT_EQ(rounds[0].size(), 100u);
 }
 
-TEST(SchedulerTest, ShuffleChangesAcrossEpochs) {
-  RoundScheduler sched(500, 100);
+TEST(ClientQueueTest, ShuffleChangesAcrossEpochs) {
+  ClientQueue queue(500, 100);
   Rng rng(11);
-  auto e1 = sched.EpochBatches(&rng);
-  auto e2 = sched.EpochBatches(&rng);
+  auto e1 = EpochRounds(&queue, &rng);
+  auto e2 = EpochRounds(&queue, &rng);
   EXPECT_NE(e1[0], e2[0]);  // astronomically unlikely to coincide
 }
 
-TEST(SchedulerTest, DeterministicGivenRngState) {
-  RoundScheduler sched(300, 64);
+TEST(ClientQueueTest, DeterministicGivenRngState) {
+  ClientQueue queue(300, 64);
   Rng a(13), b(13);
-  EXPECT_EQ(sched.EpochBatches(&a), sched.EpochBatches(&b));
+  EXPECT_EQ(EpochRounds(&queue, &a), EpochRounds(&queue, &b));
 }
 
-// The availability-capable queue must degrade to the paper's protocol:
-// with no requeues and no over-selection, its rounds are exactly the
-// RoundScheduler batches of the same Rng draw. This is what keeps the
-// default execution path bit-identical after the round-loop rewrite.
+// With no requeues and no over-selection the queue's rounds are the
+// paper's protocol written out: one shuffle of every user, cut into
+// consecutive rounds. This keeps the default execution path bit-identical
+// to it.
 TEST(ClientQueueTest, MatchesEpochBatchesWhenEveryoneIsOnline) {
-  RoundScheduler sched(1000, 256);
-  ClientQueue queue(1000, 256);
   Rng a(17), b(17);
-  auto batches = sched.EpochBatches(&a);
+  std::vector<UserId> order(1000);
+  std::iota(order.begin(), order.end(), 0);
+  a.Shuffle(&order);
+  ClientQueue queue(1000, 256);
   queue.BeginEpoch(&b);
-  for (const auto& batch : batches) {
+  for (size_t start = 0; start < order.size(); start += 256) {
     ASSERT_FALSE(queue.Exhausted());
-    EXPECT_EQ(queue.NextRound(), batch);
+    const size_t end = std::min(order.size(), start + 256);
+    EXPECT_EQ(queue.NextRound(),
+              std::vector<UserId>(order.begin() + start, order.begin() + end));
   }
   EXPECT_TRUE(queue.Exhausted());
-  EXPECT_EQ(queue.rounds_per_epoch(), sched.rounds_per_epoch());
+  EXPECT_EQ(queue.rounds_per_epoch(), 4u);
 }
 
 TEST(ClientQueueTest, OverSelectionPopsSlackExtra) {

@@ -26,26 +26,12 @@ TEST(VersionedTableTest, StartsAtVersionZeroAndStamps) {
   EXPECT_EQ(v.Version(1, 3), 0u);  // untouched slot
 }
 
-TEST(VersionedTableTest, RestoredFloorRaisesEveryRow) {
-  VersionedTable v(1, 5);
-  // A run state whose slot floor is round 2 (and row 1 stamped at 1).
-  v.Restore(2, {2}, {{0, 1, 0, 0, 0}});
-  for (size_t r = 0; r < 5; ++r) EXPECT_EQ(v.Version(0, r), 2u);
-  // A later per-row stamp rises above the floor.
-  v.AdvanceRound();
-  v.Stamp(0, 4);
-  EXPECT_EQ(v.Version(0, 4), 3u);
-  EXPECT_EQ(v.Version(0, 0), 2u);
-}
-
 TEST(VersionedTableTest, VersionsAreMonotone) {
   VersionedTable v(1, 4);
   uint64_t last = v.Version(0, 2);
   for (int round = 0; round < 5; ++round) {
     v.AdvanceRound();
     if (round % 2 == 0) v.Stamp(0, 2);
-    // Raise the floor to the current round, as a restored run state can.
-    if (round == 3) v.Restore(v.round(), {v.round()}, {v.slot_versions(0)});
     EXPECT_GE(v.Version(0, 2), last);
     last = v.Version(0, 2);
   }
@@ -160,20 +146,6 @@ TEST(SyncServiceTest, OnlyAdvancedRowsReship) {
   SyncPlan plan = sync.Sync(0, 0, {1, 5, 9, 12}, table, versions, 0);
   // 5 advanced, 12 was never held; 1 and 9 are fresh.
   EXPECT_EQ(plan.shipped_rows, 2u);
-}
-
-TEST(SyncServiceTest, RestoredFloorInvalidatesWholeReplica) {
-  Matrix table(10, 2);
-  Rng rng(7);
-  InitNormal(&table, 0.1, &rng);
-  VersionedTable versions(1, 10);
-  SyncService sync(1);
-
-  sync.Sync(0, 0, {0, 1, 2, 3}, table, versions, 0);
-  // A restored floor of round 1 covers every row, no per-row stamp needed.
-  versions.Restore(1, {1}, {std::vector<uint64_t>(10, 0)});
-  SyncPlan plan = sync.Sync(0, 0, {0, 1, 2, 3}, table, versions, 0);
-  EXPECT_EQ(plan.shipped_rows, 4u);
 }
 
 TEST(SyncServiceTest, VerifyValuesCatchesFreshRowsAndTracksBytes) {

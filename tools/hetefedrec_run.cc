@@ -6,6 +6,8 @@
 //
 // Prints overall + per-group metrics, the convergence curve when
 // --eval_every is set, communication totals, and the collapse diagnostic.
+// A run cut by --stop_after_rounds prints a "stopped:" line in place of
+// the final metrics and the collapse diagnostic, which it never computed.
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -160,13 +162,18 @@ int Main(int argc, char** argv) {
                 p.epoch, p.eval.overall.ndcg, p.eval.overall.recall,
                 p.mean_train_loss, p.simulated_seconds);
   }
-  std::printf(
-      "\nfinal: Recall@20=%.5f NDCG@20=%.5f (Us %.5f | Um %.5f | Ul %.5f) "
-      "over %zu users\n",
-      r.final_eval.overall.recall, r.final_eval.overall.ndcg,
-      r.final_eval.group(Group::kSmall).ndcg,
-      r.final_eval.group(Group::kMedium).ndcg,
-      r.final_eval.group(Group::kLarge).ndcg, r.final_eval.overall.users);
+  if (r.stopped) {
+    std::printf("\nstopped: --stop_after_rounds cut the run before its final "
+                "evaluation\n");
+  } else {
+    std::printf(
+        "\nfinal: Recall@20=%.5f NDCG@20=%.5f (Us %.5f | Um %.5f | Ul %.5f) "
+        "over %zu users\n",
+        r.final_eval.overall.recall, r.final_eval.overall.ndcg,
+        r.final_eval.group(Group::kSmall).ndcg,
+        r.final_eval.group(Group::kMedium).ndcg,
+        r.final_eval.group(Group::kLarge).ndcg, r.final_eval.overall.users);
+  }
   std::printf("comm: %s scalars transmitted total (%s MB on the wire)\n",
               TablePrinter::Count(
                   static_cast<long long>(r.comm.TotalTransmitted()))
@@ -181,8 +188,10 @@ int Main(int argc, char** argv) {
               r.comm.AvgDownload(Group::kMedium),
               r.comm.AvgUpload(Group::kMedium),
               r.comm.AvgDownload(Group::kLarge), r.comm.AvgUpload(Group::kLarge));
-  std::printf("collapse: var=%.6f normalized=%.4f\n", r.collapse_variance,
-              r.collapse_cv);
+  if (!r.stopped) {
+    std::printf("collapse: var=%.6f normalized=%.4f\n", r.collapse_variance,
+                r.collapse_cv);
+  }
   const FaultStats& fs = r.comm.faults();
   if (fs.TotalInjected() + fs.TotalRejected() + fs.rows_clipped +
           fs.quarantines + fs.retries + fs.gave_up + fs.nonfinite_grad_steps >
