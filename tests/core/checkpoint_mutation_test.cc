@@ -131,7 +131,7 @@ struct RunStateFile {
     EXPECT_EQ(GetU64(bytes, body_offset - sizeof(uint64_t)), layout.words);
   }
 
-  // Word `i` of the body.
+  // Byte offset of body word `word`.
   size_t Offset(size_t word) const {
     return body_offset + word * sizeof(uint64_t);
   }
@@ -290,11 +290,14 @@ TEST_F(CheckpointMutationTest, RawEditsFailTheChecksum) {
         EXPECT_FALSE(Load(s.kind, edited).ok()) << "offset " << at;
       }
     }
-    // NaN bit patterns over seeded 8-byte words of the payload.
+    // NaN bit patterns over seeded 8-byte words between the magic and
+    // the trailer.
+    const size_t payload =
+        bytes.size() - sizeof(kCheckpointMagic) - kTrailerBytes;
     for (int k = 0; k < 100; ++k) {
       std::string edited = bytes;
       const size_t at = sizeof(kCheckpointMagic) +
-                        rng.UniformInt(bytes.size() - kTrailerBytes - 12);
+                        rng.UniformInt(payload - sizeof(uint64_t) + 1);
       PutU64(&edited, at, 0x7ff8000000000000ULL | rng.UniformInt(1u << 20));
       if (edited == bytes) continue;
       EXPECT_FALSE(Load(s.kind, edited).ok()) << "offset " << at;
