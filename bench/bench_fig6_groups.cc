@@ -3,8 +3,10 @@
 //
 // Paper shape: all methods score higher on Um/Ul than Us; "All Small" wins
 // on Us while "All Large" wins on Ul (ML/Anime); HeteFedRec is best in
-// every group.
+// every group. Each cell also prints the MostPop and Random reference rows
+// (bench/common.h), which the shape checks leave out.
 #include <cstdio>
+#include <utility>
 
 #include "bench/common.h"
 #include "src/core/trainer.h"
@@ -48,6 +50,15 @@ int Main(int argc, char** argv) {
         best[g] = std::max(best[g], eval.per_group[g].ndcg);
         if (m == Method::kHeteFedRec) hete[g] = eval.per_group[g].ndcg;
       }
+    }
+    const ReferenceRows refs = EvaluateReferenceRows(**runner);
+    for (const auto& [name, eval] :
+         {std::pair<const char*, const GroupedEval&>{"MostPop", refs.most_pop},
+          {"Random", refs.random}}) {
+      table.AddRow({BaseModelName(cell.model), cell.dataset, name,
+                    TablePrinter::Num(eval.group(Group::kSmall).ndcg),
+                    TablePrinter::Num(eval.group(Group::kMedium).ndcg),
+                    TablePrinter::Num(eval.group(Group::kLarge).ndcg)});
     }
     table.AddSeparator();
 

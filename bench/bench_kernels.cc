@@ -15,7 +15,6 @@
 #include "src/core/trainer.h"
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
-#include "src/eval/metrics.h"
 #include "src/eval/topk.h"
 #include "src/data/stream.h"
 #include "src/fed/shard/sharded_server.h"
@@ -213,8 +212,9 @@ BENCHMARK(BM_BatchedBackward)
 void BM_EvalScoring(benchmark::State& state) {
   // Modes 0-2: scoring only (0 scalar | 1 batch | 2 candidates). Modes
   // 3-4: one user's full evaluation inner loop — scoring *and* top-20
-  // selection with the train-item mask — through the partial_sort
-  // reference (3) vs the fused block-streamed selector (4). Arg 2 selects
+  // selection with the train-item mask — through a reference-mode session
+  // fed the whole score array (3) vs a heap session fed 1,024-item score
+  // blocks as they are scored (4). Arg 2 selects
   // the compute backend for modes 1 and 4 (0 fp64 | 1 fp32 scalar |
   // 2 fp32 AVX2) — the float path mirrors the evaluator's: float scoring
   // scratch upcast into the double score buffer the selector consumes.
@@ -304,7 +304,9 @@ void BM_EvalScoring(benchmark::State& state) {
         break;
       case 3:
         sc.ScoreRange(table, theta, 0, kAnimeItems, out.data());
-        topk = TopKItems(out, masked, kTopK);
+        selector.Begin(kTopK, &masked, /*reference=*/true);
+        selector.Push(0, out.data(), kAnimeItems);
+        selector.Finish(&topk);
         scored += kAnimeItems;
         break;
       default:
@@ -929,12 +931,11 @@ BENCHMARK(BM_TelemetryOverhead)
     ->Unit(benchmark::kMillisecond);
 
 // Top-20 selection over a full-catalogue score array at the ML (3,706
-// items) and Anime (6,888 items) shapes: the partial_sort reference
-// (candidate-vector build + partial_sort, mode 0) vs the streaming
-// bounded-heap selector (mode 1). Every 13th item is masked, mimicking
-// train-item exclusion.
+// items) and Anime (6,888 items) shapes, one session per iteration: the
+// partial_sort reference mode (mode 0) vs the bounded heap (mode 1). Every
+// 13th item is masked, mimicking train-item exclusion.
 void BM_TopK(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
+  const bool reference = state.range(0) == 0;
   const size_t items = static_cast<size_t>(state.range(1));
   Rng rng(59);
   std::vector<double> scores(items);
@@ -944,11 +945,9 @@ void BM_TopK(benchmark::State& state) {
   TopKSelector selector;
   std::vector<ItemId> topk;
   for (auto _ : state) {
-    if (mode == 0) {
-      selector.SelectMaskedReference(scores, mask, 20, &topk);
-    } else {
-      selector.SelectMasked(scores, mask, 20, &topk);
-    }
+    selector.Begin(20, &mask, reference);
+    selector.Push(0, scores.data(), items);
+    selector.Finish(&topk);
     benchmark::DoNotOptimize(topk);
   }
   state.SetItemsProcessed(state.iterations() * items);
@@ -959,12 +958,11 @@ BENCHMARK(BM_TopK)
     ->Args({0, 6888})
     ->Args({1, 6888});
 
-// Top-k over a candidate slice: the partial_sort reference (mode 0) vs
-// the selector (mode 1 — bounded heap at k=20, bucketed cascade once k is
-// a sizable fraction of the pool). Shapes: the default candidate-eval
-// pool (~220 ids, k=20), a wider pool, and a large-k selection.
+// Top-20 over a candidate id list, one PushIds session per iteration: the
+// reference mode (mode 0) vs the bounded heap (mode 1). Shapes: the
+// default candidate-eval pool (~220 ids) and a wider pool.
 void BM_TopKCandidates(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
+  const bool reference = state.range(0) == 0;
   const size_t n = static_cast<size_t>(state.range(1));
   const size_t k = static_cast<size_t>(state.range(2));
   Rng rng(61);
@@ -979,11 +977,9 @@ void BM_TopKCandidates(benchmark::State& state) {
   TopKSelector selector;
   std::vector<ItemId> topk;
   for (auto _ : state) {
-    if (mode == 0) {
-      selector.SelectFromCandidatesReference(ids, scores, k, &topk);
-    } else {
-      selector.SelectFromCandidates(ids, scores, k, &topk);
-    }
+    selector.Begin(k, nullptr, reference);
+    selector.PushIds(ids.data(), scores.data(), n);
+    selector.Finish(&topk);
     benchmark::DoNotOptimize(topk);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -992,9 +988,7 @@ BENCHMARK(BM_TopKCandidates)
     ->Args({0, 220, 20})
     ->Args({1, 220, 20})
     ->Args({0, 2048, 20})
-    ->Args({1, 2048, 20})
-    ->Args({0, 2048, 512})
-    ->Args({1, 2048, 512});
+    ->Args({1, 2048, 20});
 
 }  // namespace
 }  // namespace hetefedrec

@@ -3,7 +3,14 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/util/rng.h"
+
 namespace hetefedrec::bench {
+
+namespace {
+// Salts the Random row's root seed away from the run's own streams.
+constexpr uint64_t kRandomRowSalt = 0x52414e44;
+}  // namespace
 
 void AddCommonFlags(CommandLine* cli) {
   // Bench-suite flags; everything an experiment run understands (execution
@@ -89,6 +96,35 @@ std::vector<GridCase> EvaluationGrid(const CommandLine& cli) {
 int FailWith(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   return 1;
+}
+
+ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner,
+                                    ThreadPool* pool) {
+  const Dataset& ds = runner.dataset();
+  const Evaluator evaluator =
+      MakeEvaluator(runner.config(), ds, runner.groups());
+  // Training items only: Dataset::ItemPopularity also counts the held-out
+  // test interactions, which would leak them into the ranking.
+  std::vector<double> popularity(ds.num_items(), 0.0);
+  for (UserId u = 0; u < static_cast<UserId>(ds.num_users()); ++u) {
+    for (ItemId i : ds.TrainItems(u)) popularity[i] += 1.0;
+  }
+  ReferenceRows rows;
+  rows.most_pop = evaluator.Evaluate(
+      Evaluator::BatchScoreFn([&](UserId, size_t,
+                                  const std::vector<ItemId>& ids, double* out) {
+        for (size_t i = 0; i < ids.size(); ++i) out[i] = popularity[ids[i]];
+      }),
+      pool);
+  const Rng random_root(runner.config().seed ^ kRandomRowSalt);
+  rows.random = evaluator.Evaluate(
+      Evaluator::BatchScoreFn([&](UserId u, size_t,
+                                  const std::vector<ItemId>& ids, double* out) {
+        Rng rng = random_root.Fork(u);
+        for (size_t i = 0; i < ids.size(); ++i) out[i] = rng.Uniform();
+      }),
+      pool);
+  return rows;
 }
 
 }  // namespace hetefedrec::bench

@@ -7,7 +7,12 @@
 #include <vector>
 
 #include "src/core/config.h"
+#include "src/core/trainer.h"
 #include "src/util/cli.h"
+
+namespace hetefedrec {
+class ThreadPool;
+}  // namespace hetefedrec
 
 namespace hetefedrec::bench {
 
@@ -38,6 +43,19 @@ struct GridCase {
 /// The six (model × dataset) cells of Table II, filtered by the --model and
 /// --dataset flags when set.
 std::vector<GridCase> EvaluationGrid(const CommandLine& cli);
+
+/// Non-personalised reference rows, scored through the evaluator the
+/// methods use (MakeEvaluator), so they rank the same users with the same
+/// masking. MostPop ranks items by how many users hold them among their
+/// training items; Random scores each item with a uniform draw from a
+/// per-user fork of one seeded Rng, so neither row depends on the thread
+/// count of `pool` (null = serial).
+struct ReferenceRows {
+  GroupedEval most_pop;
+  GroupedEval random;
+};
+ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner,
+                                    ThreadPool* pool = nullptr);
 
 /// Parses a CLI status into an exit code, printing the error.
 int FailWith(const Status& status);

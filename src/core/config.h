@@ -136,13 +136,12 @@ struct ExperimentConfig {
   /// (accumulation order is preserved per sample); false keeps the
   /// per-sample reference path for equivalence tests and benchmarks.
   bool use_batched_scoring = true;
-  /// Batched top-K selection (src/eval/topk.h): evaluation ranks each user
-  /// through a streaming bounded heap fused with the batched score blocks
-  /// (full catalogue) or a bucketed threshold cascade (candidate slice)
-  /// instead of building and partial_sort-ing an O(items) candidate vector
-  /// per user. Bit-identical either way (the (score desc, id asc) order is
-  /// a strict total order, so the top-K list is unique); false keeps the
-  /// partial_sort reference path for equivalence tests and benchmarks.
+  /// Top-K mode of every evaluation session (src/eval/topk.h): a bounded
+  /// heap fed the score blocks as they are scored, or (false) the
+  /// partial_sort reference, which buffers them and sorts at the end.
+  /// Bit-identical either way (the (score desc, id asc) order is a strict
+  /// total order, so the top-K list is unique); false keeps the oracle for
+  /// equivalence tests and benchmarks.
   bool use_batched_topk = true;
   /// Threads executing the clients of each round. 1 = serial (default);
   /// 0 = hardware concurrency. Results are bit-identical for any value:

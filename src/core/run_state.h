@@ -32,11 +32,12 @@ namespace hetefedrec {
 /// per-slot version floors; older files are refused.
 inline constexpr uint64_t kRunStateFormat = 3;
 
-/// Per-client delta-sync replica snapshot: held rows coldest-first so a
-/// restore replays the LRU recency order exactly.
+/// Per-client delta-sync replica snapshot: held rows in ClientReplica's
+/// export order (coldest first when capped, so a restore replays the LRU
+/// recency order exactly; ascending when uncapped).
 struct ReplicaSnapshot {
   uint64_t slot_plus_one = 0;  ///< 0 = never synced (kNoSlot)
-  std::vector<uint64_t> rows;      ///< row index, coldest first
+  std::vector<uint64_t> rows;      ///< row index, in export order
   std::vector<uint64_t> versions;  ///< aligned with `rows`
 };
 

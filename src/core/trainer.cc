@@ -142,8 +142,8 @@ size_t EffectiveThreads(const ExperimentConfig& cfg) {
 
 /// Where an S-typed scorer writes `n` scores bound for the evaluator's
 /// double contract: fp64 writes `out` in place; fp32 writes thread-local
-/// float scratch (bounded by kEvalStreamBlock / the candidate-list length)
-/// that UpcastScores then widens into `out`.
+/// float scratch (bounded by kEvalStreamBlock) that UpcastScores then
+/// widens into `out`.
 template <typename S>
 S* ScoreScratch(double* out, size_t n) {
   if constexpr (std::is_same_v<S, double>) {
@@ -162,57 +162,48 @@ void UpcastScores(const S* scores, size_t n, double* out) {
   }
 }
 
-/// Shared evaluator scoring dispatch: the per-item reference loop, the
-/// in-place ScoreRange over the full span (full mode passes the contiguous
-/// ids [0, num_items)), or the id-list ScoreBatch (candidate mode).
-/// Requires a prior BeginUser on `sc`.
-template <typename S>
-void ScoreIdsForEval(const ScorerT<S>& sc, const MatrixT<S>& table,
-                     const FeedForwardNetT<S>& theta,
-                     const std::vector<ItemId>& ids, bool use_batched,
-                     bool full_span, double* out) {
-  S* scores = ScoreScratch<S>(out, ids.size());
-  if (!use_batched) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      scores[i] = sc.Score(table, theta, ids[i]);
-    }
-  } else if (full_span) {
-    // full_span promises ids == [0, table.rows()); scoring the wrong span
-    // here would silently corrupt metrics.
-    HFR_CHECK_EQ(ids.size(), table.rows());
-    sc.ScoreRange(table, theta, 0, ids.size(), scores);
-  } else {
-    sc.ScoreBatch(table, theta, ids.data(), ids.size(), scores);
-  }
-  UpcastScores(scores, ids.size(), out);
-}
-
-/// Score blocks fed to the fused top-K sink: per-user state (prefix, pu_)
-/// survives across ScoreRange calls, so scoring block [first, first + bs)
-/// yields the exact per-item logits of one full-span pass while the
-/// thread-local block only ever holds kEvalStreamBlock scores. Requires a
-/// prior BeginUser on `sc`.
+/// Ids scored per block pushed into the top-K sink: a multiple of the
+/// scorer's own FFN block, so block scoring splits nothing the scorer
+/// batches.
 constexpr size_t kEvalStreamBlock = 8 * Scorer::kScoreBlock;
 
+/// Streams one user's scores into the top-K sink, kEvalStreamBlock ids at
+/// a time: over the catalogue [0, table.rows()) when `candidates` is null,
+/// over the candidate list otherwise. Each block is scored by ScoreRange
+/// (catalogue) or ScoreBatch (id list), or per item by Score when
+/// `use_batched` is off. Per-user state (prefix, pu_) survives across
+/// calls, so each block yields the exact per-item logits of one whole-list
+/// pass while the thread-local block holds at most kEvalStreamBlock scores.
+/// Requires a prior BeginUser on `sc`.
 template <typename S>
-void StreamScoresForEval(const ScorerT<S>& sc, const MatrixT<S>& table,
-                         const FeedForwardNetT<S>& theta, bool use_batched,
-                         TopKSelector* sink) {
+void StreamScores(const ScorerT<S>& sc, const MatrixT<S>& table,
+                  const FeedForwardNetT<S>& theta, bool use_batched,
+                  const std::vector<ItemId>* candidates, TopKSelector* sink) {
   thread_local std::vector<double> block;
-  const size_t n = table.rows();
+  const size_t n = candidates != nullptr ? candidates->size() : table.rows();
   block.resize(std::min(kEvalStreamBlock, n));
   S* scores = ScoreScratch<S>(block.data(), block.size());
   for (size_t first = 0; first < n; first += kEvalStreamBlock) {
     const size_t bs = std::min(kEvalStreamBlock, n - first);
-    if (use_batched) {
-      sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs, scores);
-    } else {
+    const ItemId* ids =
+        candidates != nullptr ? candidates->data() + first : nullptr;
+    if (!use_batched) {
       for (size_t i = 0; i < bs; ++i) {
-        scores[i] = sc.Score(table, theta, static_cast<ItemId>(first + i));
+        scores[i] = sc.Score(table, theta,
+                             ids != nullptr ? ids[i]
+                                            : static_cast<ItemId>(first + i));
       }
+    } else if (ids != nullptr) {
+      sc.ScoreBatch(table, theta, ids, bs, scores);
+    } else {
+      sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs, scores);
     }
     UpcastScores(scores, bs, block.data());
-    sink->Push(static_cast<ItemId>(first), block.data(), bs);
+    if (ids != nullptr) {
+      sink->PushIds(ids, block.data(), bs);
+    } else {
+      sink->Push(static_cast<ItemId>(first), block.data(), bs);
+    }
   }
 }
 
@@ -256,33 +247,17 @@ const S* ScalarRow(const Matrix& user_embedding, std::vector<S>* cast) {
 
 /// Evaluates through `with_user(u, thread_slot, score)`, which begins user
 /// u's scorer on that thread and calls score(scorer, table, theta) with the
-/// backend's scalar. Full-catalogue evaluation streams score blocks
-/// straight into the top-K sink (no per-user O(items) buffer); the
-/// candidate slice and the partial_sort reference keep the id-list
-/// callback.
+/// backend's scalar; the scores stream block by block into the top-K sink.
 template <typename WithUser>
-GroupedEval EvaluateUsers(const Evaluator& evaluator,
-                          const ExperimentConfig& cfg, ThreadPool* pool,
-                          const WithUser& with_user) {
-  if (cfg.use_batched_topk && cfg.eval_candidate_sample == 0) {
-    return evaluator.Evaluate(
-        Evaluator::StreamScoreFn(
-            [&](UserId u, size_t thread_slot, TopKSelector* sink) {
-              with_user(u, thread_slot, [&](const auto& sc, const auto& table,
-                                            const auto& theta) {
-                StreamScoresForEval(sc, table, theta, cfg.use_batched_scoring,
-                                    sink);
-              });
-            }),
-        pool);
-  }
+GroupedEval EvaluateUsers(const Evaluator& evaluator, bool use_batched,
+                          ThreadPool* pool, const WithUser& with_user) {
   return evaluator.Evaluate(
-      Evaluator::BatchScoreFn([&](UserId u, size_t thread_slot,
-                                  const std::vector<ItemId>& ids, double* out) {
+      Evaluator::StreamScoreFn([&](UserId u, size_t thread_slot,
+                                   const std::vector<ItemId>* candidates,
+                                   TopKSelector* sink) {
         with_user(u, thread_slot, [&](const auto& sc, const auto& table,
                                       const auto& theta) {
-          ScoreIdsForEval(sc, table, theta, ids, cfg.use_batched_scoring,
-                          cfg.eval_candidate_sample == 0, out);
+          StreamScores(sc, table, theta, use_batched, candidates, sink);
         });
       }),
       pool);
@@ -410,7 +385,8 @@ class FederatedRun {
         groups_(groups),
         setup_(BuildSetup(cfg, method)),
         method_(method),
-        root_(cfg.seed) {
+        root_(cfg.seed),
+        evaluator_(MakeEvaluator(cfg, dataset, groups)) {
     // Arms (or disarms) the process-wide fp32 SIMD dispatch; falls back to
     // the scalar fp32 kernels (identical results) when AVX2 is unavailable.
     ActivateBackend(cfg_.compute_backend);
@@ -514,10 +490,6 @@ class FederatedRun {
       server_->SetAdmission(admission_.get());
     }
 
-    evaluator_ = std::make_unique<Evaluator>(
-        dataset_, groups_, cfg_.top_k, cfg_.eval_user_sample,
-        cfg_.seed ^ 0xe5a1ULL, cfg_.eval_candidate_sample,
-        cfg_.use_batched_topk);
     if (cfg_.compute_backend == ComputeBackend::kFp64) {
       eval_.emplace<EvalState<double>>(pool_->num_slots(), *server_,
                                        cfg_.base_model);
@@ -1210,7 +1182,7 @@ class FederatedRun {
       st->thetas[s] = &ScalarView(server_->theta(s), &st->theta_casts[s]);
     }
     return EvaluateUsers(
-        *evaluator_, cfg_, pool_.get(),
+        evaluator_, cfg_.use_batched_scoring, pool_.get(),
         [this, st](UserId u, size_t thread_slot, const auto& score) {
           const size_t slot = SlotOf(u);
           ScorerT<S>& sc = st->scorers[thread_slot][slot];
@@ -1335,8 +1307,8 @@ class FederatedRun {
       if (snap.slot_plus_one > 0) {
         rep->set_slot(static_cast<size_t>(snap.slot_plus_one - 1));
       }
-      // Coldest first: replaying Hold in export order rebuilds the
-      // identical LRU recency list.
+      // Replaying Hold in export order (coldest first when capped)
+      // rebuilds the identical LRU recency list.
       for (size_t k = 0; k < snap.rows.size(); ++k) {
         rep->Hold(static_cast<uint32_t>(snap.rows[k]), snap.versions[k]);
       }
@@ -1544,6 +1516,7 @@ class FederatedRun {
   Method method_;
   Timer timer_;  // wall clock, started at construction like the old loop
   Rng root_;
+  Evaluator evaluator_;
 
   std::unique_ptr<ShardedServer> server_;
   std::vector<ClientState> clients_;
@@ -1557,7 +1530,6 @@ class FederatedRun {
   std::unique_ptr<SyncService> sync_;
   std::unique_ptr<SimulatedNetwork> net_;
   bool over_select_ = false;
-  std::unique_ptr<Evaluator> evaluator_;
   // Evaluation state of the active backend (fp64 or fp32/fp32_simd).
   std::variant<EvalState<double>, EvalState<float>> eval_;
 
@@ -1599,6 +1571,13 @@ class FederatedRun {
 };
 
 }  // namespace
+
+Evaluator MakeEvaluator(const ExperimentConfig& cfg, const Dataset& dataset,
+                        const GroupAssignment& groups) {
+  return Evaluator(dataset, groups, cfg.top_k, cfg.eval_user_sample,
+                   cfg.seed ^ 0xe5a1ULL, cfg.eval_candidate_sample,
+                   cfg.use_batched_topk);
+}
 
 ExperimentRunner::ExperimentRunner(ExperimentConfig config, Dataset dataset,
                                    GroupAssignment groups,
@@ -1674,9 +1653,7 @@ ExperimentResult ExperimentRunner::RunStandalone() const {
   for (size_t t = 0; t < pool.num_slots(); ++t) {
     locals.push_back(std::make_unique<LocalTrainer>(dataset_, cfg.base_model));
   }
-  Evaluator evaluator(dataset_, groups_, cfg.top_k, cfg.eval_user_sample,
-                      cfg.seed ^ 0xe5a1ULL, cfg.eval_candidate_sample,
-                      cfg.use_batched_topk);
+  const Evaluator evaluator = MakeEvaluator(cfg, dataset_, groups_);
 
   // Train-and-score each evaluated user in isolation: no parameters are
   // ever exchanged, which is exactly the baseline's premise. Training
@@ -1738,7 +1715,8 @@ ExperimentResult ExperimentRunner::RunStandalone() const {
   };
 
   ExperimentResult result;
-  result.final_eval = EvaluateUsers(evaluator, cfg, &pool, with_user);
+  result.final_eval =
+      EvaluateUsers(evaluator, cfg.use_batched_scoring, &pool, with_user);
   result.train_seconds = timer.Seconds();
   if (cfg.profile) {
     const std::vector<Profiler::PhaseStat> stats = Profiler::Get().Collect();

@@ -53,6 +53,12 @@ struct ExperimentResult {
   bool stopped = false;
 };
 
+/// The evaluator every run of `cfg` ranks with: its top_k, user sample
+/// (seeded from cfg.seed), candidate sample and top-K mode. Reference
+/// scorers built on it rank the same users as the methods.
+Evaluator MakeEvaluator(const ExperimentConfig& cfg, const Dataset& dataset,
+                        const GroupAssignment& groups);
+
 /// \brief Owns the dataset + group division and runs methods against them.
 ///
 /// Construct once per (dataset, config) and call Run for each method so all

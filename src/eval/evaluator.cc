@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "src/eval/metrics.h"
-#include "src/util/logging.h"
 #include "src/util/telemetry/profiler.h"
 #include "src/util/thread_pool.h"
 
@@ -60,9 +59,13 @@ std::vector<ItemId> Evaluator::CandidateItems(UserId u) const {
   return ids;
 }
 
-template <typename PerUserFn>
-GroupedEval Evaluator::Reduce(const PerUserFn& eval_user,
-                              ThreadPool* pool) const {
+GroupedEval Evaluator::Evaluate(const StreamScoreFn& score_fn,
+                                ThreadPool* pool) const {
+  const bool full = candidate_sample_ == 0;
+  std::vector<SlotScratch> scratch(pool != nullptr ? pool->num_slots() : 1);
+  if (full) {
+    for (auto& s : scratch) s.masked.resize(ds_.num_items());
+  }
   // Per-user metrics land in per-index slots; the reduction below walks
   // them in user order, so sums (and therefore results) are bit-identical
   // for any thread count.
@@ -70,13 +73,43 @@ GroupedEval Evaluator::Reduce(const PerUserFn& eval_user,
   std::vector<double> ndcg(users_.size(), 0.0);
   std::vector<uint8_t> counted(users_.size(), 0);
 
-  auto run_one = [&](size_t k, size_t slot) {
-    eval_user(k, slot, &recall[k], &ndcg[k], &counted[k]);
+  auto eval_user = [&](size_t k, size_t slot) {
+    const UserId u = users_[k];
+    const auto& test_items = ds_.TestItems(u);
+    if (test_items.empty()) return;
+    SlotScratch& s = scratch[slot];
+    s.relevant.clear();
+    s.relevant.insert(test_items.begin(), test_items.end());
+    // Full mode masks the user's train items; the candidate slice excludes
+    // them by construction.
+    std::vector<ItemId> candidates;
+    if (full) {
+      for (ItemId i : ds_.TrainItems(u)) s.masked[i] = true;
+    } else {
+      candidates = CandidateItems(u);
+    }
+    s.selector.Begin(top_k_, full ? &s.masked : nullptr, !use_batched_topk_);
+    {
+      HFR_PROFILE("score");
+      score_fn(u, slot, full ? nullptr : &candidates, &s.selector);
+    }
+    {
+      HFR_PROFILE("topk");
+      s.selector.Finish(&s.topk);
+    }
+    if (full) {
+      // Restore the all-false invariant by clearing only this user's train
+      // bits — not an O(items) refill per user.
+      for (ItemId i : ds_.TrainItems(u)) s.masked[i] = false;
+    }
+    recall[k] = RecallAtK(s.topk, s.relevant);
+    ndcg[k] = NdcgAtK(s.topk, s.relevant, top_k_);
+    counted[k] = 1;
   };
   if (pool != nullptr) {
-    pool->ParallelFor(users_.size(), run_one);
+    pool->ParallelFor(users_.size(), eval_user);
   } else {
-    for (size_t k = 0; k < users_.size(); ++k) run_one(k, 0);
+    for (size_t k = 0; k < users_.size(); ++k) eval_user(k, 0);
   }
 
   double sum_recall[1 + kNumGroups] = {0};
@@ -108,103 +141,22 @@ GroupedEval Evaluator::Reduce(const PerUserFn& eval_user,
   return out;
 }
 
-void Evaluator::BeginUser(UserId u, SlotScratch* scratch) const {
-  const auto& test_items = ds_.TestItems(u);
-  scratch->relevant.clear();
-  scratch->relevant.insert(test_items.begin(), test_items.end());
-  if (!scratch->masked.empty()) {
-    for (ItemId i : ds_.TrainItems(u)) scratch->masked[i] = true;
-  }
-}
-
-void Evaluator::FinishUser(UserId u, SlotScratch* scratch, double* recall,
-                           double* ndcg) const {
-  *recall = RecallAtK(scratch->topk, scratch->relevant);
-  *ndcg = NdcgAtK(scratch->topk, scratch->relevant, top_k_);
-  if (!scratch->masked.empty()) {
-    // Restore the all-false invariant by clearing only this user's train
-    // bits — not an O(items) refill per user.
-    for (ItemId i : ds_.TrainItems(u)) scratch->masked[i] = false;
-  }
-}
-
 GroupedEval Evaluator::Evaluate(const BatchScoreFn& score_fn,
                                 ThreadPool* pool) const {
-  const size_t n_slots = pool != nullptr ? pool->num_slots() : 1;
-  std::vector<SlotScratch> scratch(n_slots);
-  if (candidate_sample_ == 0) {
-    for (auto& s : scratch) s.masked.resize(ds_.num_items());
-  }
-
-  auto eval_user = [&](size_t k, size_t slot, double* recall, double* ndcg,
-                       uint8_t* counted) {
-    const UserId u = users_[k];
-    if (ds_.TestItems(u).empty()) return;
-    SlotScratch& s = scratch[slot];
-    BeginUser(u, &s);
-    if (candidate_sample_ == 0) {
-      // Full-catalogue ranking over the contiguous id span.
-      s.scores.resize(ds_.num_items());
-      {
-        HFR_PROFILE("score");
-        score_fn(u, slot, all_items_, s.scores.data());
-      }
-      HFR_PROFILE("topk");
-      if (use_batched_topk_) {
-        s.selector.SelectMasked(s.scores, s.masked, top_k_, &s.topk);
-      } else {
-        s.selector.SelectMaskedReference(s.scores, s.masked, top_k_,
-                                         &s.topk);
-      }
-    } else {
-      // Candidate slice: test items + seeded negatives. Train items are
-      // excluded by construction, so no mask is needed.
-      std::vector<ItemId> ids = CandidateItems(u);
-      s.scores.resize(ids.size());
-      {
-        HFR_PROFILE("score");
-        score_fn(u, slot, ids, s.scores.data());
-      }
-      HFR_PROFILE("topk");
-      if (use_batched_topk_) {
-        s.selector.SelectFromCandidates(ids, s.scores, top_k_, &s.topk);
-      } else {
-        s.selector.SelectFromCandidatesReference(ids, s.scores, top_k_,
-                                                 &s.topk);
-      }
-    }
-    FinishUser(u, &s, recall, ndcg);
-    *counted = 1;
-  };
-  return Reduce(eval_user, pool);
-}
-
-GroupedEval Evaluator::Evaluate(const StreamScoreFn& score_fn,
-                                ThreadPool* pool) const {
-  // Fused scoring+selection streams the catalogue; the candidate slice
-  // already avoids the O(items) pass and keeps the id-list callback.
-  HFR_CHECK_EQ(candidate_sample_, 0u);
-  const size_t n_slots = pool != nullptr ? pool->num_slots() : 1;
-  std::vector<SlotScratch> scratch(n_slots);
-  for (auto& s : scratch) s.masked.resize(ds_.num_items());
-
-  auto eval_user = [&](size_t k, size_t slot, double* recall, double* ndcg,
-                       uint8_t* counted) {
-    const UserId u = users_[k];
-    if (ds_.TestItems(u).empty()) return;
-    SlotScratch& s = scratch[slot];
-    BeginUser(u, &s);
-    s.selector.Begin(top_k_, &s.masked);
-    {
-      // Fused scoring+selection: one scope covers both.
-      HFR_PROFILE("score");
-      score_fn(u, slot, &s.selector);
-    }
-    s.selector.Finish(&s.topk);
-    FinishUser(u, &s, recall, ndcg);
-    *counted = 1;
-  };
-  return Reduce(eval_user, pool);
+  std::vector<std::vector<double>> scores(
+      pool != nullptr ? pool->num_slots() : 1);
+  return Evaluate(
+      StreamScoreFn([&](UserId u, size_t slot,
+                        const std::vector<ItemId>* candidates,
+                        TopKSelector* sink) {
+        const std::vector<ItemId>& ids =
+            candidates != nullptr ? *candidates : all_items_;
+        std::vector<double>& out = scores[slot];
+        out.resize(ids.size());
+        score_fn(u, slot, ids, out.data());
+        sink->PushIds(ids.data(), out.data(), ids.size());
+      }),
+      pool);
 }
 
 }  // namespace hetefedrec

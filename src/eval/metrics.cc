@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/eval/topk.h"
 #include "src/util/logging.h"
 
 namespace hetefedrec {
@@ -36,25 +35,6 @@ double NdcgAtK(const std::vector<ItemId>& topk,
     idcg += 1.0 / std::log2(static_cast<double>(p) + 2.0);
   }
   return idcg > 0.0 ? dcg / idcg : 0.0;
-}
-
-std::vector<ItemId> TopKItems(const std::vector<double>& scores,
-                              const std::vector<bool>& masked, size_t k) {
-  // Per-thread scratch: repeated calls rebuild neither the candidate
-  // vector nor the order buffer.
-  static thread_local TopKSelector selector;
-  std::vector<ItemId> topk;
-  selector.SelectMaskedReference(scores, masked, k, &topk);
-  return topk;
-}
-
-std::vector<ItemId> TopKFromCandidates(const std::vector<ItemId>& ids,
-                                       const std::vector<double>& scores,
-                                       size_t k) {
-  static thread_local TopKSelector selector;
-  std::vector<ItemId> topk;
-  selector.SelectFromCandidatesReference(ids, scores, k, &topk);
-  return topk;
 }
 
 }  // namespace hetefedrec

@@ -26,26 +26,6 @@ double RecallAtK(const std::vector<ItemId>& topk,
 double NdcgAtK(const std::vector<ItemId>& topk,
                const std::unordered_set<ItemId>& relevant, size_t k);
 
-/// Extracts the indices of the K largest scores in descending order.
-/// `masked` entries (same length as scores) are skipped — used to exclude
-/// a user's training items from ranking.
-///
-/// This is the partial_sort *reference* selection (routed through
-/// TopKSelector's reference path so repeated calls reuse scratch); the
-/// evaluator's hot path streams TopKSelector directly — see
-/// src/eval/topk.h.
-std::vector<ItemId> TopKItems(const std::vector<double>& scores,
-                              const std::vector<bool>& masked, size_t k);
-
-/// Top-K over an explicit candidate list: `scores[i]` is the score of
-/// `ids[i]`. Uses the same (score descending, item id ascending) order as
-/// TopKItems, so the result equals TopKItems' full ranking restricted to
-/// the candidate set — the invariant behind candidate-sliced evaluation.
-/// Reference path, like TopKItems.
-std::vector<ItemId> TopKFromCandidates(const std::vector<ItemId>& ids,
-                                       const std::vector<double>& scores,
-                                       size_t k);
-
 }  // namespace hetefedrec
 
 #endif  // HETEFEDREC_EVAL_METRICS_H_

@@ -1,34 +1,26 @@
-// Top-K selection over score blocks — the evaluation ranking kernel.
+// Top-K selection over score blocks — the one evaluation ranking path.
 //
-// Full-catalogue evaluation ranks every unmasked item for every user. The
-// reference implementation (the `*Reference` paths below, and the
-// `TopKItems`/`TopKFromCandidates` wrappers in metrics.h) builds an
-// O(items) candidate-id vector and `partial_sort`s it per user — after the
-// batched scoring kernels (PR 3) that build was the last per-user O(items)
-// term besides scoring itself. `TopKSelector` removes it:
+// Every ranking the evaluator makes, over the full catalogue or a
+// candidate slice, is one session: `Begin(k, mask, reference)`, then score
+// blocks as `Scorer::ScoreRange`/`ScoreBatch` produce them (`Push` for a
+// contiguous id span, `PushIds` for an explicit id list), then `Finish`,
+// which writes the ranked ids. No O(items) candidate vector or score array
+// is needed by the caller. A session runs in one of two modes:
 //
-//   * Streaming bounded min-heap (`Begin`/`Push`/`Finish`): score blocks
-//     are consumed as `Scorer::ScoreBatch`/`ScoreRange` produce them, so
-//     selection fuses into scoring — no candidate vector, no O(items)
-//     sort, and (through `Evaluator`'s stream overload) no materialized
-//     O(items) score array either. Cost per user: O(items + k·log k)
-//     compares, with an O(1) score-vs-current-worst reject for the vast
-//     majority of items once the heap is warm.
-//   * Bucketed threshold cascade (`SelectFromCandidates`, engaged when k
-//     is a sizable fraction of the candidate pool): a two-pass histogram
-//     over the score range finds the bucket containing the k-th score,
-//     and only entries at or above that bucket are sorted. While k << n
-//     the bounded heap is cheaper and is used instead; the cascade also
-//     falls back to the heap when the score range is degenerate (all
-//     equal / non-finite).
+//   * Bounded min-heap (default): k entries of state; each pushed score
+//     costs one compare against the current k-th best once the heap is
+//     warm, so a user costs O(items + k·log k) compares.
+//   * Reference (`reference = true`, selected by `use_batched_topk =
+//     false`): buffers every unmasked (id, score) pushed and
+//     `partial_sort`s an index over the buffer at Finish — the oracle the
+//     heap is pinned against.
 //
-// Both paths are *bit-identical* to the `partial_sort` reference: the
-// ordering (score descending, then item id ascending) is a strict total
-// order over distinct ids, so the top-K list is unique — every correct
-// selection algorithm returns the same ids in the same order
-// (tests/eval/topk_test.cc pins this over randomized heavy-tie inputs).
-// Scores must be NaN-free (NaN breaks any strict weak ordering, including
-// the reference's); ±infinity and extreme magnitudes are handled.
+// Both modes are *bit-identical*: the ordering (score descending, then item
+// id ascending) is a strict total order over distinct ids, so the top-K
+// list is unique and every correct selection returns the same ids in the
+// same order (tests/eval/topk_test.cc pins this over randomized heavy-tie
+// inputs). Scores must be NaN-free (NaN breaks any strict weak ordering);
+// ±infinity and extreme magnitudes are handled.
 //
 // A selector owns its scratch, so one instance per evaluation thread makes
 // per-user selection allocation-free. It is not safe for concurrent use.
@@ -43,15 +35,15 @@
 
 namespace hetefedrec {
 
-/// \brief Reusable top-K selection with per-instance scratch.
+/// \brief Reusable top-K selection session with per-instance scratch.
 class TopKSelector {
  public:
-  // --- Streaming session: fused selection over score blocks -------------
-
   /// Starts a top-`k` session. When `mask` is non-null it is indexed by
   /// absolute item id and masked items are skipped (the evaluator's
-  /// train-item exclusion). The mask must stay valid until Finish().
-  void Begin(size_t k, const std::vector<bool>* mask = nullptr);
+  /// train-item exclusion); it must stay valid until Finish(). `reference`
+  /// selects the buffered partial_sort mode instead of the heap.
+  void Begin(size_t k, const std::vector<bool>* mask = nullptr,
+             bool reference = false);
 
   /// Feeds one contiguous score block: `scores[i]` scores item
   /// `first + i`. Blocks must be fed in disjoint spans (any order), each
@@ -65,34 +57,6 @@ class TopKSelector {
   /// entries) into *out and resets the session.
   void Finish(std::vector<ItemId>* out);
 
-  // --- One-shot entry points --------------------------------------------
-
-  /// Heap-path equivalent of TopKItems: top-k unmasked indices of
-  /// `scores`. `masked` must have the same length.
-  void SelectMasked(const std::vector<double>& scores,
-                    const std::vector<bool>& masked, size_t k,
-                    std::vector<ItemId>* out);
-
-  /// Batched equivalent of TopKFromCandidates (`scores[i]` scores
-  /// `ids[i]`): the bounded heap while k << n, the bucketed threshold
-  /// cascade once k is a sizable fraction of n (heavy replacement churn).
-  void SelectFromCandidates(const std::vector<ItemId>& ids,
-                            const std::vector<double>& scores, size_t k,
-                            std::vector<ItemId>* out);
-
-  // --- partial_sort reference paths -------------------------------------
-  // Byte-for-byte the pre-selector implementations (modulo writing into
-  // reused scratch instead of freshly allocated vectors); kept live behind
-  // `use_batched_topk = false` as the equivalence oracle.
-
-  void SelectMaskedReference(const std::vector<double>& scores,
-                             const std::vector<bool>& masked, size_t k,
-                             std::vector<ItemId>* out);
-
-  void SelectFromCandidatesReference(const std::vector<ItemId>& ids,
-                                     const std::vector<double>& scores,
-                                     size_t k, std::vector<ItemId>* out);
-
  private:
   struct Entry {
     double score;
@@ -105,35 +69,35 @@ class TopKSelector {
     return a.id < b.id;
   }
 
+  /// The loop behind Push and PushIds; `id_at(i)` is the id `scores[i]`
+  /// scores.
+  template <typename IdAt>
+  void Feed(const IdAt& id_at, const double* scores, size_t n);
   /// Heapifies the warm-up entries once the k-th arrives (worst-at-front).
   void Heapify();
-  /// The bucketed threshold cascade; returns false (nothing written) when
-  /// the score range is degenerate and the caller must use the heap.
-  bool SelectCascade(const ItemId* ids, const double* scores, size_t n,
-                     size_t k, std::vector<ItemId>* out);
   /// Replaces the root (the worst retained entry) and restores the heap
   /// with one sift-down — half the work of a pop_heap/push_heap pair.
   void ReplaceRoot(double score, ItemId id);
+  /// Reference mode: ranks the buffered entries with partial_sort.
+  void SortBuffered(std::vector<ItemId>* out);
 
   size_t k_ = 0;
   const std::vector<bool>* mask_ = nullptr;
-  // Bounded selection buffer. Until k entries arrive it is an unordered
-  // warm-up list; from then on a heap with comparator Better-as-less whose
-  // front is the *worst* retained entry — the replacement threshold,
-  // mirrored into worst_ for a one-compare reject of the common case.
+  bool reference_ = false;
+  // Heap mode. Until k entries arrive it is an unordered warm-up list;
+  // from then on a heap with comparator Better-as-less whose front is the
+  // *worst* retained entry — the replacement threshold, mirrored into
+  // worst_ for a one-compare reject of the common case.
   std::vector<Entry> heap_;
   bool heapified_ = false;
   double worst_ = 0.0;
   ItemId worst_id_ = 0;
 
-  // Bucketed-cascade scratch.
-  std::vector<uint32_t> bucket_counts_;
-  std::vector<uint8_t> bucket_of_;
-  std::vector<Entry> cascade_pool_;
-
-  // Reference-path scratch.
+  // Reference mode: every unmasked id pushed and its score, in push order,
+  // and the index order Finish sorts.
   std::vector<ItemId> ref_ids_;
-  std::vector<size_t> ref_order_;
+  std::vector<double> ref_scores_;
+  std::vector<uint32_t> ref_order_;
 };
 
 }  // namespace hetefedrec

@@ -78,6 +78,22 @@ const double* ClientReplica::Values(uint32_t row, size_t width) const {
   return values_.data() + it->second;
 }
 
+void ClientReplica::ExportRows(std::vector<uint32_t>* rows,
+                               std::vector<uint64_t>* versions) const {
+  if (capacity_ > 0) {
+    rows->assign(lru_.rbegin(), lru_.rend());
+  } else {
+    rows->clear();
+    rows->reserve(held_.size());
+    // hfr-lint: iteration-order-safe(the rows are sorted before use, so the walk order never reaches the output)
+    for (const auto& held : held_) rows->push_back(held.first);
+    std::sort(rows->begin(), rows->end());
+  }
+  versions->clear();
+  versions->reserve(rows->size());
+  for (uint32_t row : *rows) versions->push_back(held_.at(row).version);
+}
+
 void ClientReplica::Invalidate() {
   held_.clear();
   lru_.clear();

@@ -71,20 +71,13 @@ class ClientReplica {
   /// Drops everything — the client behaves as a first-time participant.
   void Invalidate();
 
-  /// Held rows and versions in LRU order, *coldest first*, so replaying
-  /// them through `Hold` in order rebuilds the identical recency list
-  /// (run checkpoints). Verification-mode value caches are not exported.
+  /// Held rows and versions for run checkpoints. A capped replica exports
+  /// in LRU order, *coldest first*, so replaying them through `Hold` in
+  /// order rebuilds the identical recency list; an uncapped one tracks no
+  /// recency and exports in ascending row order. Verification-mode value
+  /// caches are not exported.
   void ExportRows(std::vector<uint32_t>* rows,
-                  std::vector<uint64_t>* versions) const {
-    rows->clear();
-    versions->clear();
-    rows->reserve(lru_.size());
-    versions->reserve(lru_.size());
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      rows->push_back(*it);
-      versions->push_back(held_.at(*it).version);
-    }
-  }
+                  std::vector<uint64_t>* versions) const;
 
  private:
   struct Entry {
@@ -96,7 +89,7 @@ class ClientReplica {
 
   size_t slot_ = kNoSlot;
   size_t capacity_ = 0;
-  // hfr-lint: iteration-order-safe(find/emplace/erase lookups only - ExportRows walks the deterministic lru_ list, never this map)
+  // hfr-lint: iteration-order-safe(find/emplace/erase lookups, plus one walk in ExportRows for an uncapped replica, which sorts the rows it collects)
   std::unordered_map<uint32_t, Entry> held_;
   std::list<uint32_t> lru_;  // most recently used at the front
   // Verification mode: row → offset into values_. Slots of evicted rows are

@@ -6,10 +6,12 @@
 // admission + delta sync in the mix, plus the fingerprint guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "src/core/run_state.h"
 #include "src/core/trainer.h"
 #include "tests/core/equivalence_test_util.h"
 
@@ -149,13 +151,51 @@ TEST(ResumeEquivalence, SyncKillResumeWithFaultsAndAdmission) {
   ExpectKillResumeEquivalent(cfg, Method::kHeteFedRec, 4, "sync_faulted");
 }
 
-// Delta-sync replicas (per-client row holdings + versions, LRU order)
-// round-trip through the checkpoint too.
+// Capped delta-sync replicas (per-client row holdings + versions, LRU
+// order) round-trip through the checkpoint too.
 TEST(ResumeEquivalence, SyncKillResumeWithDeltaSyncReplicas) {
   ExperimentConfig cfg = SmallConfig();
   cfg.full_downloads = false;
   cfg.sync_replica_cap = 64;
   ExpectKillResumeEquivalent(cfg, Method::kHeteFedRec, 3, "sync_delta");
+}
+
+// Uncapped replicas (the default replica_cap = 0) keep no recency list;
+// their held rows must still round-trip, so a resumed run does not re-ship
+// rows its clients already hold.
+TEST(ResumeEquivalence, SyncKillResumeWithUncappedDeltaSyncReplicas) {
+  ExperimentConfig cfg = SmallConfig();
+  cfg.full_downloads = false;
+  cfg.sync_replica_cap = 0;
+  ExpectKillResumeEquivalent(cfg, Method::kHeteFedRec, 3,
+                             "sync_delta_uncapped");
+}
+
+TEST(ResumeEquivalence, UncappedReplicaRowsReachTheRunState) {
+  ExperimentConfig cfg = SmallConfig();
+  cfg.full_downloads = false;
+  cfg.sync_replica_cap = 0;
+  cfg.checkpoint_path = testing::TempDir() + "/resume_uncapped_rows";
+  cfg.checkpoint_every = 1;
+  cfg.debug_stop_after_rounds = 3;
+  RemoveRunFiles(cfg.checkpoint_path);
+  ASSERT_TRUE(RunWith(cfg, Method::kHeteFedRec).stopped);
+
+  StatusOr<RunState> st = LoadRunState(cfg.checkpoint_path + ".run");
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  size_t synced = 0;
+  size_t rows = 0;
+  for (const ReplicaSnapshot& r : st->replicas) {
+    synced += r.slot_plus_one > 0;
+    rows += r.rows.size();
+    EXPECT_TRUE(std::is_sorted(r.rows.begin(), r.rows.end()));
+    // A client that synced holds at least the rows it was shipped.
+    if (r.slot_plus_one > 0) {
+      EXPECT_FALSE(r.rows.empty());
+    }
+  }
+  EXPECT_GT(synced, 0u);
+  EXPECT_GT(rows, 0u);
 }
 
 // The asynchronous schedule checkpoints at epoch boundaries (the queue is

@@ -1,18 +1,25 @@
-// Batched-top-K equivalence: `use_batched_topk` (on by default) switches
-// evaluation to the fused streaming selector / bucketed cascade of
-// src/eval/topk.h, and must be *bit-identical* to the partial_sort
-// reference across the full pipeline for all seven methods and both base
-// models — in full-catalogue mode (the paper's protocol, exercising the
-// fused StreamScoreFn path through trainer and standalone) and in
-// candidate-sliced mode (the cascade path). Top-K selection only reads
+// Top-K equivalence: `use_batched_topk` (on by default) ranks with the
+// bounded heap of src/eval/topk.h, off with the session's partial_sort
+// reference mode, and the two must be *bit-identical* across the full
+// pipeline for all seven methods and both base models — in full-catalogue
+// mode (the paper's protocol, block-streamed through the trainer and
+// Standalone) and in candidate-sliced mode. Top-K selection only reads
 // model parameters, so this pins the evaluation path itself: every
-// per-epoch history point and the final grouped metrics.
+// per-epoch history point and the final grouped metrics. The suite also
+// pins the block streamer on candidate slices longer than one stream block
+// and the profile contract: one `score` and one `topk` scope per evaluated
+// user.
 //
 // Registered under ctest as core_topk_equivalence_test — the CI smoke for
 // the use_batched_topk toggle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/core/trainer.h"
+#include "src/util/telemetry/profiler.h"
 #include "tests/core/equivalence_test_util.h"
 
 namespace hetefedrec {
@@ -64,8 +71,7 @@ INSTANTIATE_TEST_SUITE_P(Models, TopKEquivalenceEndToEnd,
                                            BaseModel::kLightGcn));
 
 TEST(TopKEquivalence, CandidateModeSelectorMatchesReference) {
-  // Candidate-sliced evaluation routes through SelectFromCandidates (the
-  // bounded heap at the default top_k=20, the cascade at large k).
+  // Candidate-sliced evaluation pushes each slice as an id list.
   for (BaseModel model : {BaseModel::kNcf, BaseModel::kLightGcn}) {
     ExperimentConfig ref_cfg = SmallConfig();
     ref_cfg.base_model = model;
@@ -100,6 +106,101 @@ TEST(TopKEquivalence, ScalarScoringCombinesWithBatchedTopK) {
   ASSERT_TRUE(mixed_runner.ok());
   ExpectSameEval((*ref_runner)->Run(Method::kHeteFedRec).final_eval,
                  (*mixed_runner)->Run(Method::kHeteFedRec).final_eval);
+}
+
+TEST(TopKEquivalence, CandidateSlicesLongerThanOneStreamBlock) {
+  // 1,500 candidates on a ~1,850-item catalogue: every slice spans two
+  // 1,024-id stream blocks, so ScoreBatch (batched scoring) and per-item
+  // Score (scalar) both score it in two calls per user and push two blocks.
+  // The two scorings must agree bit for bit, under both top-K modes.
+  ExperimentConfig cfg = SmallConfig();
+  cfg.dataset = "douban";
+  cfg.data_scale = 0.1;
+  cfg.global_epochs = 1;
+  cfg.eval_every = 0;
+  cfg.eval_candidate_sample = 1500;
+  auto probe = ExperimentRunner::Create(cfg);
+  ASSERT_TRUE(probe.ok());
+  const Evaluator evaluator =
+      MakeEvaluator(cfg, (*probe)->dataset(), (*probe)->groups());
+  size_t longest = 0;
+  for (UserId u : evaluator.eval_users()) {
+    longest = std::max(longest, evaluator.CandidateItems(u).size());
+  }
+  ASSERT_GT(longest, 1024u);
+
+  for (bool batched_topk : {true, false}) {
+    SCOPED_TRACE(batched_topk ? "heap" : "reference");
+    ExperimentConfig batched_cfg = cfg;
+    batched_cfg.use_batched_topk = batched_topk;
+    batched_cfg.use_batched_scoring = true;
+    ExperimentConfig scalar_cfg = batched_cfg;
+    scalar_cfg.use_batched_scoring = false;
+    auto batched_runner = ExperimentRunner::Create(batched_cfg);
+    auto scalar_runner = ExperimentRunner::Create(scalar_cfg);
+    ASSERT_TRUE(batched_runner.ok());
+    ASSERT_TRUE(scalar_runner.ok());
+    const GroupedEval batched =
+        (*batched_runner)->Run(Method::kAllSmall).final_eval;
+    EXPECT_GT(batched.overall.users, 0u);
+    ExpectSameEval(batched,
+                   (*scalar_runner)->Run(Method::kAllSmall).final_eval);
+  }
+}
+
+/// Calls recorded under profile scopes whose last path component is `name`.
+uint64_t ScopeCalls(const std::vector<Profiler::PhaseStat>& stats,
+                    const std::string& name) {
+  uint64_t calls = 0;
+  for (const Profiler::PhaseStat& s : stats) {
+    const size_t slash = s.path.rfind('/');
+    const std::string leaf =
+        slash == std::string::npos ? s.path : s.path.substr(slash + 1);
+    if (leaf == name) calls += s.calls;
+  }
+  return calls;
+}
+
+TEST(TopKEquivalence, ScoreScopeEnteredOncePerEvaluatedUser) {
+  // The profile contract the end-to-end benchmark reads eval.users from:
+  // each evaluated user enters `score` exactly once (around the scoring
+  // callback) and `topk` exactly once (around Finish), in all four modes —
+  // full catalogue or candidate slice, heap or reference — for a federated
+  // method and for Standalone.
+  for (size_t candidates : {size_t{0}, size_t{50}}) {
+    for (bool batched_topk : {true, false}) {
+      for (Method method : {Method::kAllSmall, Method::kStandalone}) {
+        SCOPED_TRACE(testing::Message()
+                     << "candidates " << candidates << " batched_topk "
+                     << batched_topk << " " << MethodName(method));
+        ExperimentConfig cfg = SmallConfig();
+        cfg.eval_candidate_sample = candidates;
+        cfg.use_batched_topk = batched_topk;
+        auto runner = ExperimentRunner::Create(cfg);
+        ASSERT_TRUE(runner.ok());
+        Profiler::Get().Reset();
+        Profiler::Get().Enable(true);
+        const ExperimentResult result = (*runner)->Run(method);
+        const std::vector<Profiler::PhaseStat> stats =
+            Profiler::Get().Collect();
+        Profiler::Get().Enable(false);
+
+        // One evaluation per epoch (eval_every = 1) for federated runs;
+        // Standalone evaluates once, at the end.
+        uint64_t evaluated = 0;
+        if (method == Method::kStandalone) {
+          evaluated = result.final_eval.overall.users;
+        } else {
+          for (const EpochPoint& p : result.history) {
+            evaluated += p.eval.overall.users;
+          }
+        }
+        EXPECT_GT(evaluated, 0u);
+        EXPECT_EQ(ScopeCalls(stats, "score"), evaluated);
+        EXPECT_EQ(ScopeCalls(stats, "topk"), evaluated);
+      }
+    }
+  }
 }
 
 }  // namespace

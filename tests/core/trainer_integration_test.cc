@@ -84,8 +84,8 @@ TEST(ExperimentRunnerTest, TrainingBeatsRandomScoring) {
   ASSERT_TRUE(runner.ok());
   ExperimentResult r = (*runner)->Run(Method::kAllSmall);
 
-  Evaluator ev((*runner)->dataset(), (*runner)->groups(), cfg.top_k,
-               cfg.eval_user_sample, cfg.seed ^ 0xe5a1ULL);
+  const Evaluator ev =
+      MakeEvaluator(cfg, (*runner)->dataset(), (*runner)->groups());
   Rng rng(99);
   auto random_fn = [&](UserId, size_t, const std::vector<ItemId>& ids,
                        double* out) {

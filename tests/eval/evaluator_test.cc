@@ -10,6 +10,7 @@
 
 #include "src/eval/metrics.h"
 #include "src/util/thread_pool.h"
+#include "tests/eval/topk_oracle.h"
 
 namespace hetefedrec {
 namespace {
@@ -313,9 +314,10 @@ TEST(EvaluatorCandidateTest, CandidateEvalParallelBitIdenticalAndBounded) {
   EXPECT_LT(max_ids_seen, ds.num_items());
 }
 
-TEST(EvaluatorTopKTest, BatchedSelectorBitIdenticalToReference) {
-  // use_batched_topk on vs off through every overload: the streaming heap
-  // and the partial_sort reference must produce identical metrics.
+TEST(EvaluatorTopKTest, HeapBitIdenticalToReferenceThroughBothOverloads) {
+  // use_batched_topk on vs off, full catalogue and candidate slice, through
+  // the id-list adapter and the stream overload: the bounded heap and the
+  // partial_sort reference must produce identical metrics.
   std::vector<Interaction> xs;
   for (UserId u = 0; u < 48; ++u) {
     for (ItemId k = 0; k < 8; ++k) {
@@ -332,30 +334,55 @@ TEST(EvaluatorTopKTest, BatchedSelectorBitIdenticalToReference) {
                       double* out) {
     for (size_t i = 0; i < ids.size(); ++i) out[i] = item_score(u, ids[i]);
   };
+  // Pushes one id (or one catalogue item) at a time.
+  auto stream_fn = [&](UserId u, size_t,
+                       const std::vector<ItemId>* candidates,
+                       TopKSelector* sink) {
+    const size_t n = candidates != nullptr ? candidates->size()
+                                           : ds.num_items();
+    for (size_t i = 0; i < n; ++i) {
+      const ItemId id = candidates != nullptr ? (*candidates)[i]
+                                              : static_cast<ItemId>(i);
+      const double score = item_score(u, id);
+      if (candidates != nullptr) {
+        sink->PushIds(&id, &score, 1);
+      } else {
+        sink->Push(id, &score, 1);
+      }
+    }
+  };
 
   ThreadPool pool(3);
   for (size_t candidates : {size_t{0}, size_t{30}}) {
-    Evaluator batched(ds, groups, 10, 0, 9177, candidates,
-                      /*use_batched_topk=*/true);
+    SCOPED_TRACE(testing::Message() << "candidates " << candidates);
+    Evaluator heap(ds, groups, 10, 0, 9177, candidates,
+                   /*use_batched_topk=*/true);
     Evaluator reference(ds, groups, 10, 0, 9177, candidates,
                         /*use_batched_topk=*/false);
-    GroupedEval a =
-        batched.Evaluate(Evaluator::BatchScoreFn(batch_fn), &pool);
-    GroupedEval b =
+    const GroupedEval a = heap.Evaluate(Evaluator::BatchScoreFn(batch_fn),
+                                        &pool);
+    const GroupedEval b =
         reference.Evaluate(Evaluator::BatchScoreFn(batch_fn), &pool);
-    EXPECT_EQ(a.overall.recall, b.overall.recall) << candidates;
-    EXPECT_EQ(a.overall.ndcg, b.overall.ndcg) << candidates;
-    EXPECT_EQ(a.overall.users, b.overall.users) << candidates;
-    for (int g = 0; g < kNumGroups; ++g) {
-      EXPECT_EQ(a.per_group[g].recall, b.per_group[g].recall);
-      EXPECT_EQ(a.per_group[g].ndcg, b.per_group[g].ndcg);
+    const GroupedEval c =
+        heap.Evaluate(Evaluator::StreamScoreFn(stream_fn), &pool);
+    const GroupedEval d =
+        reference.Evaluate(Evaluator::StreamScoreFn(stream_fn), nullptr);
+    EXPECT_GT(a.overall.users, 0u);
+    for (const GroupedEval* other : {&b, &c, &d}) {
+      EXPECT_EQ(a.overall.recall, other->overall.recall);
+      EXPECT_EQ(a.overall.ndcg, other->overall.ndcg);
+      EXPECT_EQ(a.overall.users, other->overall.users);
+      for (int g = 0; g < kNumGroups; ++g) {
+        EXPECT_EQ(a.per_group[g].recall, other->per_group[g].recall);
+        EXPECT_EQ(a.per_group[g].ndcg, other->per_group[g].ndcg);
+      }
     }
   }
 }
 
 TEST(EvaluatorTopKTest, StreamOverloadMatchesBatchOverload) {
-  // The fused stream overload (scores pushed block-wise into the top-K
-  // sink, uneven block sizes) must reproduce the array-based overloads.
+  // The stream overload (scores pushed block-wise into the top-K sink,
+  // uneven block sizes) must reproduce the id-list adapter.
   std::vector<Interaction> xs;
   for (UserId u = 0; u < 32; ++u) {
     for (ItemId k = 0; k < 7; ++k) {
@@ -373,7 +400,9 @@ TEST(EvaluatorTopKTest, StreamOverloadMatchesBatchOverload) {
                       double* out) {
     for (size_t i = 0; i < ids.size(); ++i) out[i] = item_score(u, ids[i]);
   };
-  auto stream_fn = [&](UserId u, size_t, TopKSelector* sink) {
+  auto stream_fn = [&](UserId u, size_t, const std::vector<ItemId>* candidates,
+                       TopKSelector* sink) {
+    ASSERT_EQ(candidates, nullptr);  // full-catalogue evaluator
     // Deliberately ragged blocks (1, 2, 4, 8, ... items).
     std::vector<double> block;
     size_t first = 0, bs = 1;

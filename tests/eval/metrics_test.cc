@@ -75,31 +75,5 @@ TEST(MetricsTest, NdcgStarvedCandidatePoolSingleRelevant) {
   EXPECT_DOUBLE_EQ(NdcgAtK({4, 5, 9}, rel, 20), 0.5);
 }
 
-TEST(TopKTest, OrdersByScoreDescending) {
-  std::vector<double> scores = {0.1, 0.9, 0.5, 0.7};
-  std::vector<bool> mask(4, false);
-  auto top = TopKItems(scores, mask, 3);
-  EXPECT_EQ(top, (std::vector<ItemId>{1, 3, 2}));
-}
-
-TEST(TopKTest, MaskExcludesTrainItems) {
-  std::vector<double> scores = {0.9, 0.8, 0.7, 0.6};
-  std::vector<bool> mask = {true, false, true, false};
-  auto top = TopKItems(scores, mask, 4);
-  EXPECT_EQ(top, (std::vector<ItemId>{1, 3}));
-}
-
-TEST(TopKTest, KLargerThanCandidates) {
-  std::vector<double> scores = {0.5, 0.6};
-  std::vector<bool> mask = {false, false};
-  EXPECT_EQ(TopKItems(scores, mask, 10).size(), 2u);
-}
-
-TEST(TopKTest, TieBreakByItemId) {
-  std::vector<double> scores = {0.5, 0.5, 0.5};
-  std::vector<bool> mask(3, false);
-  EXPECT_EQ(TopKItems(scores, mask, 2), (std::vector<ItemId>{0, 1}));
-}
-
 }  // namespace
 }  // namespace hetefedrec

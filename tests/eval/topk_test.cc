@@ -1,10 +1,11 @@
-// TopKSelector property tests: every selection path — streaming heap
-// (whole-array and arbitrary block splits), bucketed threshold cascade,
-// and the partial_sort reference — must return the *identical* ranked
-// list. The ordering (score desc, id asc) is a strict total order over
-// distinct ids, so the top-K list is unique; these tests pin that the
-// implementations actually realize it over randomized inputs with heavy
-// ties, extreme magnitudes, masked prefixes and k ∈ {1, ..., n, > n}.
+// TopKSelector property tests: both session modes — the bounded heap and
+// the buffered partial_sort reference — fed whole or split at arbitrary
+// block boundaries, through Push (contiguous spans) or PushIds (id lists),
+// must return the *identical* ranked list as a full-sort oracle
+// (tests/eval/topk_oracle.h). The ordering (score desc, id asc) is a strict
+// total order over distinct ids, so the top-K list is unique; these tests
+// pin that both modes realize it over randomized inputs with heavy ties,
+// extreme magnitudes, masked prefixes and k ∈ {0, 1, ..., n, > n}.
 #include "src/eval/topk.h"
 
 #include <gtest/gtest.h>
@@ -13,34 +14,36 @@
 #include <limits>
 #include <vector>
 
-#include "src/eval/metrics.h"
 #include "src/util/rng.h"
+#include "tests/eval/topk_oracle.h"
 
 namespace hetefedrec {
 namespace {
 
-// Oracle: full sort of the unmasked ids by (score desc, id asc).
-std::vector<ItemId> FullRanking(const std::vector<double>& scores,
-                                const std::vector<bool>& masked, size_t k) {
-  std::vector<ItemId> ids;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    if (!masked[i]) ids.push_back(static_cast<ItemId>(i));
-  }
-  std::sort(ids.begin(), ids.end(), [&](ItemId a, ItemId b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return a < b;
-  });
-  ids.resize(std::min(k, ids.size()));
-  return ids;
+constexpr bool kModes[] = {false, true};  // heap, reference
+
+const char* ModeName(bool reference) {
+  return reference ? "reference" : "heap";
 }
 
-// Runs the streaming session over `scores` split at pseudo-random block
-// boundaries (block layout must never affect the result).
-std::vector<ItemId> StreamInBlocks(TopKSelector* sel,
+// One session over a whole catalogue score array.
+std::vector<ItemId> SelectWhole(TopKSelector* sel, bool reference,
+                                const std::vector<double>& scores,
+                                const std::vector<bool>* masked, size_t k) {
+  sel->Begin(k, masked, reference);
+  sel->Push(0, scores.data(), scores.size());
+  std::vector<ItemId> out = {99};  // Finish must overwrite stale contents
+  sel->Finish(&out);
+  return out;
+}
+
+// Runs the session over `scores` split at pseudo-random block boundaries
+// (block layout must never affect the result).
+std::vector<ItemId> StreamInBlocks(TopKSelector* sel, bool reference,
                                    const std::vector<double>& scores,
-                                   const std::vector<bool>& masked, size_t k,
+                                   const std::vector<bool>* masked, size_t k,
                                    Rng* rng) {
-  sel->Begin(k, &masked);
+  sel->Begin(k, masked, reference);
   size_t first = 0;
   while (first < scores.size()) {
     size_t bs = 1 + rng->UniformInt(scores.size() - first);
@@ -52,7 +55,53 @@ std::vector<ItemId> StreamInBlocks(TopKSelector* sel,
   return out;
 }
 
-TEST(TopKSelectorTest, AllPathsMatchReferenceOnRandomizedHeavyTies) {
+// One session over an explicit id list, pushed whole or in random blocks.
+std::vector<ItemId> SelectIds(TopKSelector* sel, bool reference,
+                              const std::vector<ItemId>& ids,
+                              const std::vector<double>& scores, size_t k,
+                              Rng* split = nullptr) {
+  sel->Begin(k, nullptr, reference);
+  size_t first = 0;
+  while (first < ids.size()) {
+    const size_t bs = split != nullptr
+                          ? 1 + split->UniformInt(ids.size() - first)
+                          : ids.size();
+    sel->PushIds(ids.data() + first, scores.data() + first, bs);
+    first += bs;
+  }
+  std::vector<ItemId> out;
+  sel->Finish(&out);
+  return out;
+}
+
+TEST(TopKSelectorTest, HandRankedCatalogues) {
+  // Small hand-ranked cases, checked against both modes and the oracle:
+  // score order, train-item masking, k beyond the unmasked items, and the
+  // id tie-break.
+  struct Case {
+    std::vector<double> scores;
+    std::vector<bool> mask;
+    size_t k;
+    std::vector<ItemId> expect;
+  };
+  const Case cases[] = {
+      {{0.1, 0.9, 0.5, 0.7}, {false, false, false, false}, 3, {1, 3, 2}},
+      {{0.9, 0.8, 0.7, 0.6}, {true, false, true, false}, 4, {1, 3}},
+      {{0.5, 0.6}, {false, false}, 10, {1, 0}},
+      {{0.5, 0.5, 0.5}, {false, false, false}, 2, {0, 1}},
+  };
+  TopKSelector sel;
+  for (const Case& c : cases) {
+    EXPECT_EQ(TopKItems(c.scores, c.mask, c.k), c.expect);
+    for (bool reference : kModes) {
+      EXPECT_EQ(SelectWhole(&sel, reference, c.scores, &c.mask, c.k),
+                c.expect)
+          << ModeName(reference);
+    }
+  }
+}
+
+TEST(TopKSelectorTest, BothModesMatchOracleOnRandomizedHeavyTies) {
   Rng rng(1234);
   TopKSelector sel;  // one instance across all cases: scratch must reset
   for (int rep = 0; rep < 200; ++rep) {
@@ -69,31 +118,33 @@ TEST(TopKSelectorTest, AllPathsMatchReferenceOnRandomizedHeavyTies) {
     const size_t prefix = rng.UniformInt(n);
     for (size_t i = 0; i < prefix; ++i) masked[i] = true;
     for (size_t i = prefix; i < n; ++i) masked[i] = rng.UniformInt(7) == 0;
+    const std::vector<bool> none(n, false);
 
-    for (size_t k : {size_t{1}, size_t{7}, n, n + 5}) {
-      SCOPED_TRACE(testing::Message() << "rep " << rep << " n " << n
-                                      << " k " << k);
-      std::vector<ItemId> expect = FullRanking(scores, masked, k);
-
-      std::vector<ItemId> heap;
-      sel.SelectMasked(scores, masked, k, &heap);
-      EXPECT_EQ(heap, expect);
-
-      std::vector<ItemId> ref;
-      sel.SelectMaskedReference(scores, masked, k, &ref);
-      EXPECT_EQ(ref, expect);
-
-      EXPECT_EQ(StreamInBlocks(&sel, scores, masked, k, &rng), expect);
-      EXPECT_EQ(TopKItems(scores, masked, k), expect);
+    for (size_t k : {size_t{0}, size_t{1}, size_t{7}, n, n + 5}) {
+      for (bool reference : kModes) {
+        SCOPED_TRACE(testing::Message() << "rep " << rep << " n " << n
+                                        << " k " << k << " "
+                                        << ModeName(reference));
+        const std::vector<ItemId> expect = TopKItems(scores, masked, k);
+        EXPECT_EQ(SelectWhole(&sel, reference, scores, &masked, k), expect);
+        EXPECT_EQ(StreamInBlocks(&sel, reference, scores, &masked, k, &rng),
+                  expect);
+        // No mask: the reference mode's bulk append.
+        const std::vector<ItemId> unmasked = TopKItems(scores, none, k);
+        EXPECT_EQ(SelectWhole(&sel, reference, scores, nullptr, k), unmasked);
+        EXPECT_EQ(StreamInBlocks(&sel, reference, scores, nullptr, k, &rng),
+                  unmasked);
+      }
     }
   }
 }
 
-TEST(TopKSelectorTest, CandidatePathsMatchReference) {
+TEST(TopKSelectorTest, CandidateListsMatchOracle) {
   Rng rng(977);
   TopKSelector sel;
   for (int rep = 0; rep < 100; ++rep) {
-    // Large enough to engage the bucketed cascade (n >= 256, n > 4k).
+    // Pools of 256 to 1,055 ids: the candidate-slice shape, ranked up to
+    // the whole pool.
     const size_t n = 256 + rng.UniformInt(800);
     std::vector<ItemId> ids(n);
     std::vector<double> scores(n);
@@ -103,59 +154,60 @@ TEST(TopKSelectorTest, CandidatePathsMatchReference) {
       ids[i] = next;
       scores[i] = static_cast<double>(rng.UniformInt(16)) * 0.0625;
     }
-    // k = 20 exercises the heap path, k = n/4 and up the bucketed cascade
-    // (engaged when k >= n/8 on cascade-sized pools).
+    // Shuffled ids: PushIds takes any order, and ties must still resolve
+    // by id, not by position.
+    if (rep % 2 == 1) {
+      for (size_t i = n - 1; i > 0; --i) {
+        const size_t j = rng.UniformInt(i + 1);
+        std::swap(ids[i], ids[j]);
+        std::swap(scores[i], scores[j]);
+      }
+    }
     for (size_t k : {size_t{1}, size_t{20}, n / 4, n / 2, n, n + 3}) {
-      SCOPED_TRACE(testing::Message() << "rep " << rep << " n " << n
-                                      << " k " << k);
-      std::vector<ItemId> ref;
-      sel.SelectFromCandidatesReference(ids, scores, k, &ref);
-
-      std::vector<ItemId> cascade;
-      sel.SelectFromCandidates(ids, scores, k, &cascade);
-      EXPECT_EQ(cascade, ref);
-      EXPECT_EQ(TopKFromCandidates(ids, scores, k), ref);
+      const std::vector<ItemId> expect = TopKFromCandidates(ids, scores, k);
+      for (bool reference : kModes) {
+        SCOPED_TRACE(testing::Message() << "rep " << rep << " n " << n
+                                        << " k " << k << " "
+                                        << ModeName(reference));
+        EXPECT_EQ(SelectIds(&sel, reference, ids, scores, k), expect);
+        EXPECT_EQ(SelectIds(&sel, reference, ids, scores, k, &rng), expect);
+      }
     }
   }
 }
 
 TEST(TopKSelectorTest, ExtremeFiniteAndInfiniteScores) {
-  // ±inf and extreme magnitudes: the cascade's bucket width degenerates
-  // (non-finite range), so it must fall back to the exact heap; the heap
-  // itself orders any NaN-free doubles correctly.
+  // ±inf and extreme magnitudes: both modes order any NaN-free doubles.
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<ItemId> ids = {2, 3, 5, 7, 11, 13, 17};
   std::vector<double> scores = {-inf, 1e300, 0.0,  -0.0,
                                 inf,  -1e300, 5e-324};
   TopKSelector sel;
-  for (size_t k : {size_t{1}, size_t{3}, size_t{7}, size_t{9}}) {
-    std::vector<ItemId> ref;
-    sel.SelectFromCandidatesReference(ids, scores, k, &ref);
-    std::vector<ItemId> got;
-    sel.SelectFromCandidates(ids, scores, k, &got);
-    EXPECT_EQ(got, ref) << "k " << k;
-  }
-  EXPECT_EQ(TopKFromCandidates(ids, scores, 3),
-            (std::vector<ItemId>{11, 3, 17}));
+  for (bool reference : kModes) {
+    for (size_t k : {size_t{1}, size_t{3}, size_t{7}, size_t{9}}) {
+      EXPECT_EQ(SelectIds(&sel, reference, ids, scores, k),
+                TopKFromCandidates(ids, scores, k))
+          << ModeName(reference) << " k " << k;
+    }
+    EXPECT_EQ(SelectIds(&sel, reference, ids, scores, 3),
+              (std::vector<ItemId>{11, 3, 17}))
+        << ModeName(reference);
 
-  // Same through the masked paths.
-  std::vector<bool> mask(scores.size(), false);
-  mask[1] = true;
-  for (size_t k : {size_t{1}, size_t{4}, size_t{10}}) {
-    std::vector<ItemId> ref;
-    sel.SelectMaskedReference(scores, mask, k, &ref);
-    std::vector<ItemId> got;
-    sel.SelectMasked(scores, mask, k, &got);
-    EXPECT_EQ(got, ref) << "k " << k;
+    // Same through a masked catalogue session.
+    std::vector<bool> mask(scores.size(), false);
+    mask[1] = true;
+    for (size_t k : {size_t{1}, size_t{4}, size_t{10}}) {
+      EXPECT_EQ(SelectWhole(&sel, reference, scores, &mask, k),
+                TopKItems(scores, mask, k))
+          << ModeName(reference) << " k " << k;
+    }
   }
 }
 
-TEST(TopKSelectorTest, CascadeSizedExtremesFallBackToHeap) {
-  // Cascade-sized pools (n >= 256, k >= n/8) whose score range defeats
-  // the histogram: ±inf endpoints, and a *finite* range whose width
-  // overflows to +inf (-1e308..1e308 — casting the resulting NaN bucket
-  // index would be UB). SelectCascade must decline and the heap fallback
-  // must still match the reference.
+TEST(TopKSelectorTest, LargePoolsWithExtremeRanges) {
+  // Pools of 320 ids whose score range is extreme: ±inf endpoints, and a
+  // *finite* range whose width overflows to +inf (-1e308..1e308). Ranked
+  // from n/8 up to the whole pool, both modes must match the oracle.
   Rng rng(431);
   const double inf = std::numeric_limits<double>::infinity();
   for (double extreme : {inf, 1e308}) {
@@ -170,69 +222,67 @@ TEST(TopKSelectorTest, CascadeSizedExtremesFallBackToHeap) {
     scores[251] = -extreme;
     TopKSelector sel;
     for (size_t k : {n / 8, n / 2, n}) {
-      std::vector<ItemId> ref;
-      sel.SelectFromCandidatesReference(ids, scores, k, &ref);
-      std::vector<ItemId> got;
-      sel.SelectFromCandidates(ids, scores, k, &got);
-      EXPECT_EQ(got, ref) << "extreme " << extreme << " k " << k;
+      for (bool reference : kModes) {
+        EXPECT_EQ(SelectIds(&sel, reference, ids, scores, k),
+                  TopKFromCandidates(ids, scores, k))
+            << "extreme " << extreme << " k " << k << " "
+            << ModeName(reference);
+      }
     }
   }
 }
 
-TEST(TopKSelectorTest, AllScoresEqualFallsBackAndTieBreaksById) {
-  // Degenerate range (lo == hi) over a cascade-sized input with k large
-  // enough to engage the cascade (k >= n/8): bucketing cannot
-  // discriminate, the cascade declines, and the heap fallback returns
-  // pure id order.
+TEST(TopKSelectorTest, AllScoresEqualTieBreaksById) {
+  // All scores equal over a 300-id pool pushed in descending id order:
+  // the ranking is pure id order whatever k is.
   std::vector<ItemId> ids(300);
   std::vector<double> scores(300, 0.25);
   for (size_t i = 0; i < ids.size(); ++i) {
     ids[i] = static_cast<ItemId>(ids.size() - i);  // descending ids
   }
-  TopKSelector sel;
-  std::vector<ItemId> got;
-  sel.SelectFromCandidates(ids, scores, 60, &got);
   std::vector<ItemId> expect(60);
   for (size_t i = 0; i < expect.size(); ++i) {
     expect[i] = static_cast<ItemId>(i + 1);
   }
-  EXPECT_EQ(got, expect);
+  TopKSelector sel;
+  for (bool reference : kModes) {
+    EXPECT_EQ(SelectIds(&sel, reference, ids, scores, 60), expect)
+        << ModeName(reference);
+  }
 }
 
 TEST(TopKSelectorTest, EverythingMaskedOrKZero) {
   std::vector<double> scores = {0.4, 0.2, 0.9};
   std::vector<bool> all_masked(3, true);
-  TopKSelector sel;
-  std::vector<ItemId> out = {99};
-  sel.SelectMasked(scores, all_masked, 2, &out);
-  EXPECT_TRUE(out.empty());
-
-  out = {99};
   std::vector<bool> none_masked(3, false);
-  sel.SelectMasked(scores, none_masked, 0, &out);
-  EXPECT_TRUE(out.empty());
-
-  out = {99};
-  sel.SelectFromCandidates({1, 2, 3}, scores, 0, &out);
-  EXPECT_TRUE(out.empty());
+  TopKSelector sel;
+  for (bool reference : kModes) {
+    SCOPED_TRACE(ModeName(reference));
+    EXPECT_TRUE(SelectWhole(&sel, reference, scores, &all_masked, 2).empty());
+    EXPECT_TRUE(SelectWhole(&sel, reference, scores, &none_masked, 0).empty());
+    EXPECT_TRUE(SelectIds(&sel, reference, {1, 2, 3}, scores, 0).empty());
+  }
 }
 
 TEST(TopKSelectorTest, SessionsReset) {
-  // A session must not leak entries into the next one.
+  // A session must not leak entries, its mask or its mode into the next.
   std::vector<bool> mask(4, false);
+  mask[0] = true;
   TopKSelector sel;
-  sel.Begin(3, &mask);
   const double a[] = {0.9, 0.8, 0.7, 0.6};
-  sel.Push(0, a, 4);
-  std::vector<ItemId> out;
-  sel.Finish(&out);
-  EXPECT_EQ(out, (std::vector<ItemId>{0, 1, 2}));
-
-  sel.Begin(2, nullptr);
   const double b[] = {0.1, 0.5};
-  sel.Push(0, b, 2);
-  sel.Finish(&out);
-  EXPECT_EQ(out, (std::vector<ItemId>{1, 0}));
+  std::vector<ItemId> out;
+  for (bool reference : kModes) {
+    sel.Begin(3, &mask, reference);
+    sel.Push(0, a, 4);
+    sel.Finish(&out);
+    EXPECT_EQ(out, (std::vector<ItemId>{1, 2, 3})) << ModeName(reference);
+
+    sel.Begin(2);
+    sel.Push(0, b, 2);
+    sel.Finish(&out);
+    EXPECT_EQ(out, (std::vector<ItemId>{1, 0})) << ModeName(reference);
+  }
 }
 
 }  // namespace

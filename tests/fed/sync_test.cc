@@ -82,6 +82,43 @@ TEST(ClientReplicaTest, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(rep.HeldVersion(2), 7u);  // most recently used survives
 }
 
+TEST(ClientReplicaTest, UncappedExportsEveryHeldRowInRowOrder) {
+  // No cap (the default): no recency is tracked, and the export lists
+  // every held row in ascending row order with its version.
+  ClientReplica rep;
+  rep.Hold(9, 4);
+  rep.Hold(2, 5);
+  rep.Hold(5, 6);
+  rep.Hold(2, 7);  // an update, not a second row
+  std::vector<uint32_t> rows = {99};
+  std::vector<uint64_t> versions = {99};
+  rep.ExportRows(&rows, &versions);
+  EXPECT_EQ(rows, (std::vector<uint32_t>{2, 5, 9}));
+  EXPECT_EQ(versions, (std::vector<uint64_t>{7, 6, 4}));
+
+  // Replaying the export rebuilds the same holdings.
+  ClientReplica restored;
+  for (size_t i = 0; i < rows.size(); ++i) restored.Hold(rows[i], versions[i]);
+  EXPECT_EQ(restored.rows_held(), 3u);
+  for (uint32_t row : {2u, 5u, 9u}) {
+    EXPECT_EQ(restored.HeldVersion(row), rep.HeldVersion(row)) << row;
+  }
+}
+
+TEST(ClientReplicaTest, CappedExportsColdestFirst) {
+  ClientReplica rep;
+  rep.set_capacity(3);
+  rep.Hold(9, 1);
+  rep.Hold(2, 2);
+  rep.Hold(5, 3);
+  rep.Touch(9);  // 9 becomes the hottest
+  std::vector<uint32_t> rows;
+  std::vector<uint64_t> versions;
+  rep.ExportRows(&rows, &versions);
+  EXPECT_EQ(rows, (std::vector<uint32_t>{2, 5, 9}));
+  EXPECT_EQ(versions, (std::vector<uint64_t>{2, 3, 1}));
+}
+
 TEST(SyncServiceTest, CappedReplicaReshipsEvictedRows) {
   Matrix table(20, 4);
   Rng rng(3);
