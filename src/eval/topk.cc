@@ -101,7 +101,22 @@ void TopKSelector::PushIds(const ItemId* ids, const double* scores, size_t n) {
 
 void TopKSelector::Finish(std::vector<ItemId>* out) {
   if (reference_) {
-    SortBuffered(out);
+    // partial_sort an index over the buffer: moving 4-byte indices is
+    // cheaper than moving (score, id) entries.
+    const size_t n = ref_ids_.size();
+    const size_t k = std::min(k_, n);
+    ref_order_.resize(n);
+    std::iota(ref_order_.begin(), ref_order_.end(), uint32_t{0});
+    const double* scores = ref_scores_.data();
+    const ItemId* ids = ref_ids_.data();
+    auto better = [scores, ids](uint32_t a, uint32_t b) {
+      if (scores[a] != scores[b]) return scores[a] > scores[b];
+      return ids[a] < ids[b];
+    };
+    std::partial_sort(ref_order_.begin(), ref_order_.begin() + k,
+                      ref_order_.end(), better);
+    out->resize(k);
+    for (size_t i = 0; i < k; ++i) (*out)[i] = ids[ref_order_[i]];
   } else {
     std::sort(heap_.begin(), heap_.end(), Better);
     out->resize(heap_.size());
@@ -114,23 +129,6 @@ void TopKSelector::Finish(std::vector<ItemId>* out) {
   mask_ = nullptr;
   reference_ = false;
   k_ = 0;
-}
-
-void TopKSelector::SortBuffered(std::vector<ItemId>* out) {
-  const size_t n = ref_ids_.size();
-  const size_t k = std::min(k_, n);
-  ref_order_.resize(n);
-  std::iota(ref_order_.begin(), ref_order_.end(), uint32_t{0});
-  auto better = [this](uint32_t a, uint32_t b) {
-    if (ref_scores_[a] != ref_scores_[b]) {
-      return ref_scores_[a] > ref_scores_[b];
-    }
-    return ref_ids_[a] < ref_ids_[b];
-  };
-  std::partial_sort(ref_order_.begin(), ref_order_.begin() + k,
-                    ref_order_.end(), better);
-  out->resize(k);
-  for (size_t i = 0; i < k; ++i) (*out)[i] = ref_ids_[ref_order_[i]];
 }
 
 }  // namespace hetefedrec

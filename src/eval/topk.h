@@ -78,8 +78,6 @@ class TopKSelector {
   /// Replaces the root (the worst retained entry) and restores the heap
   /// with one sift-down — half the work of a pop_heap/push_heap pair.
   void ReplaceRoot(double score, ItemId id);
-  /// Reference mode: ranks the buffered entries with partial_sort.
-  void SortBuffered(std::vector<ItemId>* out);
 
   size_t k_ = 0;
   const std::vector<bool>* mask_ = nullptr;
