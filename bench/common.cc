@@ -98,8 +98,7 @@ int FailWith(const Status& status) {
   return 1;
 }
 
-ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner,
-                                    ThreadPool* pool) {
+ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner) {
   const Dataset& ds = runner.dataset();
   const Evaluator evaluator =
       MakeEvaluator(runner.config(), ds, runner.groups());
@@ -115,7 +114,7 @@ ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner,
                                   const std::vector<ItemId>& ids, double* out) {
         for (size_t i = 0; i < ids.size(); ++i) out[i] = popularity[ids[i]];
       }),
-      pool);
+      /*pool=*/nullptr);
   const Rng random_root(runner.config().seed ^ kRandomRowSalt);
   rows.random = evaluator.Evaluate(
       Evaluator::BatchScoreFn([&](UserId u, size_t,
@@ -123,7 +122,7 @@ ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner,
         Rng rng = random_root.Fork(u);
         for (size_t i = 0; i < ids.size(); ++i) out[i] = rng.Uniform();
       }),
-      pool);
+      /*pool=*/nullptr);
   return rows;
 }
 

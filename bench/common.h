@@ -10,10 +10,6 @@
 #include "src/core/trainer.h"
 #include "src/util/cli.h"
 
-namespace hetefedrec {
-class ThreadPool;
-}  // namespace hetefedrec
-
 namespace hetefedrec::bench {
 
 /// Registers the flags every experiment bench shares.
@@ -48,14 +44,13 @@ std::vector<GridCase> EvaluationGrid(const CommandLine& cli);
 /// methods use (MakeEvaluator), so they rank the same users with the same
 /// masking. MostPop ranks items by how many users hold them among their
 /// training items; Random scores each item with a uniform draw from a
-/// per-user fork of one seeded Rng, so neither row depends on the thread
-/// count of `pool` (null = serial).
+/// per-user fork of one seeded Rng, so a user's draws do not depend on
+/// which users are ranked before it. Both rows are scored serially.
 struct ReferenceRows {
   GroupedEval most_pop;
   GroupedEval random;
 };
-ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner,
-                                    ThreadPool* pool = nullptr);
+ReferenceRows EvaluateReferenceRows(const ExperimentRunner& runner);
 
 /// Parses a CLI status into an exit code, printing the error.
 int FailWith(const Status& status);

@@ -1,7 +1,6 @@
 #include "src/eval/topk.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace hetefedrec {
 
@@ -45,16 +44,15 @@ void TopKSelector::ReplaceRoot(double score, ItemId id) {
 
 template <typename IdAt>
 void TopKSelector::Feed(const IdAt& id_at, const double* scores, size_t n) {
-  const std::vector<bool>* mask = mask_;
   if (reference_) {
-    for (size_t i = 0; i < n; ++i) {
-      const ItemId id = id_at(i);
-      if (mask != nullptr && (*mask)[id]) continue;
-      ref_ids_.push_back(id);
-      ref_scores_.push_back(scores[i]);
-    }
+    // Buffer the whole block; Finish skips the masked entries.
+    const size_t end = ref_ids_.size();
+    ref_ids_.resize(end + n);
+    for (size_t i = 0; i < n; ++i) ref_ids_[end + i] = id_at(i);
+    ref_scores_.insert(ref_scores_.end(), scores, scores + n);
     return;
   }
+  const std::vector<bool>* mask = mask_;
   size_t i = 0;
   // Warm-up: collect the first k entries unordered, heapify on the k-th.
   for (; !heapified_ && i < n; ++i) {
@@ -77,38 +75,29 @@ void TopKSelector::Feed(const IdAt& id_at, const double* scores, size_t n) {
 
 void TopKSelector::Push(ItemId first, const double* scores, size_t n) {
   if (k_ == 0) return;
-  if (reference_ && mask_ == nullptr) {
-    // Bulk append: an unmasked block is buffered whole.
-    const size_t base = ref_ids_.size();
-    ref_ids_.resize(base + n);
-    std::iota(ref_ids_.begin() + base, ref_ids_.end(), first);
-    ref_scores_.insert(ref_scores_.end(), scores, scores + n);
-    return;
-  }
   Feed([first](size_t i) { return static_cast<ItemId>(first + i); }, scores,
        n);
 }
 
 void TopKSelector::PushIds(const ItemId* ids, const double* scores, size_t n) {
   if (k_ == 0) return;
-  if (reference_ && mask_ == nullptr) {
-    ref_ids_.insert(ref_ids_.end(), ids, ids + n);
-    ref_scores_.insert(ref_scores_.end(), scores, scores + n);
-    return;
-  }
   Feed([ids](size_t i) { return ids[i]; }, scores, n);
 }
 
 void TopKSelector::Finish(std::vector<ItemId>* out) {
   if (reference_) {
-    // partial_sort an index over the buffer: moving 4-byte indices is
-    // cheaper than moving (score, id) entries.
-    const size_t n = ref_ids_.size();
-    const size_t k = std::min(k_, n);
-    ref_order_.resize(n);
-    std::iota(ref_order_.begin(), ref_order_.end(), uint32_t{0});
-    const double* scores = ref_scores_.data();
+    // Index the unmasked entries, then partial_sort the index: moving
+    // 4-byte indices is cheaper than moving (score, id) entries.
     const ItemId* ids = ref_ids_.data();
+    const double* scores = ref_scores_.data();
+    ref_order_.resize(ref_ids_.size());
+    size_t n = 0;
+    for (uint32_t i = 0; i < ref_ids_.size(); ++i) {
+      ref_order_[n] = i;
+      n += mask_ == nullptr || !(*mask_)[ids[i]];
+    }
+    ref_order_.resize(n);
+    const size_t k = std::min(k_, n);
     auto better = [scores, ids](uint32_t a, uint32_t b) {
       if (scores[a] != scores[b]) return scores[a] > scores[b];
       return ids[a] < ids[b];

@@ -11,8 +11,8 @@
 //     costs one compare against the current k-th best once the heap is
 //     warm, so a user costs O(items + k·log k) compares.
 //   * Reference (`reference = true`, selected by `use_batched_topk =
-//     false`): buffers every unmasked (id, score) pushed and
-//     `partial_sort`s an index over the buffer at Finish — the oracle the
+//     false`): buffers every (id, score) pushed and, at Finish,
+//     `partial_sort`s an index over the unmasked entries — the oracle the
 //     heap is pinned against.
 //
 // Both modes are *bit-identical*: the ordering (score descending, then item
@@ -91,8 +91,8 @@ class TopKSelector {
   double worst_ = 0.0;
   ItemId worst_id_ = 0;
 
-  // Reference mode: every unmasked id pushed and its score, in push order,
-  // and the index order Finish sorts.
+  // Reference mode: every id pushed and its score, in push order (masked
+  // ones too; Finish leaves them out of the index order it sorts).
   std::vector<ItemId> ref_ids_;
   std::vector<double> ref_scores_;
   std::vector<uint32_t> ref_order_;

@@ -129,7 +129,7 @@ TEST(TopKSelectorTest, BothModesMatchOracleOnRandomizedHeavyTies) {
         EXPECT_EQ(SelectWhole(&sel, reference, scores, &masked, k), expect);
         EXPECT_EQ(StreamInBlocks(&sel, reference, scores, &masked, k, &rng),
                   expect);
-        // No mask: the reference mode's bulk append.
+        // No mask: every pushed entry ranks.
         const std::vector<ItemId> unmasked = TopKItems(scores, none, k);
         EXPECT_EQ(SelectWhole(&sel, reference, scores, nullptr, k), unmasked);
         EXPECT_EQ(StreamInBlocks(&sel, reference, scores, nullptr, k, &rng),
