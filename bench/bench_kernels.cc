@@ -345,6 +345,52 @@ BENCHMARK(BM_EvalScoring)
     ->Args({4, 1, 0})
     ->Args({4, 1, 2});
 
+void BM_AllSmallEvalScore(benchmark::State& state) {
+  // The isolated arm of the traced eval.score_s on allsmall-anime-curve:
+  // one user's full-catalogue scoring at that workload's shape (LightGCN,
+  // width 8, hidden {8, 8}, the 2,998-item anime catalogue at data scale
+  // 0.25, 45 interacted items). Arg 0: 0 scores the catalogue with one
+  // ScoreRange; 1 scores it in 1,024-item blocks streamed into a heap
+  // top-20 session with the train-item mask, as an evaluated user's
+  // `score` scope does.
+  const bool stream = state.range(0) != 0;
+  constexpr size_t kCurveItems = 2998;
+  constexpr size_t kWidth = 8;
+  constexpr size_t kBlock = 1024;
+  Matrix table = RandomTable(kCurveItems, kWidth, 113);
+  Matrix user = RandomTable(1, kWidth, 127);
+  FeedForwardNet theta(2 * kWidth, {8, 8});
+  Rng rng(131);
+  theta.InitXavier(&rng);
+  std::vector<ItemId> interacted;
+  for (ItemId i = 0; i < 45; ++i) interacted.push_back(i * 61 % kCurveItems);
+  std::vector<bool> masked(kCurveItems, false);
+  for (ItemId i : interacted) masked[i] = true;
+  Scorer sc(BaseModel::kLightGcn, kWidth);
+  TopKSelector selector;
+  std::vector<double> out(kCurveItems);
+  std::vector<ItemId> topk;
+  for (auto _ : state) {
+    sc.BeginUser(user.Row(0), table, interacted);
+    if (!stream) {
+      sc.ScoreRange(table, theta, 0, kCurveItems, out.data());
+    } else {
+      selector.Begin(20, &masked);
+      for (size_t first = 0; first < kCurveItems; first += kBlock) {
+        const size_t bs = std::min(kBlock, kCurveItems - first);
+        sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs,
+                      out.data());
+        selector.Push(static_cast<ItemId>(first), out.data(), bs);
+      }
+      selector.Finish(&topk);
+    }
+    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(topk);
+  }
+  state.SetItemsProcessed(state.iterations() * kCurveItems);
+}
+BENCHMARK(BM_AllSmallEvalScore)->Arg(0)->Arg(1);
+
 void BM_ScorerFullCatalogue(benchmark::State& state) {
   // Cost of ranking all items for one user (the evaluation inner loop).
   const size_t width = static_cast<size_t>(state.range(0));

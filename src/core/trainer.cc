@@ -1682,6 +1682,9 @@ ExperimentResult ExperimentRunner::RunStandalone() const {
     lopt.use_batched = cfg.use_batched_scoring;
     lopt.sparse_comm_accounting = cfg.sparse_comm_accounting;
     lopt.backend = cfg.compute_backend;
+    // Training runs inside the evaluator's `score` scope; its own scope
+    // leaves `score`'s self time to the scoring.
+    HFR_PROFILE("train");
     LocalUpdateResult update =
         local.Train(client, *table, {theta}, tasks, lopt);
     update.v_delta.AddScaledTo(table, 1.0);

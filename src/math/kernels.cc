@@ -1,6 +1,7 @@
 #include "src/math/kernels.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <type_traits>
 
@@ -30,20 +31,22 @@ inline bool UseSimd() {
 //
 // where each target keeps its scalar loop's exact sequence of IEEE
 // multiplies and adds from the same initial value (and, where the scalar
-// loop skips a term whose left operand is exactly zero, the same skip).
-// Tiling and vector width only regroup *independent* targets, so results
-// are bit-identical at any width. An R x 8 tile holds 8 vector
-// accumulators at both widths (R = lanes: 2 x 8 in SSE2 xmm registers,
-// 4 x 8 in AVX2 ymm registers), leaving room for the b(k, ·) vectors and
-// the broadcast a(r, k) within 16 registers. Columns narrower than a
-// vector (the FFN's out_dim-1 layer and its gradient column) put the R
-// rows in the lanes of one accumulator instead.
+// loop skips a term whose left operand is exactly zero, the same skip, or
+// a proof that the skip changes nothing). Tiling and vector width only
+// regroup *independent* targets, so results are bit-identical at any
+// width. An R x 8 tile holds 8 vector accumulators at both widths (R =
+// lanes: 2 x 8 in SSE2 xmm registers, 4 x 8 in AVX2 ymm registers),
+// leaving room for the b(k, ·) vectors and the broadcast a(r, k) within 16
+// registers. Columns narrower than a vector (the FFN's out_dim-1 layer and
+// its gradient column) put the R rows in the lanes of one accumulator
+// instead.
 //
 // The skip is a per-lane select, not a branch: the FFN's hidden layers
 // read ReLU outputs whose exact zeros change from row to row, which a
-// branch mispredicts. The forward and the column Gram scan their left
-// operand and run select-free tiles when it holds no exact zero; the
-// weight gradients always select, as the scan gained nothing there.
+// branch mispredicts. The select costs one more vector op per
+// multiply-add, so every kernel first asks ZeroSkipIsInert whether the
+// skip can change a result at all, and runs select-free tiles — the same
+// operations on the same targets — when it cannot.
 //
 // The tile bodies are templates over the vector type, compiled 2-wide for
 // the baseline ISA and — when the build has the AVX2 translation unit —
@@ -167,32 +170,94 @@ HFR_TILE_INLINE void MulAdd(const MulAddArgs& m, size_t rows, size_t cols) {
   for (; r < rows; ++r) MulAddRows<V, 1, kSkipZero>(m, r, 0, cols);
 }
 
-// True when the block (`outer` runs of `inner` contiguous values, runs
-// `stride` apart) holds an exact zero. The zero skip can only change a
-// result when it fires, so a zero-free left operand (layer 0's embeddings)
-// runs the select-free tiles — the same operations on the same targets.
+// v = s in every lane, keeping the scalar's bits (V{} + s would turn −0.0
+// into +0.0). Helpers take and fill vectors by reference: a helper that
+// returns a 4-wide vector has a baseline-ISA ABI the compiler warns about.
 template <typename V>
-HFR_TILE_INLINE bool AnyExactZero(const double* p, size_t outer,
-                                  size_t stride, size_t inner) {
+HFR_TILE_INLINE void Splat(V& v, double s) {
+  for (size_t l = 0; l < kLanes<V>; ++l) v[l] = s;
+}
+
+// An operand block: `outer` runs of `inner` contiguous values, runs
+// `stride` apart.
+struct Block {
+  const double* p;
+  size_t outer, stride, inner;
+};
+
+inline Block Contiguous(const double* p, size_t n) { return {p, 1, n, n}; }
+
+enum class LaneTest { kExactZero, kNonFinite, kNegativeZero };
+
+// hit |= the lanes of v that pass the test.
+template <LaneTest kTest, typename V, typename M>
+HFR_TILE_INLINE void Mark(const V& v, M& hit) {
+  if constexpr (kTest == LaneTest::kExactZero) {
+    hit |= v == 0.0;
+  } else if constexpr (kTest == LaneTest::kNonFinite) {
+    hit |= v - v != 0.0;  // Inf - Inf and NaN - NaN are NaN
+  } else {
+    M bits;
+    std::memcpy(&bits, &v, sizeof(V));
+    hit |= (v == 0.0) & (bits < 0);
+  }
+}
+
+// True when some value of the block passes the test. A tail shorter than
+// a vector is padded with 1.0, which passes none of them.
+template <LaneTest kTest, typename V>
+HFR_TILE_INLINE bool AnyLane(const Block& b) {
   constexpr size_t L = kLanes<V>;
-  decltype(V{} == V{}) zero{};
-  for (size_t o = 0; o < outer; ++o) {
-    const double* run = p + o * stride;
+  decltype(V{} == V{}) hit{};
+  for (size_t o = 0; o < b.outer; ++o) {
+    const double* run = b.p + o * b.stride;
     size_t t = 0;
-    for (; t + L <= inner; t += L) {
-      V v{};
+    for (; t + L <= b.inner; t += L) {
+      V v;
       std::memcpy(&v, run + t, sizeof(V));
-      zero |= v == 0.0;
+      Mark<kTest>(v, hit);
     }
-    for (; t < inner; ++t) zero[0] |= run[t] == 0.0 ? -1 : 0;
+    if (t < b.inner) {
+      V v;
+      Splat(v, 1.0);
+      for (size_t l = 0; t + l < b.inner; ++l) v[l] = run[t + l];
+      Mark<kTest>(v, hit);
+    }
   }
   for (size_t l = 0; l < L; ++l) {
-    if (zero[l] != 0) return true;
+    if (hit[l] != 0) return true;
   }
   return false;
 }
 
-// Forward: per (b, j) from init over ascending i, zero x skipped.
+// True when skipping the terms whose left operand is exactly zero cannot
+// change any accumulator, so the select-free tiles give the scalar loop's
+// bits. Either
+//
+//   * the left operand holds no exact zero: the skip never fires; or
+//   * every right operand is finite and no accumulator starts at −0.0
+//     (`init`; a null init starts every accumulator at +0.0). A skipped
+//     term would add zero times a finite value, ±0.0, and in
+//     round-to-nearest x + y is −0.0 only when both are −0.0, so an
+//     accumulator that starts off −0.0 never reaches it and keeps its
+//     value when ±0.0 is added.
+//
+// The second test runs first: in the forward and the weight gradients it
+// reads the smaller operands. A null left block stands for one that cannot
+// be scanned in advance (a fused layer's hidden activations) and may hold
+// zeros.
+template <typename V>
+HFR_TILE_INLINE bool ZeroSkipIsInert(const Block& left, const Block& right,
+                                     const Block& init) {
+  if (!AnyLane<LaneTest::kNonFinite, V>(right) &&
+      (init.p == nullptr || !AnyLane<LaneTest::kNegativeZero, V>(init))) {
+    return true;
+  }
+  return left.p != nullptr && !AnyLane<LaneTest::kExactZero, V>(left);
+}
+
+// Forward: per (b, j) from init over ascending i, zero x skipped (or the
+// skip proved inert).
 template <typename V>
 HFR_TILE_INLINE void GemvBatchResumeTiles(const double* x, size_t batch,
                                           size_t x_stride, size_t in_dim,
@@ -200,16 +265,19 @@ HFR_TILE_INLINE void GemvBatchResumeTiles(const double* x, size_t batch,
                                           size_t out_dim, double* out) {
   const MulAddArgs args{x, x_stride, 1, in_dim, w, out_dim, init, 0, out,
                         out_dim};
-  if (AnyExactZero<V>(x, batch, x_stride, in_dim)) {
-    MulAdd<V, true>(args, batch, out_dim);
-  } else {
+  if (ZeroSkipIsInert<V>({x, batch, x_stride, in_dim},
+                         Contiguous(w, in_dim * out_dim),
+                         Contiguous(init, out_dim))) {
     MulAdd<V, false>(args, batch, out_dim);
+  } else {
+    MulAdd<V, true>(args, batch, out_dim);
   }
 }
 
 // Weight gradients: per (i, j) ascending b from the current panel value,
-// zero `in` skipped — i-blocked tiles keep the panel in registers across
-// the whole batch. Bias: per j ascending b, no skip.
+// zero `in` skipped (or the skip proved inert) — i-blocked tiles keep the
+// panel in registers across the whole batch. Bias: per j ascending b, no
+// skip.
 template <typename V>
 HFR_TILE_INLINE void AccumulateOuterBatchTiles(const double* in,
                                                const double* delta,
@@ -218,7 +286,13 @@ HFR_TILE_INLINE void AccumulateOuterBatchTiles(const double* in,
                                                double* grads_b) {
   const MulAddArgs args{in, 1, in_dim, batch, delta, out_dim, grads_w,
                         out_dim, grads_w, out_dim};
-  MulAdd<V, true>(args, in_dim, out_dim);
+  if (ZeroSkipIsInert<V>(Contiguous(in, batch * in_dim),
+                         Contiguous(delta, batch * out_dim),
+                         Contiguous(grads_w, in_dim * out_dim))) {
+    MulAdd<V, false>(args, in_dim, out_dim);
+  } else {
+    MulAdd<V, true>(args, in_dim, out_dim);
+  }
   constexpr size_t L = kLanes<V>;
   size_t j = 0;
   for (; j + L <= out_dim; j += L) {
@@ -267,13 +341,136 @@ HFR_TILE_INLINE void ColumnGramTriangle(const double* x, size_t m, size_t n,
 template <typename V>
 HFR_TILE_INLINE void ColumnGramTiles(const double* x, size_t m, size_t n,
                                      double* c) {
-  if (AnyExactZero<V>(x, m, n, n)) {
-    ColumnGramTriangle<V, true>(x, m, n, c);
-  } else {
+  const Block block = Contiguous(x, m * n);
+  if (ZeroSkipIsInert<V>(block, block, {nullptr, 0, 0, 0})) {
     ColumnGramTriangle<V, false>(x, m, n, c);
+  } else {
+    ColumnGramTriangle<V, true>(x, m, n, c);
   }
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) c[j * n + i] = c[i * n + j];
+  }
+}
+
+// Fused forward: one row group at a time with the rows in the lanes of a
+// vector, so a layer input i is one vector holding input i of every row and
+// an output accumulator is one vector too — the R x 8 tile turned sideways:
+// broadcast weights times lane inputs, no gather for any width. Layer 0
+// reads the rows themselves, transposed into lanes in registers; every
+// later layer reads the previous layer's outputs from a few L1 vectors.
+
+// Transposes an L x L block into lanes: vector c of `lanes` receives
+// x[r·stride + c] in lane r. Rows past `rows` read +0.0 and are never
+// stored.
+template <typename V>
+HFR_TILE_INLINE void TransposeIntoLanes(const double* x, size_t stride,
+                                        size_t rows, double* lanes) {
+  constexpr size_t L = kLanes<V>;
+  using Mask = decltype(V{} == V{});
+  V r[L];
+  for (size_t k = 0; k < L; ++k) {
+    r[k] = V{};
+    if (k < rows) std::memcpy(&r[k], x + k * stride, sizeof(V));
+  }
+  V t[L];
+  if constexpr (L == 2) {
+    t[0] = __builtin_shuffle(r[0], r[1], Mask{0, 2});
+    t[1] = __builtin_shuffle(r[0], r[1], Mask{1, 3});
+  } else {
+    const V lo01 = __builtin_shuffle(r[0], r[1], Mask{0, 4, 2, 6});
+    const V hi01 = __builtin_shuffle(r[0], r[1], Mask{1, 5, 3, 7});
+    const V lo23 = __builtin_shuffle(r[2], r[3], Mask{0, 4, 2, 6});
+    const V hi23 = __builtin_shuffle(r[2], r[3], Mask{1, 5, 3, 7});
+    t[0] = __builtin_shuffle(lo01, lo23, Mask{0, 1, 4, 5});
+    t[1] = __builtin_shuffle(hi01, hi23, Mask{0, 1, 4, 5});
+    t[2] = __builtin_shuffle(lo01, lo23, Mask{2, 3, 6, 7});
+    t[3] = __builtin_shuffle(hi01, hi23, Mask{2, 3, 6, 7});
+  }
+  for (size_t k = 0; k < L; ++k) {
+    std::memcpy(lanes + k * L, &t[k], sizeof(V));
+  }
+}
+
+// Outputs [j0, j0 + J) of one layer over a row group in lanes:
+// out[j] = init[j] + Σ_i in[i] · w[i, j] over ascending i, ReLU'd when
+// `relu`. in and out hold one vector per input and output.
+template <typename V, size_t J, bool kSkipZero>
+HFR_TILE_INLINE void LanesTile(const double* in, const DenseLayer& layer,
+                               size_t j0, bool relu, double* out) {
+  constexpr size_t L = kLanes<V>;
+  V acc[J];
+  for (size_t v = 0; v < J; ++v) Splat(acc[v], layer.init[j0 + v]);
+  for (size_t i = 0; i < layer.in_dim; ++i) {
+    V xi;
+    std::memcpy(&xi, in + i * L, sizeof(V));
+    const double* wi = layer.w + i * layer.out_dim + j0;
+    for (size_t v = 0; v < J; ++v) MulAddLanes<kSkipZero>(acc[v], xi, wi[v]);
+  }
+  for (size_t v = 0; v < J; ++v) {
+    V o = acc[v];
+    if (relu) o = o > V{} ? o : V{};  // Relu, lane by lane
+    std::memcpy(out + (j0 + v) * L, &o, sizeof(V));
+  }
+}
+
+// A whole layer: chunks of 8 outputs, then the rest one at a time.
+template <typename V, bool kSkipZero>
+HFR_TILE_INLINE void LanesLayer(const double* in, const DenseLayer& layer,
+                                bool relu, double* out) {
+  size_t j = 0;
+  for (; j + 8 <= layer.out_dim; j += 8) {
+    LanesTile<V, 8, kSkipZero>(in, layer, j, relu, out);
+  }
+  for (; j < layer.out_dim; ++j) {
+    LanesTile<V, 1, kSkipZero>(in, layer, j, relu, out);
+  }
+}
+
+// `lanes` holds 2 x `width` vectors, width the widest layer input or
+// output. A layer runs select-free when ZeroSkipIsInert holds for it:
+// layer 0's left operand is the rows, a later layer's the activations.
+template <typename V>
+HFR_TILE_INLINE void FeedForwardRowsTiles(const double* x, size_t batch,
+                                          size_t x_stride,
+                                          const DenseLayer* layers,
+                                          size_t num_layers, double* lanes,
+                                          size_t width, double* logits) {
+  constexpr size_t L = kLanes<V>;
+  uint64_t select = 0;  // bit l: layer l keeps the zero-skip select
+  for (size_t l = 0; l < num_layers; ++l) {
+    const DenseLayer& d = layers[l];
+    const Block left = l == 0 ? Block{x, batch, x_stride, d.in_dim}
+                              : Block{nullptr, 0, 0, 0};
+    if (!ZeroSkipIsInert<V>(left, Contiguous(d.w, d.in_dim * d.out_dim),
+                            Contiguous(d.init, d.out_dim))) {
+      select |= uint64_t{1} << l;
+    }
+  }
+  const size_t in_dim = layers[0].in_dim;
+  for (size_t r0 = 0; r0 < batch; r0 += L) {
+    const size_t rows = std::min(L, batch - r0);
+    const double* xr = x + r0 * x_stride;
+    double* in = lanes;
+    double* out = lanes + width * L;
+    size_t c = 0;
+    for (; c + L <= in_dim; c += L) {
+      TransposeIntoLanes<V>(xr + c, x_stride, rows, in + c * L);
+    }
+    for (; c < in_dim; ++c) {
+      V t{};
+      for (size_t r = 0; r < rows; ++r) t[r] = xr[r * x_stride + c];
+      std::memcpy(in + c * L, &t, sizeof(V));
+    }
+    for (size_t l = 0; l < num_layers; ++l) {
+      const bool relu = l + 1 < num_layers;
+      if ((select >> l & 1) != 0) {
+        LanesLayer<V, true>(in, layers[l], relu, out);
+      } else {
+        LanesLayer<V, false>(in, layers[l], relu, out);
+      }
+      std::swap(in, out);
+    }
+    for (size_t r = 0; r < rows; ++r) logits[r0 + r] = in[r];
   }
 }
 
@@ -299,6 +496,14 @@ HFR_FP64_AVX2 void GemvBatchTransposedAvx2(const double* delta, size_t batch,
 HFR_FP64_AVX2 void ColumnGramAvx2(const double* x, size_t m, size_t n,
                                   double* c) {
   ColumnGramTiles<V4>(x, m, n, c);
+}
+HFR_FP64_AVX2 void FeedForwardRowsAvx2(const double* x, size_t batch,
+                                       size_t x_stride,
+                                       const DenseLayer* layers,
+                                       size_t num_layers, double* lanes,
+                                       size_t width, double* logits) {
+  FeedForwardRowsTiles<V4>(x, batch, x_stride, layers, num_layers, lanes,
+                           width, logits);
 }
 #endif  // HFR_HAVE_AVX2_TU
 
@@ -396,6 +601,29 @@ void ColumnGram(const double* x, size_t m, size_t n, double* c) {
   if (CpuHasAvx2()) return ColumnGramAvx2(x, m, n, c);
 #endif
   ColumnGramTiles<V2>(x, m, n, c);
+}
+
+void FeedForwardRows(const double* x, size_t batch, size_t x_stride,
+                     const DenseLayer* layers, size_t num_layers,
+                     double* logits) {
+  HFR_CHECK_GT(num_layers, 0u);
+  HFR_CHECK_LE(num_layers, 64u);
+  HFR_CHECK_EQ(layers[num_layers - 1].out_dim, 1u);
+  if (batch == 0) return;
+  size_t width = layers[0].in_dim;
+  for (size_t l = 0; l < num_layers; ++l) {
+    width = std::max(width, layers[l].out_dim);
+  }
+  thread_local AlignedVector<double> lanes;
+  lanes.resize(2 * width * kLanes<V4>);
+#ifdef HFR_HAVE_AVX2_TU
+  if (CpuHasAvx2()) {
+    return FeedForwardRowsAvx2(x, batch, x_stride, layers, num_layers,
+                               lanes.data(), width, logits);
+  }
+#endif
+  FeedForwardRowsTiles<V2>(x, batch, x_stride, layers, num_layers,
+                           lanes.data(), width, logits);
 }
 
 template <typename T>

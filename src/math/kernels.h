@@ -5,9 +5,10 @@
 // paths walked it one sample at a time: a GEMV per FFN layer per sample
 // during training, and one full scalar forward per item during evaluation.
 // The kernels here push a B x dim block through each step at once — one
-// bias-initialized GEMM per layer, one outer-product accumulation per layer
-// on the way back, a Gram matrix for the distillation relation, and the
-// column Gram XᵀX of DDR's correlation matrix.
+// bias-initialized GEMM per layer, a fused all-layer forward for
+// evaluation, one outer-product accumulation per layer on the way back, a
+// Gram matrix for the distillation relation, and the column Gram XᵀX of
+// DDR's correlation matrix.
 //
 // Two scalar instantiations exist (src/math/backend.h):
 //
@@ -21,8 +22,14 @@
 //     the target("avx2") versions — never with FMA) only regroup
 //     independent accumulator targets; they never reorder additions into
 //     the same target.
-//   * Exact-zero inputs are skipped, matching the scalar kernels' skip
-//     (relevant for -0.0 accumulators: acc + 0.0 can flip -0.0 to +0.0).
+//   * An exact-zero left operand is skipped, matching the scalar kernels'
+//     skip (relevant for -0.0 accumulators, where acc + 0.0 flips -0.0
+//     to +0.0, and for ±Inf or NaN right operands, where 0 · Inf is NaN),
+//     or the skip is proved inert and dropped: when the left operand holds
+//     no exact zero, or when every right operand is finite and no
+//     accumulator starts at -0.0 (in round-to-nearest x + y is -0.0 only
+//     when both are -0.0, so such an accumulator never becomes -0.0, and
+//     adding ±0.0 leaves it unchanged).
 //
 //   These invariants make the batched layer a drop-in replacement: the
 //   trainer, the distiller and the evaluator all produce the same bits as
@@ -72,6 +79,29 @@ template <typename T>
 void GemvBatchResume(const T* x, size_t batch, size_t x_stride, size_t in_dim,
                      const T* w, const T* init, size_t out_dim, T* out);
 
+/// One dense layer of a forward pass: w is in_dim x out_dim, row-major,
+/// and output j starts its accumulation at init[j] (the bias, or a bias
+/// plus input terms the rows share).
+struct DenseLayer {
+  const double* w;
+  const double* init;
+  size_t in_dim;
+  size_t out_dim;
+};
+
+/// The fp64 forward of a ReLU network whose last layer has one output,
+/// fused across layers: row b's layer-0 inputs are
+/// x[b·x_stride, b·x_stride + layers[0].in_dim), every layer but the last
+/// applies ReLU, and logits[b] receives the last layer's output. Per
+/// (row, output) the terms add over ascending input from init with
+/// exact-zero inputs skipped, so each logit is bit-identical to the
+/// scalar per-sample layer loops (FeedForwardNetT<double>::Forward).
+/// The rows run in the lanes of a vector; no batch-wide intermediate is
+/// written.
+void FeedForwardRows(const double* x, size_t batch, size_t x_stride,
+                     const DenseLayer* layers, size_t num_layers,
+                     double* logits);
+
 /// Gradient outer products of one layer over a batch:
 ///   grads_w[i, j] += Σ_b in[b, i] * delta[b, j]
 ///   grads_b[j]    += Σ_b delta[b, j]
@@ -94,8 +124,8 @@ void GemvBatchTransposed(const T* delta, size_t batch, size_t out_dim,
 /// Column Gram matrix of a row-major m x n block: c (n x n, row-major) with
 ///   c[i, j] = Σ_k x[k, i] · x[k, j].
 /// Each entry accumulates from +0.0 over ascending k and skips a term whose
-/// left operand x[k, i] is exactly zero — the order of the naive product
-/// (xᵀ)·x. Only the upper triangle is computed, then mirrored: on finite
+/// left operand x[k, i] is exactly zero (on finite input that skip is
+/// inert and dropped) — the order of the naive product (xᵀ)·x. Only the upper triangle is computed, then mirrored: on finite
 /// input c[j, i] computed directly would carry the same bits, because an
 /// accumulator that starts at +0.0 can never become −0.0, so adding a
 /// skipped-side zero term is a no-op.

@@ -142,31 +142,41 @@ void FeedForwardNetT<T>::ForwardBatchFromPrefix(const T* prefix,
   const MatrixT<T>& w0 = weights_[0];
   HFR_CHECK_LE(suffix_dim, w0.rows());
   const size_t split = w0.rows() - suffix_dim;
-  thread_local AlignedVector<T> cur;
-  thread_local AlignedVector<T> next;
-  next.resize(batch * w0.cols());
-  GemvBatchResume(suffix, batch, suffix_stride, suffix_dim,
-                  w0.data().data() + split * w0.cols(), prefix, w0.cols(),
-                  next.data());
-  if (weights_.size() > 1) {
-    for (T& v : next) v = Relu(v);
-  }
-  std::swap(cur, next);
-  const T* src = cur.data();
-  for (size_t l = 1; l < weights_.size(); ++l) {
-    const MatrixT<T>& w = weights_[l];
-    const MatrixT<T>& b = biases_[l];
-    next.resize(batch * w.cols());
-    GemvBatchBiased(src, batch, w.rows(), w.data().data(), b.data().data(),
-                    w.cols(), next.data());
-    const bool is_output = (l + 1 == weights_.size());
-    if (!is_output) {
+  if constexpr (std::is_same_v<T, double>) {
+    // Layer 0 is the suffix rows of W0 resumed from the prefix; the rest
+    // start from their biases.
+    thread_local std::vector<DenseLayer> layers;
+    layers.assign(1, {w0.data().data() + split * w0.cols(), prefix,
+                      suffix_dim, w0.cols()});
+    for (size_t l = 1; l < weights_.size(); ++l) {
+      layers.push_back({weights_[l].data().data(), biases_[l].data().data(),
+                        weights_[l].rows(), weights_[l].cols()});
+    }
+    FeedForwardRows(suffix, batch, suffix_stride, layers.data(),
+                    layers.size(), logits);
+  } else {
+    thread_local AlignedVector<T> cur;
+    thread_local AlignedVector<T> next;
+    next.resize(batch * w0.cols());
+    GemvBatchResume(suffix, batch, suffix_stride, suffix_dim,
+                    w0.data().data() + split * w0.cols(), prefix, w0.cols(),
+                    next.data());
+    if (weights_.size() > 1) {
       for (T& v : next) v = Relu(v);
     }
     std::swap(cur, next);
-    src = cur.data();
+    for (size_t l = 1; l < weights_.size(); ++l) {
+      const MatrixT<T>& w = weights_[l];
+      next.resize(batch * w.cols());
+      GemvBatchBiased(cur.data(), batch, w.rows(), w.data().data(),
+                      biases_[l].data().data(), w.cols(), next.data());
+      if (l + 1 < weights_.size()) {
+        for (T& v : next) v = Relu(v);
+      }
+      std::swap(cur, next);
+    }
+    std::copy(cur.begin(), cur.end(), logits);
   }
-  std::copy(cur.begin(), cur.end(), logits);
 }
 
 template <typename T>

@@ -86,9 +86,10 @@ class FeedForwardNetT {
   /// input dims: resumes the layer-0 accumulation from `prefix` with each
   /// row's suffix (rows start `suffix_stride` scalars apart — pass an
   /// embedding table stride to score rows in place), then runs the
-  /// remaining layers batched. For T = double bit-identical to
-  /// ForwardBatch on the fully assembled rows. Evaluation only — no
-  /// backward cache.
+  /// remaining layers. For T = double one fused kernel (FeedForwardRows)
+  /// runs every layer a few rows at a time, bit-identical to Forward on
+  /// the fully assembled rows; for T = float the layers run batched.
+  /// Evaluation only — no backward cache.
   void ForwardBatchFromPrefix(const T* prefix, const T* suffix, size_t batch,
                               size_t suffix_dim, size_t suffix_stride,
                               T* logits) const;

@@ -81,29 +81,77 @@ const size_t kOutDims[] = {1, 2, 3, 4, 8, 16, 32, 128};
 const size_t kInDims[] = {1, 3, 8, 17, 64, 256};
 const size_t kBatches[] = {1, 2, 3, 5, 33, 100};
 
-// Sweep inputs. With `zeros`: x (batch x in_dim) zero-salted with input
-// column 0 all zero, and w with ±Inf in that column's row (the skip must
-// hide them). Without: a zero-free x, which the kernels run without the
-// skip test. Either way the seed row starts with −0.0.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// What the sweep salts its inputs with. The kernels drop the exact-zero
+// skip where it provably changes nothing — no exact zero on the left, or a
+// finite right operand and no −0.0 initial value — and keep it otherwise,
+// so each kind pins one side of that predicate:
+enum class Salt {
+  kZeroFree,           // no exact zero on the left: select-free
+  kZerosBehindInf,     // ±Inf on the right behind zero left operands
+  kZerosFinite,        // zeros, finite right: select-free
+  kZerosNegZeroInit,   // zeros, finite right, −0.0 init kept by the skip
+  kNonFiniteAtNonzero  // ±Inf/NaN on the right only behind nonzero inputs
+};
+
+const Salt kSalts[] = {Salt::kZeroFree, Salt::kZerosBehindInf,
+                       Salt::kZerosFinite, Salt::kZerosNegZeroInit,
+                       Salt::kNonFiniteAtNonzero};
+
+bool HasZeros(Salt salt) { return salt != Salt::kZeroFree; }
+
+// Whether the accumulators may start at −0.0. The salts with zeros and a
+// non-finite right operand start off −0.0, so that the right operand alone
+// decides whether the skip stays.
+bool NegZeroInit(Salt salt) {
+  return salt == Salt::kZeroFree || salt == Salt::kZerosNegZeroInit;
+}
+
+// v with every −0.0 replaced by +0.0.
+void ClearNegativeZeros(std::vector<double>* v) {
+  for (double& x : *v) x = std::signbit(x) && x == 0.0 ? 0.0 : x;
+}
+
+// Sweep inputs: x (batch x in_dim), w (in_dim x out_dim) and the seed row
+// the accumulators start from. Zero-salted kinds carry exact zeros of both
+// signs in x, input column 0 all zero and, from batch 3 on, one all-zero
+// row (every accumulator of it keeps its seed only through the skip).
+// kNonFiniteAtNonzero makes input column in_dim - 1 nonzero in every row
+// and the matching row of w non-finite. The seed starts with −0.0 where
+// NegZeroInit allows it and holds no −0.0 otherwise.
 struct SweepCase {
   size_t batch, in_dim, out_dim;
-  bool zeros;
+  Salt salt;
   std::vector<double> x, w, seed;
 };
 
-SweepCase MakeCase(size_t batch, size_t in_dim, size_t out_dim, bool zeros) {
-  SweepCase c{batch, in_dim, out_dim, zeros, {}, {}, {}};
-  const uint64_t salt = batch * 1000003 + in_dim * 1009 + out_dim;
-  c.w = RandomBlock(in_dim * out_dim, 2 + salt);
-  c.seed = ZeroSalted(out_dim, 3 + salt);
+SweepCase MakeCase(size_t batch, size_t in_dim, size_t out_dim, Salt salt) {
+  SweepCase c{batch, in_dim, out_dim, salt, {}, {}, {}};
+  const uint64_t salt_seed = batch * 1000003 + in_dim * 1009 + out_dim;
+  c.w = RandomBlock(in_dim * out_dim, 2 + salt_seed);
+  c.seed = ZeroSalted(out_dim, 3 + salt_seed);
   c.seed[0] = -0.0;
-  if (!zeros) {
-    c.x = RandomBlock(batch * in_dim, 1 + salt);
+  if (!NegZeroInit(salt)) ClearNegativeZeros(&c.seed);
+  if (!HasZeros(salt)) {
+    c.x = RandomBlock(batch * in_dim, 1 + salt_seed);
     return c;
   }
-  c.x = ZeroSalted(batch * in_dim, 1 + salt);
+  c.x = ZeroSalted(batch * in_dim, 1 + salt_seed);
   for (size_t b = 0; b < batch; ++b) c.x[b * in_dim] = 0.0;
-  for (size_t j = 0; j < out_dim; ++j) c.w[j] = (j % 2 == 0) ? kInf : -kInf;
+  if (batch >= 3) {
+    for (size_t i = 0; i < in_dim; ++i) c.x[(batch / 2) * in_dim + i] = -0.0;
+  }
+  if (salt == Salt::kZerosBehindInf) {
+    for (size_t j = 0; j < out_dim; ++j) c.w[j] = (j % 2 == 0) ? kInf : -kInf;
+  }
+  if (salt == Salt::kNonFiniteAtNonzero && in_dim > 1) {
+    const size_t live = in_dim - 1;
+    for (size_t b = 0; b < batch; ++b) c.x[b * in_dim + live] = 0.25 + b;
+    for (size_t j = 0; j < out_dim; ++j) {
+      c.w[live * out_dim + j] = j % 3 == 0 ? kNaN : (j % 3 == 1 ? kInf : -kInf);
+    }
+  }
   return c;
 }
 
@@ -119,17 +167,18 @@ void ScalarGemv(const double* x, size_t in_dim, const double* w,
   }
 }
 
-// Runs `check` on every sweep shape, with and without exact zeros.
+// Runs `check` on every sweep shape under every salt.
 template <typename Check>
 void ForEachSweepCase(Check check) {
-  for (bool zeros : {true, false}) {
+  for (Salt salt : kSalts) {
     for (size_t out_dim : kOutDims) {
       for (size_t in_dim : kInDims) {
         for (size_t batch : kBatches) {
           SCOPED_TRACE(::testing::Message()
                        << "out=" << out_dim << " in=" << in_dim
-                       << " batch=" << batch << " zeros=" << zeros);
-          check(MakeCase(batch, in_dim, out_dim, zeros));
+                       << " batch=" << batch
+                       << " salt=" << static_cast<int>(salt));
+          check(MakeCase(batch, in_dim, out_dim, salt));
           if (::testing::Test::HasFatalFailure()) return;
         }
       }
@@ -178,24 +227,37 @@ TEST(GemvBatchTest, BitIdenticalToPerSampleGemvAcrossShapes) {
 }
 
 TEST(AccumulateOuterBatchTest, BitIdenticalToSampleOrderAcrossShapes) {
+  // Here `in` is the left operand, delta the right one and the gradient
+  // panel the initial value: the salt moves to delta (non-finite entries)
+  // and to the panel (−0.0 entries).
   ForEachSweepCase([](const SweepCase& c) {
     const size_t batch = c.batch, in_dim = c.in_dim, out_dim = c.out_dim;
     std::vector<double> in = c.x;
-    std::vector<double> delta = RandomBlock(batch * out_dim, 5 + batch);
-    if (c.zeros) {
-      // Zero-salted case: delta plays w's role, one ±Inf row behind an
-      // all-zero input row (the bias sum still takes it).
-      delta = ZeroSalted(batch * out_dim, 5 + batch);
-      const size_t dead = batch / 2;
+    std::vector<double> delta = ZeroSalted(batch * out_dim, 5 + batch);
+    const size_t dead = batch / 2;
+    if (c.salt == Salt::kZerosBehindInf) {
+      // One ±Inf delta row behind an all-zero input row (the bias sum
+      // still takes it).
       for (size_t i = 0; i < in_dim; ++i) in[dead * in_dim + i] = 0.0;
       for (size_t j = 0; j < out_dim; ++j) {
         delta[dead * out_dim + j] = (j % 2 == 0) ? kInf : -kInf;
       }
     }
-    // Seeds include −0.0 accumulators.
+    if (c.salt == Salt::kNonFiniteAtNonzero) {
+      // Non-finite deltas only in a row whose inputs are all nonzero.
+      const size_t live = batch - 1;
+      for (size_t i = 0; i < in_dim; ++i) in[live * in_dim + i] = 0.5 + i;
+      for (size_t j = 0; j < out_dim; ++j) {
+        delta[live * out_dim + j] =
+            j % 3 == 0 ? kNaN : (j % 3 == 1 ? kInf : -kInf);
+      }
+    }
+    // Panels start at ZeroSalted values with −0.0 where NegZeroInit
+    // allows it, +0.0 there otherwise.
     std::vector<double> gw = ZeroSalted(in_dim * out_dim, 7 + in_dim);
     std::vector<double> gb = c.seed;
     gw[0] = -0.0;
+    if (!NegZeroInit(c.salt)) ClearNegativeZeros(&gw);
     std::vector<double> gw_ref = gw, gb_ref = gb;
 
     AccumulateOuterBatch(in.data(), delta.data(), batch, in_dim, out_dim,
@@ -219,9 +281,9 @@ TEST(AccumulateOuterBatchTest, BitIdenticalToSampleOrderAcrossShapes) {
 TEST(GemvBatchTransposedTest, BitIdenticalToPerSampleDotsAcrossShapes) {
   ForEachSweepCase([](const SweepCase& c) {
     const size_t batch = c.batch, in_dim = c.in_dim, out_dim = c.out_dim;
-    // No exact-zero skip here: in the zero-salted case the ±Inf weight row
-    // meets zero deltas and must come out NaN exactly as the scalar
-    // loop's does.
+    // No exact-zero skip here: in the salted cases the non-finite weight
+    // rows meet zero deltas and must come out NaN exactly as the scalar
+    // loop's do.
     std::vector<double> delta = ZeroSalted(batch * out_dim, 11 + batch);
     std::vector<double> dx(batch * in_dim), ref(batch * in_dim);
     GemvBatchTransposed(delta.data(), batch, out_dim, c.w.data(), in_dim,
@@ -239,12 +301,20 @@ TEST(GemvBatchTransposedTest, BitIdenticalToPerSampleDotsAcrossShapes) {
   });
 }
 
-void CheckColumnGram(size_t m, size_t n, bool zeros) {
+// Column Gram inputs: zero-free, finite with exact zeros (the skip is
+// inert there and dropped), or zero-salted with one ±Inf column, where the
+// skip is kept.
+enum class GramInput { kZeroFree, kZeros, kZerosNonFinite };
+
+void CheckColumnGram(size_t m, size_t n, GramInput input) {
   std::vector<double> x = RandomBlock(m * n, 13 + m * 131 + n);
-  if (zeros) {
+  if (input != GramInput::kZeroFree) {
     x = ZeroSalted(m * n, 13 + m * 131 + n);
     // A constant (all-zero) column, as a standardized constant column is.
     for (size_t k = 0; k < m; ++k) x[k * n + n / 2] = (k % 2) ? 0.0 : -0.0;
+  }
+  if (input == GramInput::kZerosNonFinite) {
+    for (size_t k = 0; k < m; ++k) x[k * n] = (k % 2) ? kInf : -kInf;
   }
   std::vector<double> c(n * n), ref(n * n, 0.0);
   ColumnGram(x.data(), m, n, c.data());
@@ -255,17 +325,25 @@ void CheckColumnGram(size_t m, size_t n, bool zeros) {
       for (size_t j = 0; j < n; ++j) ref[i * n + j] += xki * x[k * n + j];
     }
   }
-  ASSERT_TRUE(SameBits(c, ref))
-      << "m=" << m << " n=" << n << " zeros=" << zeros;
+  if (input == GramInput::kZerosNonFinite) {
+    // The mirror is exact on finite input only: compare the triangle the
+    // kernel computes.
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < i; ++j) c[i * n + j] = ref[i * n + j];
+    }
+  }
+  ASSERT_TRUE(SameBits(c, ref)) << "m=" << m << " n=" << n
+                                << " input=" << static_cast<int>(input);
 }
 
 TEST(ColumnGramTest, BitIdenticalToNaiveTransposeProduct) {
   // The reference is the naive (xᵀ)·x product over the full square (no
   // mirroring): pins the kernel's tiles and its mirror claim together.
-  for (bool zeros : {true, false}) {
+  for (GramInput input : {GramInput::kZeroFree, GramInput::kZeros,
+                          GramInput::kZerosNonFinite}) {
     for (size_t m : {1, 2, 3, 5, 33, 100, 256}) {
       for (size_t n : {1, 2, 3, 4, 5, 8, 9, 17, 33, 64, 128}) {
-        CheckColumnGram(m, n, zeros);
+        CheckColumnGram(m, n, input);
         if (HasFatalFailure()) return;
       }
     }

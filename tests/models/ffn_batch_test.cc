@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/math/activations.h"
@@ -129,6 +130,109 @@ INSTANTIATE_TEST_SUITE_P(
                                          Head{{3, 5}, false},
                                          Head{{16, 1}, false},
                                          Head{{8, 8}, true})));
+
+// ForwardBatchFromPrefix (the evaluation forward: rows sharing their
+// leading inputs resume from a per-user layer-0 prefix) against per-row
+// Forward on the assembled rows.
+enum class PrefixCorner {
+  kPlain,
+  // Layer 0's biases and user half are zero, so the prefix is −0.0; every
+  // later bias is −0.0; all-zero item rows keep those −0.0 values only
+  // through the exact-zero skip.
+  kNegativeZeros,
+  // Dead layer-0 ReLUs feed hidden weights with ±Inf and NaN rows, which
+  // the skip hides wherever the activation is exactly zero.
+  kNonFiniteHidden,
+};
+
+struct PrefixCase {
+  std::vector<size_t> hidden;
+  size_t suffix_dim;
+  size_t batch;
+  PrefixCorner corner;
+};
+
+void PrintTo(const PrefixCase& c, std::ostream* os) {
+  *os << "hidden";
+  for (size_t w : c.hidden) *os << "_" << w;
+  *os << "_suffix" << c.suffix_dim << "_batch" << c.batch << "_corner"
+      << static_cast<int>(c.corner);
+}
+
+std::vector<PrefixCase> PrefixCases() {
+  const std::vector<std::vector<size_t>> hiddens = {{},     {1},    {3},
+                                                    {5, 7}, {8, 8}, {16, 9}};
+  std::vector<PrefixCase> cases;
+  for (const auto& hidden : hiddens) {
+    for (size_t suffix_dim : {1, 3, 8, 13}) {
+      for (size_t batch : {1, 3, 5, 127, 129}) {
+        for (PrefixCorner corner :
+             {PrefixCorner::kPlain, PrefixCorner::kNegativeZeros,
+              PrefixCorner::kNonFiniteHidden}) {
+          cases.push_back({hidden, suffix_dim, batch, corner});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+class FfnPrefixEquivalence : public ::testing::TestWithParam<PrefixCase> {};
+
+TEST_P(FfnPrefixEquivalence, ForwardBatchFromPrefixMatchesForwardPerRow) {
+  const PrefixCase& c = GetParam();
+  const size_t split = c.suffix_dim + 2;  // the shared (user) half
+  const size_t input_dim = split + c.suffix_dim;
+  const size_t stride = c.suffix_dim + 5;  // rows wider than the suffix
+  FeedForwardNet net(input_dim, c.hidden);
+  Rng rng(131 + c.suffix_dim);
+  net.InitXavier(&rng);
+  std::vector<double> user(split);
+  for (double& v : user) v = rng.Normal(0.0, 0.4);
+  std::vector<double> items(c.batch * stride);
+  for (double& v : items) v = rng.Normal(0.0, 0.4);
+  for (size_t t = 0; t < items.size(); t += 7) items[t] = 0.0;
+  for (size_t t = 3; t < items.size(); t += 11) items[t] = -0.0;
+  if (c.corner == PrefixCorner::kNegativeZeros) {
+    for (double& v : user) v = 0.0;
+    for (size_t l = 0; l < net.num_layers(); ++l) {
+      for (double& b : net.bias(l).data()) b = -0.0;
+    }
+    for (size_t b = 0; b < c.batch; b += 2) {
+      for (size_t i = 0; i < c.suffix_dim; ++i) items[b * stride + i] = 0.0;
+    }
+  }
+  if (c.corner == PrefixCorner::kNonFiniteHidden) {
+    for (double& b : net.bias(0).data()) b = -0.3;
+    for (size_t l = 1; l < net.num_layers(); ++l) {
+      Matrix& w = net.weight(l);
+      for (size_t j = 0; j < w.cols(); ++j) {
+        w(0, j) = j % 2 == 0 ? std::numeric_limits<double>::infinity()
+                             : -std::numeric_limits<double>::infinity();
+        w(w.rows() - 1, j) = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+  }
+
+  std::vector<double> prefix(net.weight(0).cols());
+  net.ForwardPrefix(user.data(), split, prefix.data());
+  std::vector<double> logits(c.batch);
+  net.ForwardBatchFromPrefix(prefix.data(), items.data(), c.batch,
+                             c.suffix_dim, stride, logits.data());
+
+  std::vector<double> row(input_dim);
+  std::copy(user.begin(), user.end(), row.begin());
+  for (size_t b = 0; b < c.batch; ++b) {
+    std::copy(items.begin() + b * stride,
+              items.begin() + b * stride + c.suffix_dim, row.begin() + split);
+    const double want = net.Forward(row.data(), nullptr);
+    ASSERT_EQ(Bits(logits[b]), Bits(want))
+        << "row " << b << ": " << logits[b] << " vs " << want;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HiddenWidthsBatchesAndCorners, FfnPrefixEquivalence,
+                         ::testing::ValuesIn(PrefixCases()));
 
 TEST(FfnBatchTest, EmptyBatchIsANoOp) {
   FeedForwardNet net(8, {8, 8});
