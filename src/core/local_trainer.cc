@@ -1,7 +1,6 @@
 #include "src/core/local_trainer.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <numeric>
 #include <type_traits>
@@ -291,35 +290,25 @@ LocalUpdateResult LocalTrainer::TrainImpl(
     }
   }
 
-  // The overlay's touched rows, sorted once: the delta-sync subscription
-  // and, unless the best-epoch restore below shrinks the overlay, the
-  // upload rows.
-  std::vector<uint32_t> touched;
+  // Delta-sync subscription: every row the client read, sorted once (the
+  // upload rows below are drawn from it). Captured *before* the best-epoch
+  // restore — rows mutated only after the best epoch drop out of the
+  // upload set, but the client still needed their fresh values.
   if constexpr (kSparse) {
-    touched.assign(scr.v_overlay.touched().begin(),
-                   scr.v_overlay.touched().end());
-    std::sort(touched.begin(), touched.end());
-    // Delta-sync subscription: every row the client read. Captured
-    // *before* the best-epoch restore — rows mutated only after the best
-    // epoch drop out of the upload set, but the client still needed their
-    // fresh values. Validation items are scored but never trained, so they
-    // are read without entering the overlay.
-    std::vector<uint32_t> val_rows;
-    val_rows.reserve(val_samples.size());
+    result.read_rows.assign(scr.v_overlay.touched().begin(),
+                            scr.v_overlay.touched().end());
     for (const Sample& s : val_samples) {
-      val_rows.push_back(static_cast<uint32_t>(s.item));
+      // Validation items are scored but never trained, so they are read
+      // without entering the overlay.
+      result.read_rows.push_back(static_cast<uint32_t>(s.item));
     }
-    std::sort(val_rows.begin(), val_rows.end());
-    val_rows.erase(std::unique(val_rows.begin(), val_rows.end()),
-                   val_rows.end());
-    result.read_rows.clear();
-    result.read_rows.reserve(touched.size() + val_rows.size());
-    std::set_union(touched.begin(), touched.end(), val_rows.begin(),
-                   val_rows.end(), std::back_inserter(result.read_rows));
+    std::sort(result.read_rows.begin(), result.read_rows.end());
+    result.read_rows.erase(
+        std::unique(result.read_rows.begin(), result.read_rows.end()),
+        result.read_rows.end());
   }
 
-  const bool restore = use_validation && best_set;
-  if (restore) {
+  if (use_validation && best_set) {
     if constexpr (kSparse) {
       // Rows touched after the best epoch revert to base values by
       // dropping out of the overlay, exactly matching the dense restore.
@@ -349,15 +338,14 @@ LocalUpdateResult LocalTrainer::TrainImpl(
   SparseRowUpdate& up = result.v_delta;
   up.width = width;
   if constexpr (kSparse) {
-    // The restored overlay holds a subset of the rows touched by the end
-    // of training (the best epoch's), so filtering keeps them sorted.
-    if (restore) {
-      const SparseRowStoreT<S>& kept = scr.v_overlay.local();
-      touched.erase(std::remove_if(touched.begin(), touched.end(),
-                                   [&](uint32_t r) { return !kept.Has(r); }),
-                    touched.end());
+    // The overlay's rows in ascending order: the subscription minus the
+    // rows the overlay does not hold (validation-only reads, and rows the
+    // best-epoch restore dropped).
+    const SparseRowStoreT<S>& held = scr.v_overlay.local();
+    up.rows.reserve(result.read_rows.size());
+    for (uint32_t r : result.read_rows) {
+      if (held.Has(r)) up.rows.push_back(r);
     }
-    up.rows = std::move(touched);
   } else {
     up.rows.resize(global_table.rows());
     std::iota(up.rows.begin(), up.rows.end(), 0u);

@@ -101,9 +101,10 @@ const Salt kSalts[] = {Salt::kZeroFree, Salt::kZerosBehindInf,
 
 bool HasZeros(Salt salt) { return salt != Salt::kZeroFree; }
 
-// Whether the accumulators may start at −0.0. The salts with zeros and a
-// non-finite right operand start off −0.0, so that the right operand alone
-// decides whether the skip stays.
+// Whether the accumulators may start at −0.0: where that is the point
+// (kZerosNegZeroInit) or cannot matter (kZeroFree). Under the other salts
+// no accumulator starts at −0.0, so the right operand alone decides
+// whether the skip stays.
 bool NegZeroInit(Salt salt) {
   return salt == Salt::kZeroFree || salt == Salt::kZerosNegZeroInit;
 }
