@@ -118,8 +118,8 @@ void ClearNegativeZeros(std::vector<double>* v) {
 // the accumulators start from. Zero-salted kinds carry exact zeros of both
 // signs in x, input column 0 all zero and, from batch 3 on, one all-zero
 // row (every accumulator of it keeps its seed only through the skip).
-// kNonFiniteAtNonzero makes input column in_dim - 1 nonzero in every row
-// and the matching row of w non-finite. The seed starts with −0.0 where
+// kNonFiniteAtNonzero makes input columns 1 and 2 nonzero in every row
+// and the matching rows of w NaN and ±Inf. The seed starts with −0.0 where
 // NegZeroInit allows it and holds no −0.0 otherwise.
 struct SweepCase {
   size_t batch, in_dim, out_dim;
@@ -146,11 +146,16 @@ SweepCase MakeCase(size_t batch, size_t in_dim, size_t out_dim, Salt salt) {
   if (salt == Salt::kZerosBehindInf) {
     for (size_t j = 0; j < out_dim; ++j) c.w[j] = (j % 2 == 0) ? kInf : -kInf;
   }
-  if (salt == Salt::kNonFiniteAtNonzero && in_dim > 1) {
-    const size_t live = in_dim - 1;
-    for (size_t b = 0; b < batch; ++b) c.x[b * in_dim + live] = 0.25 + b;
-    for (size_t j = 0; j < out_dim; ++j) {
-      c.w[live * out_dim + j] = j % 3 == 0 ? kNaN : (j % 3 == 1 ? kInf : -kInf);
+  if (salt == Salt::kNonFiniteAtNonzero) {
+    // A NaN row and a ±Inf row of w, each behind an input column that is
+    // nonzero in every row. One kind of NaN per accumulator: sums that
+    // meet NaNs of two payloads may keep either, by operand order.
+    for (size_t live = 1; live < std::min<size_t>(in_dim, 3); ++live) {
+      for (size_t b = 0; b < batch; ++b) c.x[b * in_dim + live] = 0.25 + b;
+      for (size_t j = 0; j < out_dim; ++j) {
+        c.w[live * out_dim + j] =
+            live == 1 ? kNaN : (j % 2 == 0 ? kInf : -kInf);
+      }
     }
   }
   return c;

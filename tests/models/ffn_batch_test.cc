@@ -140,8 +140,8 @@ enum class PrefixCorner {
   // later bias is −0.0; all-zero item rows keep those −0.0 values only
   // through the exact-zero skip.
   kNegativeZeros,
-  // Dead layer-0 ReLUs feed hidden weights with ±Inf and NaN rows, which
-  // the skip hides wherever the activation is exactly zero.
+  // Dead layer-0 ReLUs feed hidden weights with ±Inf rows, which the skip
+  // hides wherever the activation is exactly zero.
   kNonFiniteHidden,
 };
 
@@ -204,12 +204,14 @@ TEST_P(FfnPrefixEquivalence, ForwardBatchFromPrefixMatchesForwardPerRow) {
   }
   if (c.corner == PrefixCorner::kNonFiniteHidden) {
     for (double& b : net.bias(0).data()) b = -0.3;
+    // ±Inf only: every NaN the sums make is then the default NaN, whose
+    // bits do not depend on the order of the operands.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     for (size_t l = 1; l < net.num_layers(); ++l) {
       Matrix& w = net.weight(l);
       for (size_t j = 0; j < w.cols(); ++j) {
-        w(0, j) = j % 2 == 0 ? std::numeric_limits<double>::infinity()
-                             : -std::numeric_limits<double>::infinity();
-        w(w.rows() - 1, j) = std::numeric_limits<double>::quiet_NaN();
+        w(0, j) = j % 2 == 0 ? kInf : -kInf;
+        w(w.rows() - 1, j) = j % 2 == 0 ? -kInf : kInf;
       }
     }
   }
