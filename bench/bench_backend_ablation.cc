@@ -3,8 +3,8 @@
 // final metrics, the metric drift against the fp64 reference, and the
 // wall-clock speedup. Expected shape: |ΔNDCG| and |ΔRecall| within the
 // 1e-3 tolerance contract (tests/core/backend_equivalence_test.cc pins
-// this at test scale), fp32 == fp32_simd exactly, and fp32_simd the
-// fastest arm on AVX2 hardware.
+// this at test scale), and fp32_simd faster than fp64 on AVX2+FMA
+// hardware.
 #include <cmath>
 #include <cstdio>
 
@@ -17,8 +17,8 @@
 namespace hetefedrec::bench {
 namespace {
 
-constexpr ComputeBackend kBackends[] = {
-    ComputeBackend::kFp64, ComputeBackend::kFp32, ComputeBackend::kFp32Simd};
+constexpr ComputeBackend kBackends[] = {ComputeBackend::kFp64,
+                                        ComputeBackend::kFp32Simd};
 
 int Main(int argc, char** argv) {
   CommandLine cli;
@@ -32,12 +32,11 @@ int Main(int argc, char** argv) {
                      {"Model", "Dataset", "Backend", "Recall", "NDCG",
                       "dNDCG", "Seconds", "Speedup"});
 
-  int cells = 0, within_tol = 0, simd_matches_fp32 = 0, simd_fastest = 0;
+  int cells = 0, within_tol = 0, simd_faster = 0;
   double max_drift = 0.0;
   for (const GridCase& cell : EvaluationGrid(cli)) {
     double fp64_ndcg = 0.0, fp64_recall = 0.0, fp64_seconds = 0.0;
-    double fp32_ndcg = 0.0, simd_ndcg = 0.0;
-    double fp32_seconds = 0.0, simd_seconds = 0.0;
+    double simd_ndcg = 0.0, simd_seconds = 0.0;
     for (ComputeBackend backend : kBackends) {
       ExperimentConfig cfg = *base_cfg;
       cfg.base_model = cell.model;
@@ -57,9 +56,6 @@ int Main(int argc, char** argv) {
         fp64_ndcg = eval.overall.ndcg;
         fp64_recall = eval.overall.recall;
         fp64_seconds = seconds;
-      } else if (backend == ComputeBackend::kFp32) {
-        fp32_ndcg = eval.overall.ndcg;
-        fp32_seconds = seconds;
       } else {
         simd_ndcg = eval.overall.ndcg;
         simd_seconds = seconds;
@@ -80,11 +76,8 @@ int Main(int argc, char** argv) {
     table.AddSeparator();
 
     cells++;
-    within_tol += (std::fabs(fp32_ndcg - fp64_ndcg) <= 1e-3 &&
-                   std::fabs(simd_ndcg - fp64_ndcg) <= 1e-3);
-    simd_matches_fp32 += (simd_ndcg == fp32_ndcg);
-    simd_fastest +=
-        (simd_seconds <= fp64_seconds && simd_seconds <= fp32_seconds);
+    within_tol += (std::fabs(simd_ndcg - fp64_ndcg) <= 1e-3);
+    simd_faster += (simd_seconds <= fp64_seconds);
   }
 
   table.Print();
@@ -93,12 +86,10 @@ int Main(int argc, char** argv) {
 
   std::printf(
       "\nShape checks:\n"
-      "  fp32 within 1e-3 NDCG of fp64:  %d/%d cells (contract: all)\n"
-      "  fp32_simd == fp32 exactly:      %d/%d cells (contract: all)\n"
-      "  fp32_simd is the fastest arm:   %d/%d cells (AVX2 hardware: all)\n"
-      "  max |metric drift|:             %.6f\n",
-      within_tol, cells, simd_matches_fp32, cells, simd_fastest, cells,
-      max_drift);
+      "  fp32_simd within 1e-3 NDCG of fp64:  %d/%d cells (contract: all)\n"
+      "  fp32_simd faster than fp64:         %d/%d cells (AVX2+FMA: all)\n"
+      "  max |metric drift|:                  %.6f\n",
+      within_tol, cells, simd_faster, cells, max_drift);
   return 0;
 }
 

@@ -84,9 +84,9 @@ size_t FfnBlockPool(size_t block_values) {
 void BM_BatchedForward(benchmark::State& state) {
   // Per-sample Forward vs one ForwardBatch over a 256-row block — the
   // shape of one training task's per-epoch sample set. Arg 2 selects the
-  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2). The fp64 arms
-  // cycle through FfnBlockPool blocks, the fp32 arms reuse the first, so
-  // the fp32-vs-fp64 ratio is not the backend speedup at equal inputs of
+  // compute backend (0 fp64 | 2 fp32_simd). The fp64 arms cycle through
+  // FfnBlockPool blocks, the fp32 arms reuse the first, so the
+  // fp32-vs-fp64 ratio is not the backend speedup at equal inputs of
   // docs/PERFORMANCE.md "Numeric backends": it also holds the pool's L2
   // traffic and the zero pattern the fp64 arms cannot learn.
   const size_t width = static_cast<size_t>(state.range(0));
@@ -105,7 +105,6 @@ void BM_BatchedForward(benchmark::State& state) {
   netf.AssignCastFrom(net);
   AlignedVector<float> xf(x.begin(), x.begin() + block);
   std::vector<float> logitsf(kBatch);
-  SetFp32SimdEnabled(backend == 2 && CpuSupportsFp32Simd());
   size_t next = 0;
   for (auto _ : state) {
     const double* xb = x.data() + next * block;
@@ -122,29 +121,25 @@ void BM_BatchedForward(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(logits);
   }
-  SetFp32SimdEnabled(false);
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_BatchedForward)
     ->Args({8, 0, 0})
     ->Args({8, 1, 0})
-    ->Args({8, 1, 1})
     ->Args({8, 1, 2})
     ->Args({32, 0, 0})
     ->Args({32, 1, 0})
-    ->Args({32, 1, 1})
     ->Args({32, 1, 2})
     ->Args({128, 0, 0})
     ->Args({128, 1, 0})
-    ->Args({128, 1, 1})
     ->Args({128, 1, 2});
 
 void BM_BatchedBackward(benchmark::State& state) {
   // One training task's per-epoch step over a 256-row block: ForwardBatch
   // (filling the cache) + BackwardBatch into the gradient net — the
   // isolated cost of the in-run forward/backward phases. Arg 1 selects the
-  // compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2). The fp64 arm
-  // cycles through FfnBlockPool blocks, the fp32 arms reuse the first.
+  // compute backend (0 fp64 | 2 fp32_simd). The fp64 arm cycles through
+  // FfnBlockPool blocks, the fp32 arm reuses the first.
   const size_t width = static_cast<size_t>(state.range(0));
   const int backend = static_cast<int>(state.range(1));
   constexpr size_t kBatch = 256;
@@ -166,7 +161,6 @@ void BM_BatchedBackward(benchmark::State& state) {
   std::vector<float> dxf(kBatch * 2 * width);
   FeedForwardNetF gradsf = FeedForwardNetF::ZerosLike(netf);
   FeedForwardNetF::BatchCache cachef;
-  SetFp32SimdEnabled(backend == 2 && CpuSupportsFp32Simd());
   size_t next = 0;
   for (auto _ : state) {
     const double* xb = x.data() + next * block;
@@ -190,18 +184,14 @@ void BM_BatchedBackward(benchmark::State& state) {
     }
     benchmark::ClobberMemory();
   }
-  SetFp32SimdEnabled(false);
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_BatchedBackward)
     ->Args({8, 0})
-    ->Args({8, 1})
     ->Args({8, 2})
     ->Args({32, 0})
-    ->Args({32, 1})
     ->Args({32, 2})
     ->Args({128, 0})
-    ->Args({128, 1})
     ->Args({128, 2});
 
 // Evaluator scoring cost for one user at the Anime paper scale (6,888
@@ -214,10 +204,10 @@ void BM_EvalScoring(benchmark::State& state) {
   // 3-4: one user's full evaluation inner loop — scoring *and* top-20
   // selection with the train-item mask — through a reference-mode session
   // fed the whole score array (3) vs a heap session fed 1,024-item score
-  // blocks as they are scored (4). Arg 2 selects
-  // the compute backend for modes 1 and 4 (0 fp64 | 1 fp32 scalar |
-  // 2 fp32 AVX2) — the float path mirrors the evaluator's: float scoring
-  // scratch upcast into the double score buffer the selector consumes.
+  // blocks as they are scored (4). Arg 2 selects the compute backend for
+  // modes 1 and 4 (0 fp64 | 2 fp32_simd) — the float path mirrors the
+  // evaluator's: float scoring scratch upcast into the double score buffer
+  // the selector consumes.
   const int mode = static_cast<int>(state.range(0));
   const BaseModel model =
       state.range(1) == 0 ? BaseModel::kNcf : BaseModel::kLightGcn;
@@ -251,7 +241,6 @@ void BM_EvalScoring(benchmark::State& state) {
   thetaf.AssignCastFrom(theta);
   std::vector<float> userf(user.Row(0), user.Row(0) + kWidth);
   std::vector<float> outf(kAnimeItems);
-  SetFp32SimdEnabled(backend == 2 && CpuSupportsFp32Simd());
   TopKSelector selector;
   constexpr size_t kBlock = 1024;
   std::vector<double> out(kAnimeItems);
@@ -324,18 +313,15 @@ void BM_EvalScoring(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
     benchmark::DoNotOptimize(topk);
   }
-  SetFp32SimdEnabled(false);
   state.SetItemsProcessed(static_cast<int64_t>(scored));
 }
 BENCHMARK(BM_EvalScoring)
     ->Args({0, 0, 0})
     ->Args({1, 0, 0})
-    ->Args({1, 0, 1})
     ->Args({1, 0, 2})
     ->Args({2, 0, 0})
     ->Args({3, 0, 0})
     ->Args({4, 0, 0})
-    ->Args({4, 0, 1})
     ->Args({4, 0, 2})
     ->Args({0, 1, 0})
     ->Args({1, 1, 0})
@@ -598,9 +584,9 @@ void BM_FederatedRound(benchmark::State& state) {
   // arg 2 (default on): batched scoring kernels vs the per-sample
   // reference — the training-side half of the batched-layer speedup.
   const bool use_batched = state.range(2) != 0;
-  // arg 3: compute backend (0 fp64 | 1 fp32 scalar | 2 fp32 AVX2). The
-  // fp64-vs-fp32_simd ratio on the sparse batched arm is the end-to-end
-  // per-round backend speedup recorded in docs/PERFORMANCE.md.
+  // arg 3: compute backend (0 fp64 | 2 fp32_simd). The fp64-vs-fp32_simd
+  // ratio on the sparse batched arm is the end-to-end per-round backend
+  // speedup recorded in docs/PERFORMANCE.md.
   const int backend = static_cast<int>(state.range(3));
 
   ShardedServer::Options so;
@@ -615,8 +601,8 @@ void BM_FederatedRound(benchmark::State& state) {
   opt.local_epochs = 2;
   opt.use_sparse = use_sparse;
   opt.use_batched = use_batched;
-  opt.backend = backend == 0 ? ComputeBackend::kFp64 : ComputeBackend::kFp32;
-  SetFp32SimdEnabled(backend == 2 && CpuSupportsFp32Simd());
+  opt.backend =
+      backend == 0 ? ComputeBackend::kFp64 : ComputeBackend::kFp32Simd;
 
   size_t uploaded_rows = 0;
   for (auto _ : state) {
@@ -629,7 +615,6 @@ void BM_FederatedRound(benchmark::State& state) {
     }
     server.FinishRound();
   }
-  SetFp32SimdEnabled(false);
   state.SetItemsProcessed(state.iterations() * setup.clients.size());
   state.counters["rows_per_client"] = benchmark::Counter(
       static_cast<double>(uploaded_rows) /
@@ -639,8 +624,7 @@ void BM_FederatedRound(benchmark::State& state) {
 BENCHMARK(BM_FederatedRound)
     ->Args({0, 0, 1, 0})
     ->Args({1, 0, 1, 0})
-    ->Args({1, 0, 1, 1})  // sparse + batched, fp32 scalar kernels
-    ->Args({1, 0, 1, 2})  // sparse + batched, fp32 AVX2 kernels
+    ->Args({1, 0, 1, 2})  // sparse + batched, fp32_simd
     ->Args({0, 1, 1, 0})
     ->Args({1, 1, 1, 0})
     ->Args({1, 1, 1, 2})

@@ -148,11 +148,11 @@ struct ExperimentConfig {
   /// client training is independent and updates merge in batch order.
   size_t num_threads = 1;
   /// Numeric compute backend (src/math/backend.h). kFp64 (default) is the
-  /// bit-exact reference — every prior result reproduces unchanged. kFp32
-  /// runs client training, evaluation scoring and distillation in float
-  /// (server state, aggregation, the wire and checkpoints stay fp64);
-  /// kFp32Simd additionally dispatches the float kernels to AVX2+FMA,
-  /// bit-identical to kFp32 by construction. fp32 metrics stay within the
+  /// bit-exact reference — every prior result reproduces unchanged.
+  /// kFp32Simd runs client training, evaluation scoring and distillation in
+  /// float (server state, aggregation, the wire and checkpoints stay fp64)
+  /// on the AVX2+FMA kernels, or on the scalar fp32 kernels with the same
+  /// bits where the CPU or build lacks them. fp32 metrics stay within the
   /// tolerance pinned by tests/core/backend_equivalence_test.cc.
   ComputeBackend compute_backend = ComputeBackend::kFp64;
 

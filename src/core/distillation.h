@@ -27,8 +27,8 @@ struct DistillationOptions {
   int steps = 5;         // gradient steps per table per round
   double lr = 0.01;      // step size
   /// Working scalar of the Gram/relation/gradient pipeline. The tables
-  /// themselves stay double (server storage of record); the fp32 backends
-  /// cast the gathered Vkd rows once and upcast the final row updates.
+  /// themselves stay double (server storage of record); the fp32 backend
+  /// casts the gathered Vkd rows once and upcasts the final row updates.
   /// The Vkd sample draw is scalar-free, so the RNG sequence is identical
   /// on every backend.
   ComputeBackend backend = ComputeBackend::kFp64;

@@ -112,8 +112,8 @@ struct LocalTrainerOptions {
   /// so Table III reproduces unchanged.
   bool sparse_comm_accounting = false;
   /// Working scalar for the local optimization. kFp64 is the bit-exact
-  /// reference; kFp32/kFp32Simd train in float (the SIMD flavor is selected
-  /// globally via SetFp32SimdEnabled, not per trainer).
+  /// reference; kFp32Simd trains in float (the CPU picks the float kernel
+  /// set, src/math/backend.h).
   ComputeBackend backend = ComputeBackend::kFp64;
 };
 

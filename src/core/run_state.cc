@@ -140,9 +140,9 @@ uint64_t ConfigFingerprint(const ExperimentConfig& c,
     << c.fault_quarantine_cap << '|' << c.fault_jitter << '|'
     << c.admission_control << '|' << c.admit_max_row_norm << '|'
     << c.admit_outlier_z << '|' << c.server_shards << '|'
-    // fp32 and fp32_simd are results-identical by construction, so only
-    // the float-vs-double choice joins the digest — a run may resume under
-    // the other fp32 flavor (or after an AVX2 fallback) without drift.
+    // Only the float-vs-double choice joins the digest: both fp32 kernel
+    // sets give the same bits, so a run may resume on a CPU with or
+    // without AVX2+FMA without drift.
     << (c.compute_backend != ComputeBackend::kFp64);
   return Fnv1a64(s.str());
 }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -387,9 +388,6 @@ class FederatedRun {
         method_(method),
         root_(cfg.seed),
         evaluator_(MakeEvaluator(cfg, dataset, groups)) {
-    // Arms (or disarms) the process-wide fp32 SIMD dispatch; falls back to
-    // the scalar fp32 kernels (identical results) when AVX2 is unavailable.
-    ActivateBackend(cfg_.compute_backend);
     if (setup_.widths.size() > 1) {
       HFR_CHECK_LT(cfg_.dims[0], cfg_.dims[1]);
       HFR_CHECK_LT(cfg_.dims[1], cfg_.dims[2]);
@@ -1004,10 +1002,17 @@ class FederatedRun {
       }
     }
     if (!queue_->Exhausted()) {
+      // Offline draws requeue clients, and so does over-selection: a client
+      // that misses the round deadline every round never merges.
+      std::ostringstream cause;
+      cause << "availability=" << cfg_.availability;
+      if (cfg_.straggler_slack > 0 || cfg_.round_deadline > 0) {
+        cause << ", straggler_slack=" << cfg_.straggler_slack
+              << ", round_deadline=" << cfg_.round_deadline;
+      }
       HFR_LOG(Warning) << "epoch " << epoch
                        << " round budget exhausted with " << queue_->pending()
-                       << " clients still queued (availability="
-                       << cfg_.availability
+                       << " clients still queued (" << cause.str()
                        << "); dropping them until next epoch";
     }
   }
@@ -1530,7 +1535,7 @@ class FederatedRun {
   std::unique_ptr<SyncService> sync_;
   std::unique_ptr<SimulatedNetwork> net_;
   bool over_select_ = false;
-  // Evaluation state of the active backend (fp64 or fp32/fp32_simd).
+  // Evaluation state of the active backend (fp64 or fp32_simd).
   std::variant<EvalState<double>, EvalState<float>> eval_;
 
   // Robustness layer (docs/ROBUSTNESS.md); all null on default configs.
@@ -1642,7 +1647,6 @@ ExperimentResult ExperimentRunner::RunStandalone() const {
   Rng root(cfg.seed);
   Rng init_rng = root.Fork(4);
   const bool fp32 = cfg.compute_backend != ComputeBackend::kFp64;
-  ActivateBackend(cfg.compute_backend);
 
   // Standalone users never interact, so evaluation (train + score per
   // user) parallelizes over users like the federated eval does; each

@@ -71,12 +71,6 @@ const std::vector<ItemId>& Dataset::TestItems(UserId u) const {
   return test_[u];
 }
 
-size_t Dataset::TotalTrainInteractions() const {
-  size_t total = 0;
-  for (const auto& v : train_) total += v.size();
-  return total;
-}
-
 size_t Dataset::TotalInteractions() const {
   size_t total = 0;
   for (size_t u = 0; u < train_.size(); ++u) {

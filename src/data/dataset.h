@@ -49,9 +49,6 @@ class Dataset {
   /// Held-out test items of user u.
   const std::vector<ItemId>& TestItems(UserId u) const;
 
-  /// Total training interactions across users.
-  size_t TotalTrainInteractions() const;
-
   /// Total interactions (train + test) across users.
   size_t TotalInteractions() const;
 

@@ -12,16 +12,6 @@ namespace hetefedrec {
 
 namespace {
 
-// True when the float kernels should run their AVX2 implementations; the
-// choice is results-inert (scalar fp32 and AVX2 produce the same bits).
-inline bool UseSimd() {
-#ifdef HFR_HAVE_AVX2_TU
-  return Fp32SimdEnabled();
-#else
-  return false;
-#endif
-}
-
 // --- fp64 kernels -----------------------------------------------------------
 //
 // Every fp64 kernel — the forward, both gradients and the column Gram —
@@ -523,7 +513,7 @@ void GemvBatchResume(const T* x, size_t batch, size_t x_stride, size_t in_dim,
                              out);
   } else {
 #ifdef HFR_HAVE_AVX2_TU
-    if (UseSimd()) {
+    if (CpuSupportsFp32Simd()) {
       return fp32::GemvBatchResumeAvx2(x, batch, x_stride, in_dim, w, init,
                                        out_dim, out);
     }
@@ -555,7 +545,7 @@ void AccumulateOuterBatch(const T* in, const T* delta, size_t batch,
                                   grads_b);
   } else {
 #ifdef HFR_HAVE_AVX2_TU
-    if (UseSimd()) {
+    if (CpuSupportsFp32Simd()) {
       return fp32::AccumulateOuterBatchAvx2(in, delta, batch, in_dim, out_dim,
                                             grads_w, grads_b);
     }
@@ -587,7 +577,7 @@ void GemvBatchTransposed(const T* delta, size_t batch, size_t out_dim,
     GemvBatchTransposedTiles<V2>(delta, batch, out_dim, wt.data(), in_dim, dx);
   } else {
 #ifdef HFR_HAVE_AVX2_TU
-    if (UseSimd()) {
+    if (CpuSupportsFp32Simd()) {
       return fp32::GemvBatchTransposedAvx2(delta, batch, out_dim, w, in_dim,
                                            dx);
     }

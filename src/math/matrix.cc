@@ -23,17 +23,6 @@ void MatrixT<T>::AddScaled(const MatrixT& other, T scale) {
 }
 
 template <typename T>
-void MatrixT<T>::AddScaledIntoLeadingCols(const MatrixT& other, T scale) {
-  HFR_CHECK_EQ(rows_, other.rows_);
-  HFR_CHECK_LE(other.cols_, cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const T* src = other.Row(r);
-    T* dst = Row(r);
-    for (size_t c = 0; c < other.cols_; ++c) dst[c] += scale * src[c];
-  }
-}
-
-template <typename T>
 void MatrixT<T>::Scale(T scale) {
   for (T& v : data_) v *= scale;
 }
@@ -47,15 +36,6 @@ MatrixT<T> MatrixT<T>::LeadingCols(size_t n_cols) const {
     T* dst = out.Row(r);
     std::copy(src, src + n_cols, dst);
   }
-  return out;
-}
-
-template <typename T>
-MatrixT<T> MatrixT<T>::RowSlice(size_t row0, size_t n_rows) const {
-  HFR_CHECK_LE(row0 + n_rows, rows_);
-  MatrixT out(n_rows, cols_);
-  std::copy(data_.begin() + row0 * cols_,
-            data_.begin() + (row0 + n_rows) * cols_, out.data_.begin());
   return out;
 }
 
@@ -76,23 +56,15 @@ T MatrixT<T>::MaxAbs() const {
 template class MatrixT<double>;
 template class MatrixT<float>;
 
-namespace {
-
-// Float helpers go through the backend dispatch; inside one process the
-// scalar and AVX2 sets are bit-identical, so this branch is results-inert.
-inline float DotDispatch(const float* a, const float* b, size_t n) {
-#ifdef HFR_HAVE_AVX2_TU
-  if (Fp32SimdEnabled()) return fp32::DotAvx2(a, b, n);
-#endif
-  return fp32::DotScalar(a, b, n);
-}
-
-}  // namespace
-
+// The float helpers run the AVX2+FMA set when the CPU has it; the scalar
+// fp32 set gives the same bits.
 template <typename T>
 T Dot(const T* a, const T* b, size_t n) {
   if constexpr (std::is_same_v<T, float>) {
-    return DotDispatch(a, b, n);
+#ifdef HFR_HAVE_AVX2_TU
+    if (CpuSupportsFp32Simd()) return fp32::DotAvx2(a, b, n);
+#endif
+    return fp32::DotScalar(a, b, n);
   } else {
     T s = T(0);
     for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
@@ -104,7 +76,7 @@ template <typename T>
 void Axpy(T alpha, const T* x, T* y, size_t n) {
   if constexpr (std::is_same_v<T, float>) {
 #ifdef HFR_HAVE_AVX2_TU
-    if (Fp32SimdEnabled()) return fp32::AxpyAvx2(alpha, x, y, n);
+    if (CpuSupportsFp32Simd()) return fp32::AxpyAvx2(alpha, x, y, n);
 #endif
     return fp32::AxpyScalar(alpha, x, y, n);
   } else {

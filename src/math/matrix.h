@@ -79,18 +79,11 @@ class MatrixT {
   /// this += scale * other. Shapes must match.
   void AddScaled(const MatrixT& other, T scale);
 
-  /// Adds `scale * other` into the leading columns of this matrix;
-  /// `other` may be narrower (used by padding aggregation, Eq. 7–8).
-  void AddScaledIntoLeadingCols(const MatrixT& other, T scale);
-
   /// this *= scale.
   void Scale(T scale);
 
   /// Copy of the first `n_cols` columns (all rows). Eq. 8's `[: Nx]` slice.
   MatrixT LeadingCols(size_t n_cols) const;
-
-  /// Copy of `n_rows` rows starting at `row0` (all columns).
-  MatrixT RowSlice(size_t row0, size_t n_rows) const;
 
   /// Frobenius norm sqrt(sum of squares).
   T FrobeniusNorm() const;

@@ -57,27 +57,6 @@ Matrix CovarianceMatrix(const Matrix& m) {
   return cov;
 }
 
-Matrix CorrelationMatrix(const Matrix& m) {
-  Matrix cov = CovarianceMatrix(m);
-  const size_t n = cov.rows();
-  std::vector<double> sd(n);
-  for (size_t i = 0; i < n; ++i) sd[i] = std::sqrt(cov(i, i));
-  Matrix corr(n, n);
-  constexpr double kTiny = 1e-12;
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = 0; b < n; ++b) {
-      if (a == b) {
-        corr(a, b) = 1.0;
-      } else if (sd[a] < kTiny || sd[b] < kTiny) {
-        corr(a, b) = 0.0;
-      } else {
-        corr(a, b) = cov(a, b) / (sd[a] * sd[b]);
-      }
-    }
-  }
-  return corr;
-}
-
 Matrix StandardizeColumns(const Matrix& m, double eps) {
   std::vector<double> means = ColumnMeans(m);
   std::vector<double> vars = ColumnVariances(m);

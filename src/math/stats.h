@@ -1,4 +1,5 @@
-// Column statistics: means, variances, covariance and correlation matrices.
+// Column statistics: means, variances, the covariance matrix and column
+// standardization.
 //
 // These feed two parts of the paper: the dimensional decorrelation
 // regularizer (Eq. 13 standardizes columns and penalizes the correlation
@@ -21,10 +22,6 @@ std::vector<double> ColumnVariances(const Matrix& m);
 
 /// Covariance matrix of the columns (cols x cols), population normalization.
 Matrix CovarianceMatrix(const Matrix& m);
-
-/// Correlation matrix of the columns. Columns with (near-)zero variance get
-/// zero correlation with everything and 1 on the diagonal.
-Matrix CorrelationMatrix(const Matrix& m);
 
 /// Column-standardized copy: (m - colmean) / sqrt(colvar + eps).
 Matrix StandardizeColumns(const Matrix& m, double eps = 1e-12);

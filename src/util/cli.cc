@@ -158,11 +158,13 @@ void RegisterExperimentFlags(CommandLine* cli) {
   cli->AddFlag("round_deadline", "0",
                "simulated round deadline in seconds (0 = none)");
   cli->AddFlag("compute_backend", "fp64",
-               "numeric compute backend: fp64 (bit-exact reference) | fp32 "
-               "(float client math) | fp32_simd (float + AVX2 kernels)");
+               "numeric compute backend: fp64 (bit-exact reference) | "
+               "fp32_simd (float client math; AVX2+FMA kernels where the CPU "
+               "has them, the same bits otherwise)");
   cli->AddFlag("wire_format", "auto",
                "wire scalar width for byte accounting: auto | fp64 | fp32 | "
-               "fp16 (auto = fp64, or fp32 when --compute_backend is fp32*)");
+               "fp16 (auto = fp64, or fp32 when --compute_backend is "
+               "fp32_simd)");
   cli->AddFlag("server_shards", "0",
                "item-range parameter-server shards (0 and 1 both mean one "
                "shard; any S is bit-identical — docs/SYNC.md "

@@ -2,15 +2,12 @@
 // path's bit-identity for speed, so its guarantee is a *bounded metric
 // drift* instead — for every method × base model, sync and async, the
 // final Recall@20/NDCG@20 of an fp32 run must stay within kMetricTol of
-// the fp64 reference run. Alongside the tolerance bound, two exact
-// guarantees ARE pinned bit-for-bit:
-//
-//   * fp32 and fp32_simd are results-identical (the scalar fp32 kernels
-//     emulate the AVX2 lanes; src/math/kernels_fp32.h), so the SIMD
-//     toggle can never change a result.
-//   * Selecting fp64 after an fp32 run reproduces the untouched fp64
-//     bits — the backend switch is process-global but leaves no residue
-//     in server state, RNG streams or kernels.
+// the fp64 reference run. Alongside the tolerance bound, one exact
+// guarantee IS pinned bit-for-bit: selecting fp64 after an fp32 run
+// reproduces the untouched fp64 bits — an fp32 run leaves no residue in
+// server state, RNG streams or kernels. (The CPU picks the fp32 kernel
+// set, and the scalar set matches the AVX2 one bit for bit:
+// Fp32DispatchTest in tests/math/kernels_test.cc.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -50,11 +47,7 @@ ExperimentResult RunWith(ExperimentConfig cfg, ComputeBackend backend,
   cfg.compute_backend = backend;
   auto runner = ExperimentRunner::Create(cfg);
   EXPECT_TRUE(runner.ok()) << runner.status().ToString();
-  ExperimentResult res = (*runner)->Run(method);
-  // Every test in this binary must leave the process on the reference
-  // backend so suites interleave safely.
-  ActivateBackend(ComputeBackend::kFp64);
-  return res;
+  return (*runner)->Run(method);
 }
 
 void ExpectWithinTolerance(const GroupedEval& fp64_eval,
@@ -83,7 +76,7 @@ TEST_P(BackendToleranceEndToEnd, AllMethodsWithinToleranceSync) {
     ExperimentConfig cfg = SmallConfig();
     cfg.base_model = GetParam();
     ExperimentResult fp64_res = RunWith(cfg, ComputeBackend::kFp64, method);
-    ExperimentResult fp32_res = RunWith(cfg, ComputeBackend::kFp32, method);
+    ExperimentResult fp32_res = RunWith(cfg, ComputeBackend::kFp32Simd, method);
     SCOPED_TRACE(MethodName(method));
     ExpectWithinTolerance(fp64_res.final_eval, fp32_res.final_eval);
   }
@@ -101,7 +94,7 @@ TEST_P(BackendToleranceEndToEnd, AllMethodsWithinToleranceAsync) {
     // wire_scalar_bytes (the config default) — this isolates numeric
     // drift from the fp32 wire-width accounting the CLI's "auto" applies.
     ExperimentResult fp64_res = RunWith(cfg, ComputeBackend::kFp64, method);
-    ExperimentResult fp32_res = RunWith(cfg, ComputeBackend::kFp32, method);
+    ExperimentResult fp32_res = RunWith(cfg, ComputeBackend::kFp32Simd, method);
     SCOPED_TRACE(MethodName(method));
     ExpectWithinTolerance(fp64_res.final_eval, fp32_res.final_eval);
   }
@@ -111,28 +104,10 @@ INSTANTIATE_TEST_SUITE_P(Models, BackendToleranceEndToEnd,
                          ::testing::Values(BaseModel::kNcf,
                                            BaseModel::kLightGcn));
 
-TEST(BackendEquivalence, Fp32SimdIsResultsIdenticalToFp32) {
-  // Not a tolerance: the SIMD arm must reproduce scalar fp32 bit-for-bit
-  // end to end (trivially true on machines where AVX2 is unavailable and
-  // fp32_simd falls back to the scalar kernels).
-  for (BaseModel model : {BaseModel::kNcf, BaseModel::kLightGcn}) {
-    ExperimentConfig cfg = SmallConfig();
-    cfg.base_model = model;
-    ExperimentResult scalar_res =
-        RunWith(cfg, ComputeBackend::kFp32, Method::kHeteFedRec);
-    ExperimentResult simd_res =
-        RunWith(cfg, ComputeBackend::kFp32Simd, Method::kHeteFedRec);
-    ExpectSameEval(scalar_res.final_eval, simd_res.final_eval);
-    EXPECT_EQ(scalar_res.collapse_variance, simd_res.collapse_variance);
-    EXPECT_EQ(scalar_res.comm.TotalTransmitted(),
-              simd_res.comm.TotalTransmitted());
-  }
-}
-
 TEST(BackendEquivalence, Fp64IsUntouchedAfterFp32Runs) {
-  // The default backend's bit-identity guarantee survives backend
-  // switching within one process: fp64 → fp32 → fp64 must reproduce the
-  // first fp64 run exactly.
+  // The default backend's bit-identity guarantee survives an fp32 run in
+  // the same process: no process-global backend state remains, so
+  // fp64 → fp32 → fp64 must reproduce the first fp64 run exactly.
   ExperimentConfig cfg = SmallConfig();
   ExperimentResult before =
       RunWith(cfg, ComputeBackend::kFp64, Method::kHeteFedRec);
@@ -159,7 +134,7 @@ TEST(BackendEquivalence, AsyncFp32WithinToleranceUnderFaultsAndAdmission) {
   ExperimentResult fp64_res =
       RunWith(cfg, ComputeBackend::kFp64, Method::kHeteFedRec);
   ExperimentResult fp32_res =
-      RunWith(cfg, ComputeBackend::kFp32, Method::kHeteFedRec);
+      RunWith(cfg, ComputeBackend::kFp32Simd, Method::kHeteFedRec);
   ExpectWithinTolerance(fp64_res.final_eval, fp32_res.final_eval);
 }
 

@@ -89,6 +89,7 @@ TEST(ConfigTest, ApplyExperimentFlagsDefaultsAreNeutral) {
 TEST(ConfigTest, ApplyExperimentFlagsRejectsBadEnums) {
   for (const std::string& bad :
        {std::string("--agg=median"), std::string("--compute_backend=fp8"),
+        std::string("--compute_backend=fp32"),
         std::string("--wire_format=fp8")}) {
     CommandLine cli;
     RegisterExperimentFlags(&cli);

@@ -228,6 +228,31 @@ TEST(FaultEquivalence, GatedClientsDoNotExhaustTheRoundBudget) {
   }
 }
 
+// Over-selection leaves clients queued too: on the golden `overselect`
+// network with every client online, the clients that miss the round
+// deadline every round are still queued when the budget runs out, so the
+// warning names the over-selection settings beside availability.
+TEST(FaultEquivalence, RoundBudgetWarningNamesOverSelection) {
+  ExperimentConfig cfg = SmallConfig();
+  cfg.straggler_slack = 4;
+  cfg.round_deadline = 0.9;
+  cfg.availability = 1.0;
+  cfg.net_bandwidth_sigma = 1.0;
+  cfg.net_latency_sigma = 0.3;
+  auto runner = ExperimentRunner::Create(cfg);
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  testing::internal::CaptureStderr();
+  (*runner)->Run(Method::kHeteFedRec);
+  const std::string log = testing::internal::GetCapturedStderr();
+  const size_t at = log.find("round budget exhausted");
+  ASSERT_NE(at, std::string::npos) << log;
+  const std::string warning = log.substr(at, log.find('\n', at) - at);
+  EXPECT_NE(warning.find("availability=1, straggler_slack=4, "
+                         "round_deadline=0.9"),
+            std::string::npos)
+      << warning;
+}
+
 // The async schedule's counterpart: a client the backoff gate holds costs
 // no dispatch budget, and with nothing in flight the dispatch instant moves
 // to the earliest retry. Without that, held clients were popped again at

@@ -102,7 +102,6 @@ std::vector<Cell> Scenarios() {
   constexpr BaseModel kNcf = BaseModel::kNcf;
   constexpr Method kOurs = Method::kHeteFedRec;
   constexpr ComputeBackend kFp64 = ComputeBackend::kFp64;
-  constexpr ComputeBackend kFp32 = ComputeBackend::kFp32;
   constexpr ComputeBackend kSimd = ComputeBackend::kFp32Simd;
   return {
       {kNcf, kOurs, false, kFp64, "overselect",
@@ -134,13 +133,13 @@ std::vector<Cell> Scenarios() {
        }},
       {kNcf, kOurs, false, kSimd, "eval_every",
        [](ExperimentConfig* cfg) { cfg->eval_every = 1; }},
-      {kNcf, Method::kClusteredFedRec, false, kFp32, "candidates",
+      {kNcf, Method::kClusteredFedRec, false, kSimd, "candidates",
        [](ExperimentConfig* cfg) { cfg->eval_candidate_sample = 50; }},
       {kNcf, Method::kStandalone, false, kSimd, "standalone",
        [](ExperimentConfig*) {}},
       {kNcf, Method::kStandalone, false, kFp64, "scalar_topk",
        [](ExperimentConfig* cfg) { cfg->use_batched_topk = false; }},
-      {kNcf, kOurs, false, kFp32, "scalar_scoring",
+      {kNcf, kOurs, false, kSimd, "scalar_scoring",
        [](ExperimentConfig* cfg) { cfg->use_batched_scoring = false; }},
   };
 }

@@ -53,7 +53,6 @@ TEST(DatasetTest, CountsAndTotals) {
   EXPECT_EQ(ds->num_users(), 3u);
   EXPECT_EQ(ds->num_items(), 12u);
   EXPECT_EQ(ds->TotalInteractions(), 16u);
-  EXPECT_EQ(ds->TotalTrainInteractions(), 13u);
   EXPECT_EQ(ds->InteractionCount(0), 10u);
 }
 

@@ -493,8 +493,10 @@ TEST(Fp32AccuracyTest, GramMatrixWithinTolerance) {
 //
 // The portable scalar fp32 set emulates the vector code lane-for-lane
 // (std::fmaf chains, the same 8→4→2→1 reduction tree), so on any input the
-// two implementations must agree EXACTLY — this is what makes fp32 and
-// fp32_simd results-identical and lets the SIMD toggle be results-inert.
+// two implementations must agree EXACTLY — this is what lets the CPU pick
+// the set without changing an fp32_simd result.
+
+#ifdef HFR_HAVE_AVX2_TU
 
 std::vector<float> RandomFloats(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -502,8 +504,6 @@ std::vector<float> RandomFloats(size_t n, uint64_t seed) {
   for (float& x : v) x = static_cast<float>(rng.Normal(0.0, 0.3));
   return v;
 }
-
-#ifdef HFR_HAVE_AVX2_TU
 
 // RandomFloats salted with exact zeros of both signs.
 std::vector<float> ZeroSaltedFloats(size_t n, uint64_t seed) {
@@ -600,46 +600,7 @@ TEST(Fp32DispatchTest, ScalarMatchesAvx2BitForBit) {
   }
 }
 
-TEST(Fp32DispatchTest, RuntimeToggleIsResultsInert) {
-  if (!CpuSupportsFp32Simd()) {
-    GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  }
-  // The public entry points under both switch positions: same bits.
-  const bool saved = Fp32SimdEnabled();
-  const size_t n = 100;
-  std::vector<float> a = RandomFloats(n, 401);
-  std::vector<float> b = RandomFloats(n, 403);
-  SetFp32SimdEnabled(false);
-  const float scalar_dot = Dot(a.data(), b.data(), n);
-  MatrixF gram_scalar(4, 4);
-  GramMatrix(a.data(), 4, 25, &gram_scalar);
-  SetFp32SimdEnabled(true);
-  const float simd_dot = Dot(a.data(), b.data(), n);
-  MatrixF gram_simd(4, 4);
-  GramMatrix(a.data(), 4, 25, &gram_simd);
-  SetFp32SimdEnabled(saved);
-  EXPECT_EQ(scalar_dot, simd_dot);
-  for (size_t t = 0; t < gram_scalar.data().size(); ++t) {
-    EXPECT_EQ(gram_scalar.data()[t], gram_simd.data()[t]);
-  }
-}
-
 #endif  // HFR_HAVE_AVX2_TU
-
-TEST(Fp32DispatchTest, ActivateBackendFallsBackGracefully) {
-  const bool saved = Fp32SimdEnabled();
-  // fp64 and fp32 never arm the SIMD switch; fp32_simd arms it exactly
-  // when the build + CPU can honor it (and reports which happened).
-  EXPECT_TRUE(ActivateBackend(ComputeBackend::kFp64));
-  EXPECT_FALSE(Fp32SimdEnabled());
-  EXPECT_TRUE(ActivateBackend(ComputeBackend::kFp32));
-  EXPECT_FALSE(Fp32SimdEnabled());
-  const bool armed = ActivateBackend(ComputeBackend::kFp32Simd);
-  EXPECT_EQ(armed, CpuSupportsFp32Simd());
-  EXPECT_EQ(Fp32SimdEnabled(), CpuSupportsFp32Simd());
-  ActivateBackend(ComputeBackend::kFp64);
-  SetFp32SimdEnabled(saved);
-}
 
 TEST(AlignedStorageTest, MatrixAndKernelBlocksAre32ByteAligned) {
   // The AVX2 kernels load 8-lane vectors straight out of Matrix rows and

@@ -54,20 +54,6 @@ TEST(MatrixTest, AddScaled) {
   EXPECT_DOUBLE_EQ(a(1, 1), 2.0);
 }
 
-TEST(MatrixTest, AddScaledIntoLeadingColsPadsWithNothing) {
-  // Eq. 7: a narrow update lands in the leading columns, the tail is
-  // untouched (zero-padding semantics).
-  Matrix wide(2, 4);
-  wide.Fill(1.0);
-  Matrix narrow = Iota(2, 2);
-  wide.AddScaledIntoLeadingCols(narrow, 2.0);
-  EXPECT_DOUBLE_EQ(wide(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(wide(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(wide(0, 2), 1.0);
-  EXPECT_DOUBLE_EQ(wide(0, 3), 1.0);
-  EXPECT_DOUBLE_EQ(wide(1, 0), 7.0);
-}
-
 TEST(MatrixTest, ScaleInPlace) {
   Matrix m = Iota(1, 3);
   m.Scale(-2.0);
@@ -82,14 +68,6 @@ TEST(MatrixTest, LeadingColsSlices) {
   EXPECT_EQ(s(0, 0), 1.0);
   EXPECT_EQ(s(0, 1), 2.0);
   EXPECT_EQ(s(1, 0), 5.0);
-  EXPECT_EQ(s(1, 1), 6.0);
-}
-
-TEST(MatrixTest, RowSlice) {
-  Matrix m = Iota(4, 2);
-  Matrix s = m.RowSlice(1, 2);
-  EXPECT_EQ(s.rows(), 2u);
-  EXPECT_EQ(s(0, 0), 3.0);
   EXPECT_EQ(s(1, 1), 6.0);
 }
 

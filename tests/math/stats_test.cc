@@ -40,36 +40,6 @@ TEST(StatsTest, CovarianceMatrixSymmetricAndCorrect) {
   EXPECT_DOUBLE_EQ(cov(0, 1), cov(1, 0));
 }
 
-TEST(StatsTest, CorrelationOfPerfectlyCorrelatedColumns) {
-  Matrix corr = CorrelationMatrix(TwoColumn());
-  EXPECT_DOUBLE_EQ(corr(0, 0), 1.0);
-  EXPECT_NEAR(corr(0, 1), 1.0, 1e-12);
-}
-
-TEST(StatsTest, CorrelationOfAntiCorrelatedColumns) {
-  Matrix m(3, 2);
-  m(0, 0) = 1;
-  m(1, 0) = 2;
-  m(2, 0) = 3;
-  m(0, 1) = 3;
-  m(1, 1) = 2;
-  m(2, 1) = 1;
-  Matrix corr = CorrelationMatrix(m);
-  EXPECT_NEAR(corr(0, 1), -1.0, 1e-12);
-}
-
-TEST(StatsTest, CorrelationHandlesConstantColumn) {
-  Matrix m(3, 2);
-  m(0, 0) = 1;
-  m(1, 0) = 2;
-  m(2, 0) = 3;
-  // column 1 constant
-  for (size_t r = 0; r < 3; ++r) m(r, 1) = 7.0;
-  Matrix corr = CorrelationMatrix(m);
-  EXPECT_DOUBLE_EQ(corr(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(corr(1, 1), 1.0);
-}
-
 TEST(StatsTest, StandardizeColumnsZeroMeanUnitVar) {
   Rng rng(3);
   Matrix m(200, 4);
